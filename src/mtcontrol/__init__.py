@@ -7,7 +7,7 @@ phases, and synthesizes controls realizing feasible phase transfers.
 """
 
 from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
-                   curve_eval, curve_segment, curve_velocity, staircase)
+                   curve_segment, staircase)
 from .expr import Expr, ExprDomainError, ExprError, differentiate, evaluate, parse
 from .flow import (FundamentalMatrix, fundamental_matrix, solve_adjoint,
                    solve_affine, solve_controlled, solve_homogeneous, transition)
@@ -19,12 +19,12 @@ from .kalman import (AutonomousReport, ControllabilityMatrix, RankComparison,
                      autonomous_analysis, compare_rank, controllability_matrix,
                      exponent_order, rank_G)
 from .pathint import (OneFormFamily, PathIndependenceReport, integrate_along,
-                      primitive, verify_path_independence)
+                      verify_path_independence)
 from .synth import (SynthesisResult, SynthesizedControl, TransferVerification,
                     candidate_control, synthesize_transfer, verify_transfer)
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, MatrixFunction,
                      check_control_compat, check_F_compatibility,
-                     check_gramian_compat, check_M_commutation)
+                     check_gramian_compat, check_M_commutation, require)
 
 __version__ = "0.1.0"

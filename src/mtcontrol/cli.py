@@ -32,7 +32,7 @@ from .expr import ExprError
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, check_control_compat,
                      check_F_compatibility, check_gramian_compat,
-                     check_M_commutation)
+                     check_M_commutation, require)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -210,12 +210,14 @@ def cmd_analyze(args) -> dict:
     t = _parse_point(args.t, system.m)
     tree: dict = {"command": "analyze", "t0": t0.tolist(), "t": t.tolist(),
                   "constant_system": system.is_constant}
+    decision = None  # one gramian verdict serves every section below
     if system.is_constant:
         x0 = (_parse_point(args.x0, system.n) if args.x0 is not None
               else np.zeros(system.n))
         y = (_parse_point(args.y, system.n) if args.y is not None
              else np.zeros(system.n))
         report = kalman.autonomous_analysis(system, t0, x0, t, y, cfg)
+        decision = report.gramian_decision
         tree["autonomous"] = {
             "rank_G": report.rank_G,
             "transfer_feasible": report.transfer_feasible,
@@ -225,15 +227,17 @@ def cmd_analyze(args) -> dict:
             "completely_controllable": report.completely_controllable,
             "completely_reachable": report.completely_reachable,
             "gramian_condition": _condition_tree(report.gramian_condition),
-            "rank_C": report.gramian_rank,
-            "gramian_transfer_feasible": report.gramian_transfer_feasible,
+            "rank_C": None if decision is None else decision.rank,
+            "gramian_transfer_feasible":
+                None if decision is None else decision.feasible,
         }
         if report.warning:
             tree.setdefault("warnings", []).append(report.warning)
     if args.x0 is not None and args.y is not None:
-        x0 = _parse_point(args.x0, system.n)
-        y = _parse_point(args.y, system.n)
-        decision = gramian.decide_transfer(system, t0, x0, t, y, cfg)
+        if decision is None:
+            x0 = _parse_point(args.x0, system.n)
+            y = _parse_point(args.y, system.n)
+            decision = gramian.decide_transfer(system, t0, x0, t, y, cfg)
         tree["transfer"] = {
             "feasible": decision.feasible,
             "residual": float(_fmt(decision.residual)),
@@ -241,21 +245,15 @@ def cmd_analyze(args) -> dict:
             "within_subspace_guarantee": decision.ordered_weakly,
             "rank_C": decision.rank,
         }
-    if np.all(t0 < t):
-        complete = gramian.decide_complete(system, t0, t, cfg)
-        tree["complete"] = {
-            "completely_controllable": complete.completely_controllable,
-            "completely_reachable": complete.completely_reachable,
-            "rank_C": complete.rank,
-        }
-    else:
-        basis = gramian.controllability_space(system, t0, t, cfg)
-        tree["complete"] = {
-            "completely_controllable": basis.rank == system.n,
-            "completely_reachable": basis.rank == system.n,
-            "rank_C": basis.rank,
-            "note": "endpoint pair is not strictly ordered",
-        }
+    rank = (decision.rank if decision is not None
+            else gramian.controllability_space(system, t0, t, cfg).rank)
+    tree["complete"] = {
+        "completely_controllable": rank == system.n,
+        "completely_reachable": rank == system.n,
+        "rank_C": rank,
+    }
+    if not np.all(t0 < t):
+        tree["complete"]["note"] = "endpoint pair is not strictly ordered"
     return tree
 
 
@@ -292,9 +290,7 @@ def cmd_simulate(args) -> dict:
     control_doc = load_config(args.control)
     data = control_doc["u"] if isinstance(control_doc, dict) else control_doc
     u = _load_control(data, system)
-    report = check_control_compat(system, u, cfg)
-    if not report.passed:
-        raise CompatibilityError(report)
+    report = require(check_control_compat(system, u, cfg))
     x = flow.solve_controlled(system, u, t0, x0, t, cfg=cfg, check=False)
     return {
         "command": "simulate",

@@ -15,8 +15,6 @@ __all__ = [
     "as_point",
     "PolylineCurve",
     "curve_segment",
-    "curve_eval",
-    "curve_velocity",
     "NumericConfig",
     "DEFAULT_CONFIG",
 ]
@@ -70,9 +68,8 @@ DEFAULT_CONFIG = NumericConfig()
 class PolylineCurve:
     """A piecewise-affine curve through >= 2 multitime waypoints.
 
-    Parameterized on [0, 1] with an equal parameter share per segment.
-    Integrals along the curve are reparameterization invariant, so the
-    equal-share choice is purely a convention.
+    Integrals along the curve are taken segment by segment and are
+    reparameterization invariant, so only the waypoints matter.
     """
 
     waypoints: np.ndarray = field()  # shape (S+1, m)
@@ -83,10 +80,6 @@ class PolylineCurve:
             raise ValueError("a polyline needs at least two waypoints")
         if not np.all(np.isfinite(w)):
             raise ValueError("waypoints must be finite")
-        if w.shape[0] == 2 and np.array_equal(w[0], w[1]):
-            # Degenerate two-point curve is allowed; it is the zero-length
-            # path and every integral along it vanishes.
-            pass
         object.__setattr__(self, "waypoints", w)
 
     @property
@@ -104,35 +97,6 @@ class PolylineCurve:
     @property
     def end(self) -> np.ndarray:
         return self.waypoints[-1]
-
-    def _locate(self, tau: float) -> tuple[int, float]:
-        """Map tau in [0,1] to (segment index, local parameter in [0,1])."""
-        if not 0.0 <= tau <= 1.0:
-            raise ValueError(f"curve parameter must lie in [0, 1], got {tau}")
-        s = self.segment_count
-        if tau >= 1.0:
-            return s - 1, 1.0
-        scaled = tau * s
-        i = int(scaled)
-        return i, scaled - i
-
-    def eval(self, tau: float) -> np.ndarray:
-        """Point on the curve at parameter tau in [0, 1]."""
-        i, local = self._locate(tau)
-        a, b = self.waypoints[i], self.waypoints[i + 1]
-        return (1.0 - local) * a + local * b
-
-    def velocity(self, tau: float) -> np.ndarray:
-        """Derivative d(gamma)/d(tau); constant on each segment.
-
-        At interior breakpoints the right-hand derivative is returned
-        (Gauss quadrature nodes never land on breakpoints).
-        """
-        i, _ = self._locate(tau)
-        return self.segment_count * (self.waypoints[i + 1] - self.waypoints[i])
-
-    def reversed(self) -> "PolylineCurve":
-        return PolylineCurve(self.waypoints[::-1].copy())
 
 
 def curve_segment(t0, t1) -> PolylineCurve:
@@ -156,11 +120,3 @@ def staircase(t0, t1) -> PolylineCurve:
         cur[axis] = b[axis]
         points.append(cur)
     return PolylineCurve(np.stack(points))
-
-
-def curve_eval(c: PolylineCurve, tau: float) -> np.ndarray:
-    return c.eval(tau)
-
-
-def curve_velocity(c: PolylineCurve, tau: float) -> np.ndarray:
-    return c.velocity(tau)

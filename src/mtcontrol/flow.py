@@ -17,9 +17,8 @@ from scipy.linalg import expm
 
 from .core import DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point, curve_segment
 from .pathint import OneFormFamily, integrate_along
-from .system import (CompatibilityError, LinearSystem, MatrixFamily,
-                     check_control_compat, check_F_compatibility,
-                     check_M_commutation)
+from .system import (LinearSystem, MatrixFamily, check_control_compat,
+                     check_F_compatibility, check_M_commutation, require)
 
 __all__ = [
     "FundamentalMatrix",
@@ -104,9 +103,7 @@ def fundamental_matrix(sys: LinearSystem, t, t0,
     loses accuracy.
     """
     if check:
-        report = check_M_commutation(sys, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
+        require(check_M_commutation(sys, cfg))
     t = as_point(t, m=sys.m)
     t0 = as_point(t0, m=sys.m)
     if not sys.M.is_constant and not (sys.contains(t) and sys.contains(t0)):
@@ -135,18 +132,25 @@ def solve_adjoint(sys: LinearSystem, t0, phi0, t,
     return fundamental_matrix(sys, t0, t, cfg, check=check).value.T @ phi0
 
 
-def _affine_integrand(sys: LinearSystem, F_value, t, cfg) -> OneFormFamily:
-    """One-form s -> chi(t, s) F_alpha(s); F_value(alpha, s) gives an (n,) vector."""
+def _forced_solve(sys: LinearSystem, F_value, t0, x0, t,
+                  curve: PolylineCurve | None, cfg: NumericConfig) -> np.ndarray:
+    """x(t) = chi(t, t0) x0 + integral over `curve` (default: the segment
+    t0 -> t) of chi(t, s) F_alpha(s) ds^a, F_value(alpha, s) an (n,) vector."""
+    t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
+    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    if curve is None:
+        curve = curve_segment(t0, t)
 
     def member(alpha):
         def P(s):
-            chi_ts = transition(sys, t, s, cfg)
-            return (chi_ts @ F_value(alpha, s)).reshape(sys.n, 1)
+            return (transition(sys, t, s, cfg) @ F_value(alpha, s)).reshape(sys.n, 1)
         return P
 
-    return OneFormFamily([member(alpha) for alpha in range(1, sys.m + 1)],
-                         (sys.n, 1))
+    integrand = OneFormFamily([member(alpha) for alpha in range(1, sys.m + 1)],
+                              (sys.n, 1))
+    forced = integrate_along(integrand, curve, cfg)[:, 0]
+    return transition(sys, t, t0, cfg) @ x0 + forced
 
 
 def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
@@ -159,20 +163,10 @@ def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
     the integrand closed, which is exactly what `check` verifies.
     """
     if check:
-        report = check_M_commutation(sys, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
-        report = check_F_compatibility(sys, F, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
-    t0 = as_point(t0, m=sys.m)
-    t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    if curve is None:
-        curve = curve_segment(t0, t)
-    integrand = _affine_integrand(sys, lambda a, s: F[a - 1](s)[:, 0], t, cfg)
-    forced = integrate_along(integrand, curve, cfg)[:, 0]
-    return transition(sys, t, t0, cfg) @ x0 + forced
+        require(check_M_commutation(sys, cfg))
+        require(check_F_compatibility(sys, F, cfg))
+    return _forced_solve(sys, lambda a, s: F[a - 1](s)[:, 0], t0, x0, t,
+                         curve, cfg)
 
 
 def solve_controlled(sys: LinearSystem, u, t0, x0, t,
@@ -185,18 +179,7 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
     rejected when it falls outside the control space.
     """
     if check:
-        report = check_M_commutation(sys, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
-        report = check_control_compat(sys, u, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
-    t0 = as_point(t0, m=sys.m)
-    t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    if curve is None:
-        curve = curve_segment(t0, t)
-    integrand = _affine_integrand(
-        sys, lambda a, s: sys.N[a - 1](s) @ u.value(a, s), t, cfg)
-    forced = integrate_along(integrand, curve, cfg)[:, 0]
-    return transition(sys, t, t0, cfg) @ x0 + forced
+        require(check_M_commutation(sys, cfg))
+        require(check_control_compat(sys, u, cfg))
+    return _forced_solve(sys, lambda a, s: sys.N[a - 1](s) @ u.value(a, s),
+                         t0, x0, t, curve, cfg)

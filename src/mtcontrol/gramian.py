@@ -1,11 +1,12 @@
 """Controllability and reachability gramians, subspaces, and feasibility.
 
-The controllability gramian is the curvilinear integral of
-chi(t0,s) N_a(s) N_a(s)' chi(t0,s)' ds^a; the reachability gramian uses
-chi(t,s) instead.  Both are only well defined when the gramian
-compatibility condition holds (otherwise the integral is path dependent),
-so the constructors refuse in that case unless an explicit curve is
-forced, in which case the result is labelled path dependent.
+Both gramians come from one builder: the curvilinear integral of
+chi(anchor,s) N_a(s) N_a(s)' chi(anchor,s)' ds^a from t0 to t, anchored at
+t0 for controllability and at t for reachability.  It is only well
+defined when the gramian compatibility condition holds (otherwise the
+integral is path dependent), so the builder refuses in that case unless
+an explicit curve from t0 to t is forced, in which case the result is
+labelled path dependent.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .core import DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point, curve_segment
 from .flow import transition
 from .pathint import OneFormFamily, integrate_along
-from .system import (CompatibilityError, LinearSystem, check_gramian_compat,
-                     check_M_commutation)
+from .system import (LinearSystem, check_gramian_compat, check_M_commutation,
+                     require)
 
 __all__ = [
     "Gramian",
@@ -64,18 +65,23 @@ class SubspaceBasis:
         return bool(residual <= rel_tol * (1.0 + np.linalg.norm(w))), residual
 
 
-def numerical_rank(a: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG) -> int:
-    """SVD rank with threshold rank_rel_tol * sigma_max * max(dims)."""
-    s = np.linalg.svd(a, compute_uv=False)
+def _rank(s: np.ndarray, shape: tuple[int, ...], cfg: NumericConfig) -> int:
+    """Count of singular values above rank_rel_tol * sigma_max * max(dims)."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > cfg.rank_rel_tol * s[0] * max(a.shape)))
+    return int(np.sum(s > cfg.rank_rel_tol * s[0] * max(shape)))
+
+
+def numerical_rank(a: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG) -> int:
+    """SVD rank with threshold rank_rel_tol * sigma_max * max(dims)."""
+    return _rank(np.linalg.svd(a, compute_uv=False), a.shape, cfg)
 
 
 def image_basis(a: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG,
                 ordered: bool = True) -> SubspaceBasis:
-    u, s, _ = np.linalg.svd(a)
-    r = numerical_rank(a, cfg)
+    """Orthonormal basis of Im a from one thin SVD."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    r = _rank(s, a.shape, cfg)
     return SubspaceBasis(u[:, :r], r, s, ordered)
 
 
@@ -96,58 +102,42 @@ def gramian_integrand(sys: LinearSystem, anchor,
                          (sys.n, sys.n))
 
 
-def _gate(sys: LinearSystem, cfg: NumericConfig) -> None:
-    report = check_M_commutation(sys, cfg)
-    if not report.passed:
-        raise CompatibilityError(report)
-    report = check_gramian_compat(sys, cfg)
-    if not report.passed:
-        raise CompatibilityError(report)
+def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,
+             force_curve: PolylineCurve | None) -> Gramian:
+    """The gramian integral from t0 to t, anchored at t0 ("controllability")
+    or at t ("reachability").
+
+    With `force_curve` the gramian-compatibility gate is skipped and the
+    integral is taken along the supplied curve, which must run from t0 to
+    t; the result is then path dependent and labelled as such.
+    """
+    t0 = as_point(t0, m=sys.m)
+    t = as_point(t, m=sys.m)
+    require(check_M_commutation(sys, cfg))
+    if force_curve is None:
+        require(check_gramian_compat(sys, cfg))
+        curve = curve_segment(t0, t)
+    else:
+        curve = force_curve
+        if not (np.array_equal(curve.start, t0) and np.array_equal(curve.end, t)):
+            raise ValueError("forced curve must run from t0 to t")
+    anchor = t0 if kind == "controllability" else t
+    value = integrate_along(gramian_integrand(sys, anchor, cfg), curve, cfg)
+    return Gramian(value, t0, t, kind, path_dependent=force_curve is not None)
 
 
 def controllability_gramian(sys: LinearSystem, t0, t,
                             cfg: NumericConfig = DEFAULT_CONFIG,
                             force_curve: PolylineCurve | None = None) -> Gramian:
-    """Gramian anchored at t0, integrated over the straight segment t0 -> t.
-
-    With `force_curve` the compatibility gate is skipped and the integral is
-    taken along the supplied curve; the result is then path dependent and
-    labelled as such.
-    """
-    t0 = as_point(t0, m=sys.m)
-    t = as_point(t, m=sys.m)
-    if force_curve is None:
-        _gate(sys, cfg)
-        curve = curve_segment(t0, t)
-    else:
-        report = check_M_commutation(sys, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
-        curve = force_curve
-        if not (np.array_equal(curve.start, t0) and np.array_equal(curve.end, t)):
-            raise ValueError("forced curve must run from t0 to t")
-    value = integrate_along(gramian_integrand(sys, t0, cfg), curve, cfg)
-    return Gramian(value, t0, t, "controllability",
-                   path_dependent=force_curve is not None)
+    """Gramian anchored at t0, integrated over the straight segment t0 -> t."""
+    return _gramian(sys, t0, t, "controllability", cfg, force_curve)
 
 
 def reachability_gramian(sys: LinearSystem, t0, t,
                          cfg: NumericConfig = DEFAULT_CONFIG,
                          force_curve: PolylineCurve | None = None) -> Gramian:
     """Gramian anchored at the target t; satisfies R(t0,t) = -C(t,t0)."""
-    t0 = as_point(t0, m=sys.m)
-    t = as_point(t, m=sys.m)
-    if force_curve is None:
-        _gate(sys, cfg)
-        curve = curve_segment(t0, t)
-    else:
-        report = check_M_commutation(sys, cfg)
-        if not report.passed:
-            raise CompatibilityError(report)
-        curve = force_curve
-    value = integrate_along(gramian_integrand(sys, t, cfg), curve, cfg)
-    return Gramian(value, t0, t, "reachability",
-                   path_dependent=force_curve is not None)
+    return _gramian(sys, t0, t, "reachability", cfg, force_curve)
 
 
 def _ordering(t0: np.ndarray, t: np.ndarray) -> str:
@@ -220,7 +210,6 @@ def decide_complete(sys: LinearSystem, t0, t,
     t = as_point(t, m=sys.m)
     if not np.all(t0 < t):
         raise ValueError("decide_complete requires t0 < t componentwise")
-    g = controllability_gramian(sys, t0, t, cfg)
-    r = numerical_rank(g.value, cfg)
+    r = controllability_space(sys, t0, t, cfg).rank
     full = r == sys.n
     return CompleteDecision(full, full, r)

@@ -19,9 +19,10 @@ import numpy as np
 
 from .core import DEFAULT_CONFIG, NumericConfig, as_point
 from .flow import transition
-from .gramian import controllability_gramian, image_basis, numerical_rank
-from .system import (CompatibilityError, ConditionReport, LinearSystem,
-                     check_gramian_compat, check_M_commutation)
+from .gramian import (TransferDecision, controllability_space, decide_transfer,
+                      image_basis, numerical_rank)
+from .system import (ConditionReport, LinearSystem, check_gramian_compat,
+                     check_M_commutation, require)
 
 __all__ = [
     "exponent_order",
@@ -56,9 +57,7 @@ def controllability_matrix(sys: LinearSystem,
     """Assemble G for a constant, commuting system."""
     if not sys.is_constant:
         raise ValueError("the controllability matrix is defined for constant systems")
-    report = check_M_commutation(sys, cfg)
-    if not report.passed:
-        raise CompatibilityError(report)
+    require(check_M_commutation(sys, cfg))
 
     origin = np.zeros(sys.m)
     M = [sys.M[a](origin) for a in range(sys.m)]
@@ -108,8 +107,7 @@ class AutonomousReport:
     completely_controllable: bool
     completely_reachable: bool
     gramian_condition: ConditionReport
-    gramian_rank: int | None   # rank C(t0, t) when computable, else None
-    gramian_transfer_feasible: bool | None
+    gramian_decision: TransferDecision | None  # gramian verdict when computable
     warning: str | None
 
 
@@ -135,14 +133,9 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
     full = r == sys.n
 
     condition = check_gramian_compat(sys, cfg)
-    warning = None
-    gramian_rank = None
-    gramian_feasible = None
+    warning, decision = None, None
     if condition.passed:
-        g = controllability_gramian(sys, t0, t, cfg)
-        gb = image_basis(g.value, cfg)
-        gramian_rank = gb.rank
-        gramian_feasible, _ = gb.contains(w, cfg.residual_rel_tol)
+        decision = decide_transfer(sys, t0, x0, t, y, cfg)
     else:
         warning = ("gramian compatibility fails (residual "
                    f"{condition.max_residual:.6g}); the rank-G conclusions may "
@@ -150,8 +143,7 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
                    "authoritative")
 
     return AutonomousReport(r, feasible, residual, controllable, reachable,
-                            full, full, condition, gramian_rank,
-                            gramian_feasible, warning)
+                            full, full, condition, decision, warning)
 
 
 @dataclass(frozen=True)
@@ -167,6 +159,5 @@ def compare_rank(sys: LinearSystem, t0, t,
     the inequality rank C <= rank G always."""
     G = controllability_matrix(sys, cfg)
     rg = rank_G(G, cfg)
-    g = controllability_gramian(sys, t0, t, cfg)
-    rc = numerical_rank(g.value, cfg)
+    rc = controllability_space(sys, t0, t, cfg).rank
     return RankComparison(rg, rc, rg == rc)

@@ -20,7 +20,6 @@ from .system import MatrixFamily
 __all__ = [
     "OneFormFamily",
     "integrate_along",
-    "primitive",
     "verify_path_independence",
     "PathIndependenceReport",
 ]
@@ -80,25 +79,6 @@ def integrate_along(P: OneFormFamily, curve: PolylineCurve,
                     seg += w * delta[alpha - 1] * P(alpha, point)
         total += seg
     return total
-
-
-def primitive(P: OneFormFamily, t0, t,
-              cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Star-shaped primitive: quadrature of
-    integral_0^1 (t^a - t0^a) P_a((1 - tau) t0 + tau t) dtau."""
-    t0 = as_point(t0)
-    t = as_point(t, m=t0.size)
-    nodes, weights = _gauss_nodes(cfg.quad_points_per_segment)
-    delta = t - t0
-    out = np.zeros(P.shape)
-    if not np.any(delta):
-        return out
-    for x, w in zip(nodes, weights):
-        point = (1.0 - x) * t0 + x * t
-        for alpha in range(1, P.m + 1):
-            if delta[alpha - 1] != 0.0:
-                out += w * delta[alpha - 1] * P(alpha, point)
-    return out
 
 
 @dataclass(frozen=True)

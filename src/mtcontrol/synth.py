@@ -17,7 +17,7 @@ from .core import DEFAULT_CONFIG, NumericConfig, as_point
 from .flow import solve_controlled, transition
 from .gramian import controllability_gramian, _ordering
 from .system import (CompatibilityError, ConditionReport, LinearSystem,
-                     check_gramian_compat, check_M_commutation)
+                     check_gramian_compat, check_M_commutation, require)
 
 __all__ = [
     "SynthesizedControl",
@@ -83,9 +83,7 @@ class SynthesizedControl:
 def candidate_control(sys: LinearSystem, t0, v,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> SynthesizedControl:
     """Build u_{alpha,v}; validity is a flag, not an error."""
-    report = check_M_commutation(sys, cfg)
-    if not report.passed:
-        raise CompatibilityError(report)
+    require(check_M_commutation(sys, cfg))
     t0 = as_point(t0, m=sys.m)
     v = np.asarray(v, dtype=float).reshape(sys.n)
     condition = check_gramian_compat(sys, cfg)

@@ -37,6 +37,7 @@ __all__ = [
     "LinearSystem",
     "ConditionReport",
     "CompatibilityError",
+    "require",
     "check_M_commutation",
     "check_F_compatibility",
     "check_control_compat",
@@ -275,10 +276,17 @@ class ConditionReport:
         return self.passed
 
 
-def _run_pair_check(name: str, sys: LinearSystem, residual_fn, constant: bool,
+def require(report: ConditionReport) -> ConditionReport:
+    """The gate: return a passing report, raise CompatibilityError otherwise."""
+    if not report.passed:
+        raise CompatibilityError(report)
+    return report
+
+
+def _run_pair_check(name: str, sys: LinearSystem, sides_fn, constant: bool,
                     cfg: NumericConfig) -> ConditionReport:
-    """Evaluate residual_fn(alpha, beta, t) -> (residual_matrix, scale) over
-    all pairs alpha < beta and all sample points; reduce to a report."""
+    """Evaluate sides_fn(alpha, beta, t) -> (lhs, rhs) over all pairs
+    alpha < beta and all sample points; reduce |lhs - rhs| to a report."""
     pairs = list(itertools.combinations(range(1, sys.m + 1), 2))
     if not pairs:
         return ConditionReport(name, 0.0, True, None, None)
@@ -287,9 +295,9 @@ def _run_pair_check(name: str, sys: LinearSystem, residual_fn, constant: bool,
     scale = 0.0
     for t in points:
         for a, b in pairs:
-            residual, side_norm = residual_fn(a, b, t)
-            scale = max(scale, side_norm)
-            r = float(np.linalg.norm(residual))
+            lhs, rhs = sides_fn(a, b, t)
+            scale = max(scale, np.linalg.norm(lhs), np.linalg.norm(rhs))
+            r = float(np.linalg.norm(lhs - rhs))
             if r > worst[0]:
                 worst = (r, t, (a, b))
     passed = bool(worst[0] <= cfg.residual_rel_tol * (1.0 + float(scale)))
@@ -301,16 +309,16 @@ def check_M_commutation(sys: LinearSystem,
     """dM_a/dt^b + M_a M_b - dM_b/dt^a - M_b M_a over all pairs a < b."""
     constant = sys.M.is_constant
 
-    def residual(a, b, t):
+    def sides(a, b, t):
         Ma, Mb = sys.M[a - 1](t), sys.M[b - 1](t)
         lhs = Ma @ Mb
         rhs = Mb @ Ma
         if not constant:
             lhs = lhs + sys.M[a - 1].diff(b)(t)
             rhs = rhs + sys.M[b - 1].diff(a)(t)
-        return lhs - rhs, max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+        return lhs, rhs
 
-    return _run_pair_check("M-commutation (Eq. 6)", sys, residual, constant, cfg)
+    return _run_pair_check("M-commutation (Eq. 6)", sys, sides, constant, cfg)
 
 
 def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
@@ -320,15 +328,15 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
         raise ValueError(f"F must be a family of {sys.n}x1 vectors, got {F.shape}")
     constant = sys.M.is_constant and F.is_constant
 
-    def residual(a, b, t):
+    def sides(a, b, t):
         lhs = sys.M[a - 1](t) @ F[b - 1](t)
         rhs = sys.M[b - 1](t) @ F[a - 1](t)
         if not constant:
             lhs = lhs + F[a - 1].diff(b)(t)
             rhs = rhs + F[b - 1].diff(a)(t)
-        return lhs - rhs, max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+        return lhs, rhs
 
-    return _run_pair_check("F-compatibility (Eq. 7)", sys, residual, constant, cfg)
+    return _run_pair_check("F-compatibility (Eq. 7)", sys, sides, constant, cfg)
 
 
 def check_control_compat(sys: LinearSystem, u,
@@ -341,7 +349,7 @@ def check_control_compat(sys: LinearSystem, u,
     """
     constant = (sys.is_constant and getattr(u, "is_constant", False))
 
-    def residual(a, b, t):
+    def sides(a, b, t):
         Na, Nb = sys.N[a - 1](t), sys.N[b - 1](t)
         ua, ub = u.value(a, t), u.value(b, t)
         lhs = sys.M[a - 1](t) @ (Nb @ ub) + Na @ u.derivative(a, b, t)
@@ -349,9 +357,9 @@ def check_control_compat(sys: LinearSystem, u,
         if not sys.N.is_constant:
             lhs = lhs + sys.N[a - 1].diff(b)(t) @ ua
             rhs = rhs + sys.N[b - 1].diff(a)(t) @ ub
-        return lhs - rhs, max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+        return lhs, rhs
 
-    return _run_pair_check("control-compatibility (Eq. 14)", sys, residual,
+    return _run_pair_check("control-compatibility (Eq. 14)", sys, sides,
                            constant, cfg)
 
 
@@ -364,7 +372,7 @@ def check_gramian_compat(sys: LinearSystem,
     """
     constant = sys.is_constant
 
-    def residual(a, b, t):
+    def sides(a, b, t):
         Ma, Mb = sys.M[a - 1](t), sys.M[b - 1](t)
         Na, Nb = sys.N[a - 1](t), sys.N[b - 1](t)
         lhs = Ma @ Nb @ Nb.T + Nb @ Nb.T @ Ma.T
@@ -374,7 +382,7 @@ def check_gramian_compat(sys: LinearSystem,
             dNb = sys.N[b - 1].diff(a)(t)
             lhs = lhs + dNa @ Na.T + Na @ dNa.T
             rhs = rhs + dNb @ Nb.T + Nb @ dNb.T
-        return lhs - rhs, max(np.linalg.norm(lhs), np.linalg.norm(rhs))
+        return lhs, rhs
 
-    return _run_pair_check("gramian-compatibility (Eq. 17)", sys, residual,
+    return _run_pair_check("gramian-compatibility (Eq. 17)", sys, sides,
                            constant, cfg)

@@ -1,9 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import mtcontrol.gramian
 from mtcontrol.cli import run
+
+DEMO_DIAG = str(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                / "diagonal_two_time.json")
 
 DIAG = {
     "m": 2, "n": 2, "k": 1,
@@ -102,6 +107,14 @@ def test_gramian_force_path(capsys, cyclic_cfg):
     assert tree["path_dependent"]
 
 
+def test_reachability_force_path_must_run_from_t0_to_t(capsys, diag_cfg):
+    code, tree = run_json(capsys, ["gramian", diag_cfg, "--kind", "R",
+                                   "--force-path", "1,1;0,0",
+                                   "--t0", "0,0", "--t", "1,1"])
+    assert code == 2
+    assert tree["error"] == "forced curve must run from t0 to t"
+
+
 def test_kalman_command(capsys, diag_cfg):
     code, tree = run_json(capsys, ["kalman", diag_cfg])
     assert code == 0
@@ -122,10 +135,28 @@ def test_analyze_diag_reports_rank_gap(capsys, diag_cfg):
     assert not tree["complete"]["completely_controllable"]
 
 
+@pytest.mark.parametrize("transfer", [["--x0", "1,0", "--y", "0,0"], []],
+                         ids=["with_transfer", "without_transfer"])
+def test_analyze_builds_the_gramian_once(capsys, monkeypatch, transfer):
+    builds = []
+    original = mtcontrol.gramian.gramian_integrand
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mtcontrol.gramian, "gramian_integrand", counting)
+    code, tree = run_json(capsys, ["analyze", DEMO_DIAG, "--t0", "0,0",
+                                   "--t", "1,1", *transfer])
+    assert code == 0
+    assert tree["complete"]["rank_C"] == 2
+    assert len(builds) == 1
+
+
 def test_analyze_cyclic_carries_warning(capsys, cyclic_cfg):
     code, tree = run_json(capsys, ["analyze", cyclic_cfg, "--t0", "0,0,0",
                                    "--t", "1,1,1"])
-    assert code == 2  # decide_complete refuses: gramian gate fails
+    assert code == 2  # the gramian gate refuses the complete decision
     assert tree["refused"]
 
 

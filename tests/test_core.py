@@ -8,14 +8,14 @@ from mtcontrol.core import staircase
 def test_segment_constructor_echo():
     c = curve_segment((0, 0), (1, 0))
     assert np.array_equal(c.waypoints, [[0.0, 0.0], [1.0, 0.0]])
-    assert np.array_equal(c.eval(0.0), [0.0, 0.0])
-    assert np.array_equal(c.eval(1.0), [1.0, 0.0])
+    assert np.array_equal(c.start, [0.0, 0.0])
+    assert np.array_equal(c.end, [1.0, 0.0])
 
 
 def test_degenerate_segment_is_allowed():
     c = curve_segment((0, 0), (0, 0))
     assert c.segment_count == 1
-    assert np.array_equal(c.velocity(0.5), [0.0, 0.0])
+    assert np.array_equal(c.start, c.end)
 
 
 def test_segment_dimension_mismatch():
@@ -23,59 +23,12 @@ def test_segment_dimension_mismatch():
         curve_segment((0, 0), (0, 0, 0))
 
 
-def test_eval_midpoint_of_two_leg_curve():
-    a = 0.3
-    c = PolylineCurve(np.array([[0.0, 0.0], [a, 1 - a], [2.0, 5.0]]))
-    assert np.allclose(c.eval(0.5), [a, 1 - a])
-
-
-def test_eval_affine_interpolation():
-    c = curve_segment((0, 0), (2, 4))
-    assert np.allclose(c.eval(0.25), [0.5, 1.0])
-
-
-def test_eval_out_of_range():
-    c = curve_segment((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        c.eval(1.5)
-    with pytest.raises(ValueError):
-        c.eval(-0.1)
-
-
-def test_velocity_constant_on_segment():
-    c = curve_segment((0, 0), (3, 0))
-    for tau in (0.0, 0.3, 0.99):
-        assert np.allclose(c.velocity(tau), [3.0, 0.0])
-
-
-def test_velocity_second_leg_scaled_by_segment_count():
-    c = PolylineCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-    assert np.allclose(c.velocity(0.75), [0.0, 2.0])
-
-
 def test_endpoints_reproduce_waypoints():
     rng = np.random.default_rng(7)
     w = rng.standard_normal((4, 3))
     c = PolylineCurve(w)
-    assert np.array_equal(c.eval(0.0), w[0])
-    assert np.array_equal(c.eval(1.0), w[-1])
-
-
-def test_velocity_integrates_to_displacement():
-    rng = np.random.default_rng(11)
-    w = rng.standard_normal((5, 2))
-    c = PolylineCurve(w)
-    x, wt = np.polynomial.legendre.leggauss(8)
-    total = np.zeros(2)
-    # velocity is piecewise constant: integrate per segment share
-    S = c.segment_count
-    for i in range(S):
-        lo, hi = i / S, (i + 1) / S
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        for xi, wi in zip(x, wt):
-            total += wi * half * c.velocity(mid + half * xi)
-    assert np.allclose(total, w[-1] - w[0], rtol=0, atol=1e-12)
+    assert np.array_equal(c.start, w[0])
+    assert np.array_equal(c.end, w[-1])
 
 
 def test_staircase_advances_one_axis_at_a_time():
@@ -100,9 +53,3 @@ def test_numeric_config_validation():
     cfg = NumericConfig(quad_points_per_segment=8)
     assert cfg.quad_points_per_segment == 8
 
-
-def test_reversed_swaps_endpoints():
-    c = PolylineCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
-    r = c.reversed()
-    assert np.array_equal(r.start, c.end)
-    assert np.array_equal(r.end, c.start)

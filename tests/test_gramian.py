@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcontrol import (CompatibilityError, LinearSystem,
                        controllability_gramian, controllability_space,
                        decide_complete, decide_transfer, reachability_gramian)
-from mtcontrol.core import PolylineCurve
+from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve
 from mtcontrol.flow import transition
 from mtcontrol.gramian import image_basis, numerical_rank
 
@@ -48,11 +50,16 @@ def test_forced_curve_computes_path_dependent_value(cyclic_sys):
     assert np.linalg.norm(a.value - b.value) > 1e-3
 
 
-def test_forced_curve_endpoints_must_match(cyclic_sys):
-    wrong = PolylineCurve(np.stack([np.zeros(3), np.full(3, 2.0)]))
-    with pytest.raises(ValueError):
-        controllability_gramian(cyclic_sys, np.zeros(3), np.ones(3),
-                                force_curve=wrong)
+def test_forced_curve_endpoints_must_match(cyclic_sys, diag_sys):
+    cases = [
+        (cyclic_sys, np.zeros(3), np.ones(3), [np.zeros(3), np.full(3, 2.0)]),
+        (diag_sys, (0, 0), (1, 1), [[5.0, 5.0], [7.0, 9.0]]),
+    ]
+    for build in (controllability_gramian, reachability_gramian):
+        for sys, t0, t, waypoints in cases:
+            wrong = PolylineCurve(np.array(waypoints))
+            with pytest.raises(ValueError, match="forced curve must run from t0 to t"):
+                build(sys, t0, t, force_curve=wrong)
 
 
 def test_reachability_equals_negated_reverse_controllability(diag_sys):
@@ -211,3 +218,29 @@ def test_image_basis_columns_orthonormal():
     q = basis.columns
     assert np.allclose(q.T @ q, np.eye(3), atol=1e-12)
     assert np.all(np.diff(basis.singular_values) <= 1e-15)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(a, r): a = X Y with X n x r and Y r x c drawn from a seeded normal,
+    so rank a = r almost surely; c > n gives the wide case, c < n the tall."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 60))
+    r = draw(st.integers(0, min(n, c)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, r)) @ rng.standard_normal((r, c))
+    return a, r
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(low_rank_matrices())
+def test_image_basis_rank_and_span(case):
+    a, r = case
+    basis = image_basis(a)
+    assert basis.rank == numerical_rank(a) == r
+    q = basis.columns
+    assert q.shape == (a.shape[0], r)
+    assert np.allclose(q.T @ q, np.eye(r), atol=1e-12)
+    for col in a.T:
+        inside, _ = basis.contains(col, DEFAULT_CONFIG.residual_rel_tol)
+        assert inside

@@ -107,8 +107,8 @@ def test_autonomous_analysis_diag(diag_sys):
     assert report.gramian_condition.passed
     assert report.warning is None
     # cross-check carries the stricter gramian verdict for this endpoint pair
-    assert report.gramian_rank == 1
-    assert report.gramian_transfer_feasible
+    assert report.gramian_decision.rank == 1
+    assert report.gramian_decision.feasible
 
 
 def test_autonomous_analysis_cyclic_warns(cyclic_sys):
@@ -117,7 +117,7 @@ def test_autonomous_analysis_cyclic_warns(cyclic_sys):
     assert report.rank_G == 3
     assert not report.gramian_condition.passed
     assert report.warning is not None
-    assert report.gramian_rank is None
+    assert report.gramian_decision is None
 
 
 def test_autonomous_analysis_trivial_transfer(diag_sys):
