@@ -16,7 +16,8 @@ Matrix entries are numbers or expression strings over t1..tm.  Multitime
 points are passed as comma-separated flag values; forced integration
 paths as semicolon-separated waypoints.  Reports render as text, or as
 JSON with --json.  Exit codes: 0 success (warnings included), 2 for
-validation errors and gate refusals.
+validation errors, expression domain errors (a singularity such as 1/t1
+at a sample point) and gate refusals.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import flow, gramian, kalman, synth
 from .core import NumericConfig, PolylineCurve, as_point
-from .expr import ExprError
+from .expr import ExprDomainError, ExprError
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, check_control_compat,
                      check_F_compatibility, check_gramian_compat,
@@ -367,7 +368,7 @@ def run(argv=None) -> int:
     except CompatibilityError as exc:
         tree = {"command": args.command, **_refusal(exc)}
         code = 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, ExprDomainError) as exc:
         tree = {"command": args.command, "error": str(exc)}
         code = 2
     if args.json:

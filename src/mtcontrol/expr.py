@@ -2,10 +2,17 @@
 
 Supports literals, variables t1..tm, the binary operators + - * / ^
 (^ only with a literal non-negative integer exponent), unary minus and
-the functions exp, sin, cos, log.  Expressions evaluate on multitime
-points and differentiate exactly; derivatives come back as folded but
-otherwise unsimplified trees, so equality of expressions is always
-tested by evaluation, never syntactically.
+the functions exp, sin, cos, log.  Expressions differentiate exactly;
+derivatives come back as folded but otherwise unsimplified trees, so
+equality of expressions is always tested by evaluation, never
+syntactically.
+
+Evaluation is batched: `Expr.eval` takes a (P, m) array of multitime
+points and walks the tree once, with one numpy operation per node over
+all P points.  Calling an expression on a single point is the P = 1 case
+of the same pass.  A singularity at any point of the batch (division by
+zero, log of a non-positive value, overflow of exp) raises
+ExprDomainError naming the offending value.
 
 Grammar (precedence low to high, left-associative):
 
@@ -26,10 +33,10 @@ import numpy as np
 __all__ = ["Expr", "ExprError", "ExprDomainError", "parse", "evaluate", "differentiate"]
 
 _FUNCTIONS = {
-    "exp": math.exp,
-    "sin": math.sin,
-    "cos": math.cos,
-    "log": math.log,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "log": np.log,
 }
 
 
@@ -50,7 +57,16 @@ class ExprDomainError(ArithmeticError):
 class Expr:
     """Base class for AST nodes."""
 
-    def eval(self, t: np.ndarray) -> float:
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        """Values at a (P, m) batch of points, as a (P,) array.
+
+        Raises ExprDomainError when any point hits a singularity; values
+        that merely overflow to inf or nan are returned as they are.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._eval(points)
+
+    def _eval(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def diff(self, alpha: int) -> "Expr":
@@ -60,7 +76,8 @@ class Expr:
         return False
 
     def __call__(self, t) -> float:
-        value = self.eval(np.asarray(t, dtype=float))
+        """Value at one point t of shape (m,): the P = 1 case of `eval`."""
+        value = float(self.eval(np.asarray(t, dtype=float).reshape(1, -1))[0])
         if not math.isfinite(value):
             raise ExprDomainError(f"expression evaluated to {value}")
         return value
@@ -73,8 +90,8 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def eval(self, t):
-        return self.value
+    def _eval(self, points):
+        return np.full(len(points), self.value)
 
     def diff(self, alpha):
         return Num(0.0)
@@ -92,8 +109,8 @@ class Num(Expr):
 class Var(Expr):
     index: int  # 1-based: t1, t2, ...
 
-    def eval(self, t):
-        return float(t[self.index - 1])
+    def _eval(self, points):
+        return points[:, self.index - 1]
 
     def diff(self, alpha):
         return Num(1.0 if alpha == self.index else 0.0)
@@ -106,8 +123,8 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def eval(self, t):
-        return -self.arg.eval(t)
+    def _eval(self, points):
+        return -self.arg._eval(points)
 
     def diff(self, alpha):
         return _neg(self.arg.diff(alpha))
@@ -122,16 +139,16 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, t):
-        a = self.left.eval(t)
-        b = self.right.eval(t)
+    def _eval(self, points):
+        a = self.left._eval(points)
+        b = self.right._eval(points)
         if self.op == "+":
             return a + b
         if self.op == "-":
             return a - b
         if self.op == "*":
             return a * b
-        if b == 0.0:
+        if np.any(b == 0.0):
             raise ExprDomainError(f"division by zero in {self}")
         return a / b
 
@@ -155,8 +172,8 @@ class Pow(Expr):
     base: Expr
     exponent: int  # non-negative integer literal, keeps differentiation total
 
-    def eval(self, t):
-        return self.base.eval(t) ** self.exponent
+    def _eval(self, points):
+        return self.base._eval(points) ** self.exponent
 
     def diff(self, alpha):
         if self.exponent == 0:
@@ -182,14 +199,16 @@ class Call(Expr):
     name: str
     arg: Expr
 
-    def eval(self, t):
-        x = self.arg.eval(t)
-        if self.name == "log" and x <= 0.0:
-            raise ExprDomainError(f"log of non-positive value {x}")
-        try:
-            return _FUNCTIONS[self.name](x)
-        except OverflowError as exc:
-            raise ExprDomainError(f"overflow in {self.name}({x})") from exc
+    def _eval(self, points):
+        x = self.arg._eval(points)
+        if self.name == "log" and np.any(x <= 0.0):
+            raise ExprDomainError(f"log of non-positive value {float(x[x <= 0.0][0])}")
+        y = _FUNCTIONS[self.name](x)
+        if self.name == "exp":
+            overflow = np.isinf(y) & np.isfinite(x)
+            if np.any(overflow):
+                raise ExprDomainError(f"overflow in exp({float(x[overflow][0])})")
+        return y
 
     def diff(self, alpha):
         inner = self.arg.diff(alpha)
@@ -210,6 +229,11 @@ class Call(Expr):
         return f"{self.name}({self.arg})"
 
 
+def _fold(e: Expr) -> Num:
+    """The constant node with the value of a variable-free expression."""
+    return Num(float(e.eval(np.empty((1, 0)))[0]))
+
+
 def _const_value(e: Expr) -> float | None:
     if isinstance(e, Num):
         return e.value
@@ -227,7 +251,7 @@ def _binop(op: str, a: Expr, b: Expr) -> Expr:
     """Build a binary node with constant folding of the easy cases."""
     va, vb = _const_value(a), _const_value(b)
     if va is not None and vb is not None:
-        return Num(BinOp(op, a, b).eval(np.empty(0)))
+        return _fold(BinOp(op, a, b))
     if op == "+":
         if va == 0.0:
             return b
@@ -355,7 +379,7 @@ class _Parser:
                 raise ExprError("exponent must be a non-negative integer literal",
                                 position)
             if base.is_constant():
-                return Num(Pow(base, int(value)).eval(np.empty(0)))
+                return _fold(Pow(base, int(value)))
             return Pow(base, int(value))
         return base
 
@@ -369,7 +393,7 @@ class _Parser:
                 arg = self.sum()
                 self.expect_op(")")
                 if arg.is_constant():
-                    return Num(Call(value, arg).eval(np.empty(0)))
+                    return _fold(Call(value, arg))
                 return Call(value, arg)
             if value.startswith("t") and value[1:].isdigit():
                 index = int(value[1:])

@@ -5,6 +5,8 @@ matrix exponential is scipy's scaling-and-squaring Pade implementation.
 For time-varying families chi is integrated with classical RK4 along the
 straight segment from t0 to t, which is a valid canonical path whenever
 the commutation condition holds (the integral is then path independent).
+The RK4 stage points of a segment are evaluated in one batch per family
+member before the step loop.
 """
 
 from __future__ import annotations
@@ -45,33 +47,34 @@ class FundamentalMatrix:
 
 def _rk4_chi(sys: LinearSystem, curve: PolylineCurve, cfg: NumericConfig) -> np.ndarray:
     """Integrate dX/dtau = (sum_a M_a(gamma(tau)) gamma_dot^a(tau)) X along
-    `curve` with X(0) = I."""
+    `curve` with X(0) = I.
+
+    On each segment, every M_a is evaluated once, on the batch of all RK4
+    stage points (step starts, midpoints and ends); the step loop then only
+    multiplies matrices.
+    """
     X = np.eye(sys.n)
     S = curve.segment_count
     steps = cfg.ode_steps_per_segment
-
-    def A(point: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        acc = np.zeros((sys.n, sys.n))
-        for alpha in range(sys.m):
-            if delta[alpha] != 0.0:
-                acc += delta[alpha] * sys.M[alpha](point)
-        return acc
-
+    h = 1.0 / steps
+    s = np.arange(steps) * h
+    stages = np.concatenate([s, s + 0.5 * h, s + h])[:, None]
     for i in range(S):
         a, b = curve.waypoints[i], curve.waypoints[i + 1]
         delta = b - a
         if not np.any(delta):
             continue
-        h = 1.0 / steps
+        points = a + stages * delta
+        A = np.zeros((len(points), sys.n, sys.n))
+        for alpha in range(sys.m):
+            if delta[alpha] != 0.0:
+                A += delta[alpha] * sys.M[alpha](points)
+        A1, A2, A3 = A[:steps], A[steps:2 * steps], A[2 * steps:]
         for j in range(steps):
-            s = j * h
-            p1 = a + s * delta
-            p2 = a + (s + 0.5 * h) * delta
-            p3 = a + (s + h) * delta
-            k1 = A(p1, delta) @ X
-            k2 = A(p2, delta) @ (X + 0.5 * h * k1)
-            k3 = A(p2, delta) @ (X + 0.5 * h * k2)
-            k4 = A(p3, delta) @ (X + h * k3)
+            k1 = A1[j] @ X
+            k2 = A2[j] @ (X + 0.5 * h * k1)
+            k3 = A2[j] @ (X + 0.5 * h * k2)
+            k4 = A3[j] @ (X + h * k3)
             X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return X
 

@@ -16,7 +16,7 @@ import numpy as np
 from .core import DEFAULT_CONFIG, NumericConfig, as_point
 from .flow import solve_controlled, transition
 from .gramian import controllability_gramian, _ordering
-from .system import (CompatibilityError, ConditionReport, LinearSystem,
+from .system import (CompatibilityError, ConditionReport, LinearSystem, _T,
                      check_gramian_compat, check_M_commutation, require)
 
 __all__ = [
@@ -47,19 +47,25 @@ class SynthesizedControl:
     cfg: NumericConfig = field(default=DEFAULT_CONFIG, repr=False)
 
     def _weight(self, s) -> np.ndarray:
-        """chi(t0, s)' v."""
-        return transition(self.system, self.anchor, s, self.cfg).T @ self.v
+        """chi(t0, s)' v as an (n, 1) column at one point s (m,), or as
+        (P, n, 1) on a batch of points (P, m)."""
+        if np.asarray(s).ndim == 2:
+            return np.stack([self._weight(p) for p in s])
+        return (transition(self.system, self.anchor, s, self.cfg).T @ self.v)[:, None]
 
     def value(self, alpha: int, s) -> np.ndarray:
-        return self.system.N[alpha - 1](s).T @ self._weight(s)
+        """u_alpha(s) as a k-vector at one point s (m,); (P, k) on a batch
+        of points (P, m)."""
+        return (_T(self.system.N[alpha - 1](s)) @ self._weight(s))[..., 0]
 
     def derivative(self, alpha: int, beta: int, s) -> np.ndarray:
+        """d u_alpha / ds^beta at one point (k,) or on a batch (P, k)."""
         sysm = self.system
         w = self._weight(s)
-        out = -sysm.N[alpha - 1](s).T @ sysm.M[beta - 1](s).T @ w
+        out = -_T(sysm.N[alpha - 1](s)) @ _T(sysm.M[beta - 1](s)) @ w
         if not sysm.N.is_constant:
-            out = out + sysm.N[alpha - 1].diff(beta)(s).T @ w
-        return out
+            out = out + _T(sysm.N[alpha - 1].diff(beta)(s)) @ w
+        return out[..., 0]
 
     def describe(self) -> str:
         v = ", ".join(f"{x:.12g}" for x in self.v)

@@ -17,6 +17,10 @@ constant families (single commutator evaluation) and on a tensor sample
 grid over the domain box otherwise.  Failure at any grid point is
 conclusive; passing on a modest grid is cross-checked downstream by the
 path-independence certificates.
+
+Matrix functions evaluate on a whole (P, m) batch of points in one numpy
+pass per entry, so each check evaluates every matrix it needs once over
+the whole grid, and differentiates each family member once per pair.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ class MatrixFunction:
         if grid.ndim != 2:
             raise ValueError(f"matrix entries must be 2-D, got shape {grid.shape}")
         parsed = np.empty(grid.shape, dtype=object)
-        constant = np.zeros(grid.shape)
-        self._all_constant = True
+        constant = np.zeros(grid.shape)  # expression entries stay 0 here
+        varying = []
         for (i, j), entry in np.ndenumerate(grid):
             if isinstance(entry, _expr.Expr):
                 pass
@@ -74,17 +78,19 @@ class MatrixFunction:
             else:
                 entry = _expr.Num(float(entry))
             if entry.is_constant():
-                value = entry(np.zeros(m))
+                value = (entry.value if isinstance(entry, _expr.Num)
+                         else entry(np.zeros(m)))
                 if not np.isfinite(value):
                     raise ValueError(f"non-finite constant entry at ({i}, {j})")
                 constant[i, j] = value
                 parsed[i, j] = _expr.Num(value)
             else:
-                self._all_constant = False
+                varying.append((i, j, entry))
                 parsed[i, j] = entry
         self.m = m
         self.entries = parsed
-        self._constant_value = constant if self._all_constant else None
+        self._constant = constant
+        self._varying = varying
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -92,16 +98,35 @@ class MatrixFunction:
 
     @property
     def is_constant(self) -> bool:
-        return self._all_constant
+        return not self._varying
 
     def __call__(self, t) -> np.ndarray:
-        if self._constant_value is not None:
-            return self._constant_value.copy()
-        t = as_point(t, m=self.m)
-        out = np.empty(self.shape)
-        for (i, j), e in np.ndenumerate(self.entries):
-            out[i, j] = e(t)
-        return out
+        """The matrix at one point t of shape (m,), as (r, c), or at each
+        point of a batch of shape (P, m), as (P, r, c).
+
+        Each expression entry is evaluated over all points in one pass;
+        constant entries are broadcast.
+        """
+        batch = np.asarray(t).ndim == 2
+        if not self._varying:
+            if batch:
+                return self._constant[None].repeat(len(t), axis=0)
+            return self._constant.copy()
+        if batch:
+            points = np.asarray(t, dtype=float)
+            if points.shape[1] != self.m or not np.all(np.isfinite(points)):
+                raise ValueError(f"expected a batch of finite multitimes of "
+                                 f"dimension {self.m}, got shape {points.shape}")
+        else:
+            points = as_point(t, m=self.m)[None]
+        out = self._constant[None].repeat(len(points), axis=0)
+        for i, j, e in self._varying:
+            values = e.eval(points)
+            if not np.all(np.isfinite(values)):
+                raise _expr.ExprDomainError(
+                    f"expression evaluated to {values[~np.isfinite(values)][0]}")
+            out[:, i, j] = values
+        return out if batch else out[0]
 
     def diff(self, beta: int) -> "MatrixFunction":
         """Entrywise exact partial derivative with respect to t^beta."""
@@ -187,12 +212,13 @@ class ControlFamily:
         return all(u.is_constant for u in self.members)
 
     def value(self, alpha: int, t) -> np.ndarray:
-        """u_alpha(t) as a flat k-vector (alpha is 1-based)."""
-        return self.members[alpha - 1](t)[:, 0]
+        """u_alpha(t) as a flat k-vector (alpha is 1-based); (P, k) on a
+        batch of points of shape (P, m)."""
+        return self.members[alpha - 1](t)[..., 0]
 
     def derivative(self, alpha: int, beta: int, t) -> np.ndarray:
-        """d u_alpha / dt^beta at t, as a flat k-vector."""
-        return self.members[alpha - 1].diff(beta)(t)[:, 0]
+        """d u_alpha / dt^beta at t, as a flat k-vector; (P, k) on a batch."""
+        return self.members[alpha - 1].diff(beta)(t)[..., 0]
 
 
 class LinearSystem:
@@ -283,25 +309,44 @@ def require(report: ConditionReport) -> ConditionReport:
     return report
 
 
+def _T(a: np.ndarray) -> np.ndarray:
+    """Transpose over the last two axes: of one matrix, or of each matrix
+    in a (P, r, c) stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes: of one matrix, or of each
+    matrix in a (P, r, c) stack."""
+    return np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
+
+
 def _run_pair_check(name: str, sys: LinearSystem, sides_fn, constant: bool,
                     cfg: NumericConfig) -> ConditionReport:
-    """Evaluate sides_fn(alpha, beta, t) -> (lhs, rhs) over all pairs
-    alpha < beta and all sample points; reduce |lhs - rhs| to a report."""
+    """Evaluate sides_fn(alpha, beta, T) -> (lhs, rhs) for all pairs
+    alpha < beta and reduce |lhs - rhs| to a report.  Constant families
+    are checked at one point T of shape (m,), giving single matrices;
+    time-varying ones on the whole (P, m) sample grid T at once, giving
+    (P, r, c) stacks.  The worst point is the first maximum in
+    point-major, pair-minor order."""
     pairs = list(itertools.combinations(range(1, sys.m + 1), 2))
     if not pairs:
         return ConditionReport(name, 0.0, True, None, None)
-    points = np.zeros((1, sys.m)) if constant else sys.grid_points(cfg)
-    worst = (0.0, None, None)
-    scale = 0.0
-    for t in points:
-        for a, b in pairs:
-            lhs, rhs = sides_fn(a, b, t)
-            scale = max(scale, np.linalg.norm(lhs), np.linalg.norm(rhs))
-            r = float(np.linalg.norm(lhs - rhs))
-            if r > worst[0]:
-                worst = (r, t, (a, b))
-    passed = bool(worst[0] <= cfg.residual_rel_tol * (1.0 + float(scale)))
-    return ConditionReport(name, worst[0], passed, worst[1], worst[2])
+    T = np.zeros(sys.m) if constant else sys.grid_points(cfg)
+    points = np.atleast_2d(T)
+    residuals = np.empty((len(points), len(pairs)))
+    scale = 0.0  # largest side norm, per point
+    for p, (a, b) in enumerate(pairs):
+        lhs, rhs = sides_fn(a, b, T)
+        residuals[:, p] = _norms(lhs - rhs)
+        scale = np.maximum(scale, np.maximum(_norms(lhs), _norms(rhs)))
+    worst = int(np.argmax(residuals))
+    r = float(residuals.flat[worst])
+    passed = bool(r <= cfg.residual_rel_tol * (1.0 + float(np.max(scale))))
+    if r == 0.0:
+        return ConditionReport(name, 0.0, passed, None, None)
+    return ConditionReport(name, r, passed, points[worst // len(pairs)],
+                           pairs[worst % len(pairs)])
 
 
 def check_M_commutation(sys: LinearSystem,
@@ -309,13 +354,13 @@ def check_M_commutation(sys: LinearSystem,
     """dM_a/dt^b + M_a M_b - dM_b/dt^a - M_b M_a over all pairs a < b."""
     constant = sys.M.is_constant
 
-    def sides(a, b, t):
-        Ma, Mb = sys.M[a - 1](t), sys.M[b - 1](t)
+    def sides(a, b, T):
+        Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
         lhs = Ma @ Mb
         rhs = Mb @ Ma
         if not constant:
-            lhs = lhs + sys.M[a - 1].diff(b)(t)
-            rhs = rhs + sys.M[b - 1].diff(a)(t)
+            lhs = lhs + sys.M[a - 1].diff(b)(T)
+            rhs = rhs + sys.M[b - 1].diff(a)(T)
         return lhs, rhs
 
     return _run_pair_check("M-commutation (Eq. 6)", sys, sides, constant, cfg)
@@ -328,12 +373,12 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
         raise ValueError(f"F must be a family of {sys.n}x1 vectors, got {F.shape}")
     constant = sys.M.is_constant and F.is_constant
 
-    def sides(a, b, t):
-        lhs = sys.M[a - 1](t) @ F[b - 1](t)
-        rhs = sys.M[b - 1](t) @ F[a - 1](t)
+    def sides(a, b, T):
+        lhs = sys.M[a - 1](T) @ F[b - 1](T)
+        rhs = sys.M[b - 1](T) @ F[a - 1](T)
         if not constant:
-            lhs = lhs + F[a - 1].diff(b)(t)
-            rhs = rhs + F[b - 1].diff(a)(t)
+            lhs = lhs + F[a - 1].diff(b)(T)
+            rhs = rhs + F[b - 1].diff(a)(T)
         return lhs, rhs
 
     return _run_pair_check("F-compatibility (Eq. 7)", sys, sides, constant, cfg)
@@ -345,18 +390,19 @@ def check_control_compat(sys: LinearSystem, u,
 
     Residual of M_a N_b u_b + (dN_a/dt^b) u_a + N_a du_a/dt^b minus the
     (a <-> b) swap.  `u` is a ControlFamily or any object exposing
-    value(alpha, t) and derivative(alpha, beta, t).
+    value(alpha, T) and derivative(alpha, beta, T) that take one point
+    (m,) or a (P, m) batch of points and return (k,) or (P, k).
     """
     constant = (sys.is_constant and getattr(u, "is_constant", False))
 
-    def sides(a, b, t):
-        Na, Nb = sys.N[a - 1](t), sys.N[b - 1](t)
-        ua, ub = u.value(a, t), u.value(b, t)
-        lhs = sys.M[a - 1](t) @ (Nb @ ub) + Na @ u.derivative(a, b, t)
-        rhs = sys.M[b - 1](t) @ (Na @ ua) + Nb @ u.derivative(b, a, t)
+    def sides(a, b, T):
+        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
+        ua, ub = u.value(a, T)[..., None], u.value(b, T)[..., None]
+        lhs = sys.M[a - 1](T) @ (Nb @ ub) + Na @ u.derivative(a, b, T)[..., None]
+        rhs = sys.M[b - 1](T) @ (Na @ ua) + Nb @ u.derivative(b, a, T)[..., None]
         if not sys.N.is_constant:
-            lhs = lhs + sys.N[a - 1].diff(b)(t) @ ua
-            rhs = rhs + sys.N[b - 1].diff(a)(t) @ ub
+            lhs = lhs + sys.N[a - 1].diff(b)(T) @ ua
+            rhs = rhs + sys.N[b - 1].diff(a)(T) @ ub
         return lhs, rhs
 
     return _run_pair_check("control-compatibility (Eq. 14)", sys, sides,
@@ -372,16 +418,16 @@ def check_gramian_compat(sys: LinearSystem,
     """
     constant = sys.is_constant
 
-    def sides(a, b, t):
-        Ma, Mb = sys.M[a - 1](t), sys.M[b - 1](t)
-        Na, Nb = sys.N[a - 1](t), sys.N[b - 1](t)
-        lhs = Ma @ Nb @ Nb.T + Nb @ Nb.T @ Ma.T
-        rhs = Mb @ Na @ Na.T + Na @ Na.T @ Mb.T
+    def sides(a, b, T):
+        Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
+        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
+        lhs = Ma @ Nb @ _T(Nb) + Nb @ _T(Nb) @ _T(Ma)
+        rhs = Mb @ Na @ _T(Na) + Na @ _T(Na) @ _T(Mb)
         if not sys.N.is_constant:
-            dNa = sys.N[a - 1].diff(b)(t)
-            dNb = sys.N[b - 1].diff(a)(t)
-            lhs = lhs + dNa @ Na.T + Na @ dNa.T
-            rhs = rhs + dNb @ Nb.T + Nb @ dNb.T
+            dNa = sys.N[a - 1].diff(b)(T)
+            dNb = sys.N[b - 1].diff(a)(T)
+            lhs = lhs + dNa @ _T(Na) + Na @ _T(dNa)
+            rhs = rhs + dNb @ _T(Nb) + Nb @ _T(dNb)
         return lhs, rhs
 
     return _run_pair_check("gramian-compatibility (Eq. 17)", sys, sides,

@@ -241,3 +241,46 @@ def test_text_rendering_mentions_command(capsys, diag_cfg):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("command: check")
+
+
+SINGULAR = {
+    "m": 2, "n": 1, "k": 1,
+    "M": [[["1/t1"]], [[0]]],
+    "N": [[[1]], [[0]]],
+    "domain": [[-1, 1], [-1, 1]],
+}
+LOG = dict(SINGULAR, M=[[["log(t1)"]], [[0]]], domain=[[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [["check"], ["flow", "--t0=0.5,0", "--t=0.9,0"]],
+                         ids=["check", "flow"])
+@pytest.mark.parametrize("doc, message", [
+    (SINGULAR, "division by zero in (1.0 / t1)"),
+    (LOG, "log of non-positive value 0.0"),
+], ids=["inverse", "log"])
+def test_expression_singularity_is_a_named_error(capsys, tmp_path, doc, message,
+                                                 argv, json_mode):
+    # the sample grid of the checks (and of the flow's gate) crosses t1 = 0
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    full = [argv[0], str(path), *argv[1:]]
+    if json_mode:
+        code, tree = run_json(capsys, full)
+        assert tree == {"command": argv[0], "error": message}
+    else:
+        code = run(full)
+        assert capsys.readouterr().out == f"command: {argv[0]}\nerror: {message}\n"
+    assert code == 2
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1e400", "bad system data: non-finite constant entry at (0, 0)"),
+    ('"exp(1000)"', "overflow in exp(1000.0)"),
+], ids=["literal", "folded"])
+def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, message):
+    path = tmp_path / "overflow.json"
+    path.write_text('{"m": 1, "n": 1, "k": 1, "M": [[[%s]]], "N": [[[1]]]}' % entry)
+    code, tree = run_json(capsys, ["check", str(path)])
+    assert code == 2
+    assert tree == {"command": "check", "error": message}

@@ -222,3 +222,51 @@ def test_condition_number_reported(diag_sys):
 def test_ill_conditioned_flow_warns(diag_sys):
     with pytest.warns(RuntimeWarning):
         fundamental_matrix(diag_sys, (40.0, 0.0), (0.0, 0.0))
+
+
+def _axis_scaled_system():
+    """M1 = diag(t1, 0), M2 = diag(0, t2), N_a = e_a: the conditions hold and
+    chi(t, t0) = diag(exp((t1^2 - t0_1^2)/2), exp((t2^2 - t0_2^2)/2))."""
+    return LinearSystem.from_data(
+        2, 2, 1,
+        [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
+        [[[1], [0]], [[0], [1]]],
+        domain=[[-1, 2], [-1, 2]])
+
+
+def test_rk4_matches_gaussian_closed_form():
+    from mtcontrol import synthesize_transfer, verify_transfer
+    sys = _axis_scaled_system()
+    for t0, t in (((0.0, 0.0), (0.8, 0.6)), ((0.5, -0.5), (1.0, 0.5)),
+                  ((-0.5, 0.25), (0.5, 1.0))):
+        chi = transition(sys, t, t0)
+        for i in range(2):
+            exact = math.exp((t[i] ** 2 - t0[i] ** 2) / 2)
+            assert abs(chi[i, i] - exact) <= 1e-12
+        assert chi[0, 1] == 0.0 and chi[1, 0] == 0.0
+        x0, y = (1.0, -0.5), (0.3, 0.8)
+        result = synthesize_transfer(sys, t0, x0, t, y)
+        assert result.feasible
+        check = verify_transfer(sys, result.control, t0, x0, t, target=y)
+        assert check.error <= 1e-12
+
+
+def test_rk4_evaluates_each_member_once_per_segment(monkeypatch):
+    from mtcontrol import NumericConfig
+    from mtcontrol.system import MatrixFunction
+    sys = _axis_scaled_system()
+    calls = []
+    original = MatrixFunction.__call__
+
+    def counting(self, t):
+        calls.append(np.shape(t))
+        return original(self, t)
+
+    monkeypatch.setattr(MatrixFunction, "__call__", counting)
+    counts = []
+    for steps in (64, 256):
+        calls.clear()
+        transition(sys, (0.8, 0.6), (0.0, 0.0), NumericConfig(ode_steps_per_segment=steps))
+        counts.append(len(calls))
+        assert calls == [(3 * steps, 2)] * 2  # one batch per advancing member
+    assert counts[0] == counts[1]

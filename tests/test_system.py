@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        MatrixFamily, check_control_compat,
                        check_F_compatibility, check_gramian_compat,
                        check_M_commutation)
+from mtcontrol.expr import ExprDomainError
+from mtcontrol.system import MatrixFunction
 
 
 def test_commutation_passes_cyclic(cyclic_sys):
@@ -184,3 +190,118 @@ def test_constant_family_evaluation_and_diff():
     d = fam[0].diff(1)((2.0, 0.0))
     assert d[0, 0] == pytest.approx(4.0)
     assert fam[1].is_constant
+
+
+def test_time_varying_check_differentiates_once_per_pair(monkeypatch):
+    from mtcontrol.system import MatrixFunction
+    # separated variables on m = 3 axes: every pair commutes
+    M = [[["0.5*t1", 0, 0], [0, 0, 0], [0, 0, 0]],
+         [[0, 0, 0], [0, "cos(t2)", 0], [0, 0, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 0, "exp(-t3)"]]]
+    sys = LinearSystem.from_data(3, 3, 1, M, [[[1], [0], [0]]] * 3,
+                                 domain=[[-1, 2]] * 3)
+    calls = []
+    original = MatrixFunction.diff
+
+    def counting(self, beta):
+        calls.append(beta)
+        return original(self, beta)
+
+    monkeypatch.setattr(MatrixFunction, "diff", counting)
+    report = check_M_commutation(sys)
+    assert report.passed and report.worst_point is None
+    assert len(calls) <= 2 * 3  # two per pair, not two per pair and grid point
+
+
+# The benchmark's coefficient menu: each kind maps (c, axis) to the entry
+# text and its math reference.  The last two stay at least 0.3 * e^-2 away
+# from zero on [-1, 2], so they serve as denominators.
+MENU = {
+    "lin": lambda c, a: (f"{c!r}*t{a}", lambda t: c * t[a - 1]),
+    "cos": lambda c, a: (f"{c!r}*cos(t{a})", lambda t: c * math.cos(t[a - 1])),
+    "exp": lambda c, a: (f"{c!r}*exp(-t{a})", lambda t: c * math.exp(-t[a - 1])),
+    "quad": lambda c, a: (f"{c!r}*(1+t{a}^2)", lambda t: c * (1 + t[a - 1] ** 2)),
+}
+
+
+@st.composite
+def menu_term(draw, m, kinds=tuple(MENU)):
+    kind = draw(st.sampled_from(kinds))
+    c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 1.0))
+    return MENU[kind](c, draw(st.integers(1, m)))
+
+
+@st.composite
+def menu_entry(draw, m):
+    """A constant, a menu term, a product of two, or a quotient by a
+    nonvanishing one."""
+    shape = draw(st.sampled_from(["constant", "term", "product", "quotient"]))
+    if shape == "constant":
+        c = draw(st.floats(-2.0, 2.0))
+        return repr(c), lambda t: c
+    f_text, f = draw(menu_term(m))
+    if shape == "term":
+        return f_text, f
+    g_text, g = draw(menu_term(m, ("exp", "quad") if shape == "quotient" else tuple(MENU)))
+    if shape == "product":
+        return f"({f_text})*({g_text})", lambda t: f(t) * g(t)
+    return f"({f_text})/({g_text})", lambda t: f(t) / g(t)
+
+
+@st.composite
+def menu_matrix_and_batch(draw):
+    m = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = [[draw(menu_entry(m)) for _ in range(cols)] for _ in range(rows)]
+    P = draw(st.integers(1, 12))
+    points = np.array(draw(st.lists(st.lists(st.floats(-1.0, 2.0), min_size=m, max_size=m),
+                                    min_size=P, max_size=P)))
+    return m, entries, points
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(menu_matrix_and_batch())
+def test_batched_matrix_function_matches_math_reference(case):
+    m, entries, points = case
+    mf = MatrixFunction([[text for text, _ in row] for row in entries], m)
+    batch = mf(points)
+    reference = np.array([[[f(p) for _, f in row] for row in entries] for p in points])
+    assert batch.shape == (len(points), len(entries), len(entries[0]))
+    np.testing.assert_allclose(batch, reference, rtol=1e-14, atol=0)
+    for p, value in zip(points, batch):
+        np.testing.assert_allclose(mf(p), value, rtol=1e-14, atol=0)
+
+
+# (entry, singular coordinate, message) for each kind of singularity.
+SINGULARITIES = [
+    ("log(t{a})", st.floats(-10.0, 0.0), "log of non-positive value {bad}"),
+    ("exp(t{a})", st.floats(710.0, 1e4), "overflow in exp({bad})"),
+    ("1/t{a}", st.just(0.0), "division by zero in (1.0 / t{a})"),
+    ("t{a}^3", st.floats(1e103, 1e300), "expression evaluated to inf"),
+]
+
+
+@st.composite
+def singular_batch(draw):
+    m = draw(st.integers(1, 3))
+    a = draw(st.integers(1, m))
+    text, bad_values, message = draw(st.sampled_from(SINGULARITIES))
+    bad = draw(bad_values)
+    # fillers stay finite at every singular coordinate drawn below
+    entries = [[draw(menu_term(m, ("lin", "cos", "exp")))[0] for _ in range(2)]
+               for _ in range(2)]
+    entries[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = text.format(a=a)
+    P = draw(st.integers(1, 12))
+    points = np.array(draw(st.lists(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m),
+                                    min_size=P, max_size=P)))
+    points[draw(st.integers(0, P - 1)), a - 1] = bad
+    return m, entries, points, message.format(a=a, bad=bad)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(singular_batch())
+def test_one_singular_point_anywhere_in_a_batch_raises(case):
+    m, entries, points, message = case
+    with pytest.raises(ExprDomainError) as exc:
+        MatrixFunction(entries, m)(points)
+    assert str(exc.value) == message
