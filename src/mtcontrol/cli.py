@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+import sys
 
 import numpy as np
 
@@ -162,9 +164,7 @@ def cmd_flow(args) -> dict:
     }
     if args.x0 is not None:
         x0 = _parse_point(args.x0, system.n)
-        tree["x"] = [float(_fmt(v))
-                     for v in flow.solve_homogeneous(system, t0, x0, t, cfg,
-                                                     check=False)]
+        tree["x"] = [float(_fmt(v)) for v in fm.value @ x0]
     if args.phi0 is not None:
         phi0 = _parse_point(args.phi0, system.n)
         tree["phi"] = [float(_fmt(v))
@@ -359,9 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+# A token such as "-0.5,0" is not a plain negative number to argparse, so
+# after a space it would be read as an option, not as the flag's value.
+_LONG_FLAG = re.compile(r"--[^=]+")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--t0 -0.5,0` as `--t0=-0.5,0`, the spelling argparse takes
+    for a value that starts with '-'."""
+    out: list[str] = []
+    for token in argv:
+        if out and _LONG_FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
         tree = args.func(args)
         code = 0

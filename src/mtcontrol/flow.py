@@ -5,8 +5,13 @@ matrix exponential is scipy's scaling-and-squaring Pade implementation.
 For time-varying families chi is integrated with classical RK4 along the
 straight segment from t0 to t, which is a valid canonical path whenever
 the commutation condition holds (the integral is then path independent).
-The RK4 stage points of a segment are evaluated in one batch per family
-member before the step loop.
+
+`transition` takes one start point t0 or a (P, m) batch of them; the
+quadrature integrands pass all Gauss nodes of a segment as one batch.  A
+constant family takes one expm per start point.  A time-varying family
+evaluates each M_a once on the stage points of all P segments, then one
+RK4 step loop advances the P stacked matrices; `_rk4_chi` runs the same
+stepper segment by segment along a polyline.
 """
 
 from __future__ import annotations
@@ -45,55 +50,81 @@ class FundamentalMatrix:
     condition_number: float
 
 
-def _rk4_chi(sys: LinearSystem, curve: PolylineCurve, cfg: NumericConfig) -> np.ndarray:
-    """Integrate dX/dtau = (sum_a M_a(gamma(tau)) gamma_dot^a(tau)) X along
-    `curve` with X(0) = I.
+def _rk4(sys: LinearSystem, starts: np.ndarray, end, X: np.ndarray,
+         cfg: NumericConfig) -> np.ndarray:
+    """Advance the stack X (P, n, n) by classical RK4 along the P straight
+    segments starts[p] -> end, solving dX/dtau = (sum_a M_a delta^a) X with
+    delta = end - starts[p] and tau in [0, 1].
 
-    On each segment, every M_a is evaluated once, on the batch of all RK4
-    stage points (step starts, midpoints and ends); the step loop then only
-    multiplies matrices.
+    Each M_a is evaluated once, on the batch of all RK4 stage points (step
+    starts, midpoints and ends) of the segments that advance along axis a;
+    the step loop then only multiplies stacked matrices.
     """
-    X = np.eye(sys.n)
-    S = curve.segment_count
     steps = cfg.ode_steps_per_segment
     h = 1.0 / steps
     s = np.arange(steps) * h
-    stages = np.concatenate([s, s + 0.5 * h, s + h])[:, None]
-    for i in range(S):
-        a, b = curve.waypoints[i], curve.waypoints[i + 1]
-        delta = b - a
-        if not np.any(delta):
-            continue
-        points = a + stages * delta
-        A = np.zeros((len(points), sys.n, sys.n))
-        for alpha in range(sys.m):
-            if delta[alpha] != 0.0:
-                A += delta[alpha] * sys.M[alpha](points)
-        A1, A2, A3 = A[:steps], A[steps:2 * steps], A[2 * steps:]
-        for j in range(steps):
-            k1 = A1[j] @ X
-            k2 = A2[j] @ (X + 0.5 * h * k1)
-            k3 = A2[j] @ (X + 0.5 * h * k2)
-            k4 = A3[j] @ (X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stages = np.concatenate([s, s + 0.5 * h, s + h])[:, None, None]
+    delta = end - starts
+    points = starts + stages * delta  # (3 * steps, P, m), stage-major
+    A = np.zeros((len(stages), len(starts), sys.n, sys.n))
+    for alpha in range(sys.m):
+        rows = delta[:, alpha] != 0.0
+        if np.any(rows):
+            M = sys.M[alpha](points[:, rows].reshape(-1, sys.m))
+            A[:, rows] += delta[rows, alpha, None, None] * M.reshape(
+                len(stages), -1, sys.n, sys.n)
+    A1, A2, A3 = A[:steps], A[steps:2 * steps], A[2 * steps:]
+    half, sixth = 0.5 * h, h / 6.0
+    for j in range(steps):
+        k1 = A1[j] @ X
+        k2 = A2[j] @ (X + half * k1)
+        k3 = A2[j] @ (X + half * k2)
+        k4 = A3[j] @ (X + h * k3)
+        X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return X
+
+
+def _rk4_chi(sys: LinearSystem, curve: PolylineCurve, cfg: NumericConfig) -> np.ndarray:
+    """Integrate dX/dtau = (sum_a M_a(gamma(tau)) gamma_dot^a(tau)) X along
+    `curve` with X(0) = I, one segment at a time."""
+    X = np.eye(sys.n)[None]
+    for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
+        if np.any(b != a):
+            X = _rk4(sys, a[None], b, X, cfg)
+    return X[0]
 
 
 def transition(sys: LinearSystem, t, t0,
                cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """chi(t, t0) as a bare array (no gating, no condition reporting)."""
+    """chi(t, t0) as a bare array (no gating, no condition reporting).
+
+    `t0` is one start point (m,), giving (n, n), or a batch of start points
+    (P, m), giving (P, n, n); each matrix of a batch equals the one-point
+    result bit for bit.  Constant systems take one expm per start point;
+    time-varying ones advance all start points in one RK4 step loop.
+    """
     t = as_point(t, m=sys.m)
-    t0 = as_point(t0, m=sys.m)
-    if np.array_equal(t, t0):
-        return np.eye(sys.n)
+    batch = np.ndim(t0) == 2
+    if batch:
+        starts = np.asarray(t0, dtype=float)
+        if starts.shape[1] != sys.m or not np.all(np.isfinite(starts)):
+            raise ValueError(f"expected a batch of finite multitimes of "
+                             f"dimension {sys.m}, got shape {starts.shape}")
+    else:
+        starts = as_point(t0, m=sys.m)[None]
+    chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
+    moving = np.any(starts != t, axis=1)
     if sys.M.is_constant:
-        acc = np.zeros((sys.n, sys.n))
-        for alpha in range(sys.m):
-            d = t[alpha] - t0[alpha]
-            if d != 0.0:
-                acc += d * sys.M[alpha](t0)
-        return expm(acc)
-    return _rk4_chi(sys, curve_segment(t0, t), cfg)
+        for p in np.flatnonzero(moving):
+            acc = np.zeros((sys.n, sys.n))
+            for alpha in range(sys.m):
+                d = t[alpha] - starts[p, alpha]
+                if d != 0.0:
+                    acc += d * sys.M[alpha](starts[p])
+            chi[p] = expm(acc)
+    elif np.any(moving):
+        chi[moving] = _rk4(sys, starts[moving], t, chi[moving], cfg)
+    return chi if batch else chi[0]
 
 
 def fundamental_matrix(sys: LinearSystem, t, t0,
@@ -138,7 +169,11 @@ def solve_adjoint(sys: LinearSystem, t0, phi0, t,
 def _forced_solve(sys: LinearSystem, F_value, t0, x0, t,
                   curve: PolylineCurve | None, cfg: NumericConfig) -> np.ndarray:
     """x(t) = chi(t, t0) x0 + integral over `curve` (default: the segment
-    t0 -> t) of chi(t, s) F_alpha(s) ds^a, F_value(alpha, s) an (n,) vector."""
+    t0 -> t) of chi(t, s) F_alpha(s) ds^a.
+
+    F_value(alpha, s) gives F_alpha as an (n, 1) column at one point s, or
+    as (P, n, 1) on a batch of points; each integrand call passes its whole
+    batch of quadrature nodes to `transition`."""
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
@@ -147,7 +182,7 @@ def _forced_solve(sys: LinearSystem, F_value, t0, x0, t,
 
     def member(alpha):
         def P(s):
-            return (transition(sys, t, s, cfg) @ F_value(alpha, s)).reshape(sys.n, 1)
+            return transition(sys, t, s, cfg) @ F_value(alpha, s)
         return P
 
     integrand = OneFormFamily([member(alpha) for alpha in range(1, sys.m + 1)],
@@ -168,8 +203,7 @@ def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
     if check:
         require(check_M_commutation(sys, cfg))
         require(check_F_compatibility(sys, F, cfg))
-    return _forced_solve(sys, lambda a, s: F[a - 1](s)[:, 0], t0, x0, t,
-                         curve, cfg)
+    return _forced_solve(sys, lambda a, s: F[a - 1](s), t0, x0, t, curve, cfg)
 
 
 def solve_controlled(sys: LinearSystem, u, t0, x0, t,
@@ -184,5 +218,5 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
     if check:
         require(check_M_commutation(sys, cfg))
         require(check_control_compat(sys, u, cfg))
-    return _forced_solve(sys, lambda a, s: sys.N[a - 1](s) @ u.value(a, s),
+    return _forced_solve(sys, lambda a, s: sys.N[a - 1](s) @ u.value(a, s)[..., None],
                          t0, x0, t, curve, cfg)

@@ -18,8 +18,8 @@ import numpy as np
 from .core import DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point, curve_segment
 from .flow import transition
 from .pathint import OneFormFamily, integrate_along
-from .system import (LinearSystem, check_gramian_compat, check_M_commutation,
-                     require)
+from .system import (LinearSystem, _T, check_gramian_compat,
+                     check_M_commutation, require)
 
 __all__ = [
     "Gramian",
@@ -87,15 +87,16 @@ def image_basis(a: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG,
 
 def gramian_integrand(sys: LinearSystem, anchor,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> OneFormFamily:
-    """One-form s -> chi(anchor, s) N_a(s) N_a(s)' chi(anchor, s)'."""
+    """One-form s -> chi(anchor, s) N_a(s) N_a(s)' chi(anchor, s)'.
+
+    A member takes one point s (m,) or a batch (Q, m) and passes it straight
+    to `transition`."""
     anchor = as_point(anchor, m=sys.m)
 
     def member(alpha):
         def P(s):
-            chi = transition(sys, anchor, s, cfg)
-            Ns = sys.N[alpha - 1](s)
-            half = chi @ Ns
-            return half @ half.T
+            half = transition(sys, anchor, s, cfg) @ sys.N[alpha - 1](s)
+            return half @ _T(half)
         return P
 
     return OneFormFamily([member(alpha) for alpha in range(1, sys.m + 1)],

@@ -4,6 +4,8 @@ Computes sum_alpha integral of P_alpha(gamma(tau)) * dgamma^alpha/dtau
 with a fixed-order Gauss-Legendre rule per segment.  Integrands are
 smooth by construction (C1 data), so the non-adaptive rule is accurate
 at desk scale; raise quad_points_per_segment in NumericConfig if needed.
+Quadrature is batched: each member is called once per segment, on all of
+the segment's Gauss nodes as one (Q, m) array of points.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ class OneFormFamily:
 
     Members are either expression-backed (symbolic derivatives available)
     or plain callables closed over other computations, e.g. the gramian
-    integrand s -> chi(t0,s) N_a(s) N_a(s)' chi(t0,s)'.
+    integrand s -> chi(t0,s) N_a(s) N_a(s)' chi(t0,s)'.  `integrate_along`
+    calls a member on a (Q, m) batch of points.
     """
 
     def __init__(self, members: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -60,23 +63,26 @@ def integrate_along(P: OneFormFamily, curve: PolylineCurve,
                     cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gauss-Legendre approximation of the curvilinear integral along `curve`.
 
-    Segment contributions are accumulated in segment order, which keeps the
-    result deterministic.
+    Each member that advances on a segment is called once, on the (Q, m)
+    batch of the segment's Gauss nodes; a member may return one (r, c)
+    matrix for all nodes or a (Q, r, c) stack.  Contributions are summed
+    node-major, direction-minor within a segment and in segment order
+    across segments, which keeps the result deterministic.
     """
     nodes, weights = _gauss_nodes(cfg.quad_points_per_segment)
     total = np.zeros(P.shape)
-    S = curve.segment_count
-    for i in range(S):
-        a, b = curve.waypoints[i], curve.waypoints[i + 1]
+    for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
         delta = b - a  # dgamma/dtau on this segment is S * delta
         if not np.any(delta):
             continue
+        points = (1.0 - nodes)[:, None] * a + nodes[:, None] * b
+        advancing = [alpha for alpha in range(1, P.m + 1) if delta[alpha - 1] != 0.0]
+        values = [np.broadcast_to(P(alpha, points), (len(nodes),) + P.shape)
+                  for alpha in advancing]
         seg = np.zeros(P.shape)
-        for x, w in zip(nodes, weights):
-            point = (1.0 - x) * a + x * b
-            for alpha in range(1, P.m + 1):
-                if delta[alpha - 1] != 0.0:
-                    seg += w * delta[alpha - 1] * P(alpha, point)
+        for q, w in enumerate(weights):
+            for alpha, value in zip(advancing, values):
+                seg += w * delta[alpha - 1] * value[q]
         total += seg
     return total
 

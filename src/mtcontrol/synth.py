@@ -49,9 +49,8 @@ class SynthesizedControl:
     def _weight(self, s) -> np.ndarray:
         """chi(t0, s)' v as an (n, 1) column at one point s (m,), or as
         (P, n, 1) on a batch of points (P, m)."""
-        if np.asarray(s).ndim == 2:
-            return np.stack([self._weight(p) for p in s])
-        return (transition(self.system, self.anchor, s, self.cfg).T @ self.v)[:, None]
+        chi = transition(self.system, self.anchor, s, self.cfg)
+        return (_T(chi) @ self.v)[..., None]
 
     def value(self, alpha: int, s) -> np.ndarray:
         """u_alpha(s) as a k-vector at one point s (m,); (P, k) on a batch

@@ -89,3 +89,14 @@ def random_passing_system(rng, m, n=4, r=None):
     N[:r, :], _ = np.linalg.qr(rng.standard_normal((r, r)))
     sys = LinearSystem.from_data(m, n, r, [M.tolist()] * m, [N.tolist()] * m)
     return sys, r
+
+
+def axis_scaled_system():
+    """M1 = diag(t1, 0), M2 = diag(0, t2), N_a = e_a: the conditions hold and
+    chi(t, t0) = diag(exp((t1^2 - t0_1^2)/2), exp((t2^2 - t0_2^2)/2)), so the
+    gramian anchored at p is diag(int exp(p_a^2 - s^2) ds over [t0_a, t_a])."""
+    return LinearSystem.from_data(
+        2, 2, 1,
+        [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
+        [[[1], [0]], [[0], [1]]],
+        domain=[[-1, 2], [-1, 2]])

@@ -284,3 +284,68 @@ def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, mes
     code, tree = run_json(capsys, ["check", str(path)])
     assert code == 2
     assert tree == {"command": "check", "error": message}
+
+
+def test_flow_computes_chi_once_for_x(capsys, monkeypatch, diag_cfg):
+    import mtcontrol.flow
+    calls = []
+    original = mtcontrol.flow.transition
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mtcontrol.flow, "transition", counting)
+    code, tree = run_json(capsys, ["flow", diag_cfg, "--t0", "0,0", "--t", "1,0.5",
+                                   "--x0", "1,2", "--phi0", "3,4"])
+    assert code == 0
+    assert tree["x"] == pytest.approx([math.e, 2.0], rel=1e-12)
+    assert len(calls) == 2  # chi(t, t0) for chi and x, chi(t0, t) for phi
+
+
+def _output(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejected the argv
+        code = f"SystemExit({exc.code})"
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_consecutive_calls(capsys, monkeypatch, diag_cfg):
+    import mtcontrol.cli
+    requests = [
+        ["--json", "flow", diag_cfg, "--t0", "0,0", "--t", "1,1", "--x0", "1,0"],
+        ["gramian", diag_cfg, "--t0", "0,0", "--t", "1,0", "--kind", "R"],
+        ["flow", diag_cfg, "--t0", "0,0"],  # argparse rejects: --t is required
+        ["check", diag_cfg],
+        ["--json", "analyze", diag_cfg, "--t0", "0,0", "--t", "1,1"],
+        ["kalman", diag_cfg, "--bogus"],  # argparse rejects: unknown flag
+        ["--json", "flow", diag_cfg, "--t0", "0,0", "--t", "1,1", "--x0", "1,0"],
+    ]
+    reused = [_output(capsys, argv) for argv in requests]
+    for argv, got in zip(requests, reused):
+        # A parser built for this call alone gives the same answer.
+        monkeypatch.setattr(mtcontrol.cli, "_PARSER", mtcontrol.cli.build_parser())
+        assert _output(capsys, argv) == got
+    assert [code for code, _, _ in reused] == [
+        0, 0, "SystemExit(2)", 0, 0, "SystemExit(2)", 0]
+    assert "the following arguments are required: --t" in reused[2][2]
+    assert reused[0] == reused[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--t0", "-0.5,0", "--t", "-1,-0.25"],
+    ["flow", "--t0", "0,0", "--t", "1,1", "--x0", "-1,2"],
+    ["flow", "--t0", "0,0", "--t", "1,1", "--phi0", "-.5,-2"],
+    ["analyze", "--t0", "-1,0", "--t", "1,1", "--x0", "1,0", "--y", "-2,0"],
+    ["gramian", "--t0", "-1,0", "--t", "1,1", "--force-path", "-1,0;1,1"],
+], ids=["t0-t", "x0", "phi0", "y", "force-path"])
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_negative_values_after_a_space(capsys, diag_cfg, argv, mode):
+    command, *flags = argv
+    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    prefix = ["--json"] if mode == "json" else []
+    spaced = _output(capsys, [*prefix, command, diag_cfg, *flags])
+    assert spaced == _output(capsys, [*prefix, command, diag_cfg, *joined])
+    assert spaced[0] == 0 and spaced[2] == ""

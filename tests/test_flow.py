@@ -7,10 +7,10 @@ from scipy.linalg import expm
 from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        MatrixFamily, fundamental_matrix, solve_adjoint,
                        solve_affine, solve_controlled, solve_homogeneous)
-from mtcontrol.core import curve_segment, staircase
+from mtcontrol.core import PolylineCurve, curve_segment, staircase
 from mtcontrol.flow import transition
 
-from conftest import random_commuting_system
+from conftest import axis_scaled_system, random_commuting_system
 
 
 def test_diag_flow_closed_form(diag_sys):
@@ -84,14 +84,19 @@ def sys_cfg():
     return DEFAULT_CONFIG
 
 
-def test_time_varying_flow_matches_closed_form():
-    # M_a(t) = f_a(t^a) * J with one nilpotent J: chi = expm(J * (F1 + F2))
-    J = np.array([[0.0, 1.0], [0.0, 0.0]])
-    sys = LinearSystem.from_data(
+def _nilpotent_system():
+    """M_a(t) = f_a(t^a) J with a nilpotent J, so chi has off-diagonal terms."""
+    return LinearSystem.from_data(
         2, 2, 1,
         [[[0, "2*t1"], [0, 0]], [[0, "3*t2^2"], [0, 0]]],
         [[[1], [0]], [[0], [1]]],
         domain=[[-2, 2], [-2, 2]])
+
+
+def test_time_varying_flow_matches_closed_form():
+    # M_a(t) = f_a(t^a) * J with one nilpotent J: chi = expm(J * (F1 + F2))
+    J = np.array([[0.0, 1.0], [0.0, 0.0]])
+    sys = _nilpotent_system()
     assert sys.M.is_constant is False
     t0, t = np.array([0.0, 0.0]), np.array([1.5, 1.0])
     phase = (t[0] ** 2 - t0[0] ** 2) + (t[1] ** 3 - t0[1] ** 3)
@@ -107,11 +112,7 @@ def test_time_varying_flow_matches_closed_form():
 def test_derivative_relation_of_inverse_flow():
     # d/dt^a chi(t0, t) = -chi(t0, t) M_a(t), checked by finite differences
     J = np.array([[0.0, 1.0], [0.0, 0.0]])
-    sys = LinearSystem.from_data(
-        2, 2, 1,
-        [[[0, "2*t1"], [0, 0]], [[0, "3*t2^2"], [0, 0]]],
-        [[[1], [0]], [[0], [1]]],
-        domain=[[-2, 2], [-2, 2]])
+    sys = _nilpotent_system()
     t0 = np.array([0.1, 0.2])
     t = np.array([0.8, 0.6])
     h = 1e-6
@@ -224,19 +225,9 @@ def test_ill_conditioned_flow_warns(diag_sys):
         fundamental_matrix(diag_sys, (40.0, 0.0), (0.0, 0.0))
 
 
-def _axis_scaled_system():
-    """M1 = diag(t1, 0), M2 = diag(0, t2), N_a = e_a: the conditions hold and
-    chi(t, t0) = diag(exp((t1^2 - t0_1^2)/2), exp((t2^2 - t0_2^2)/2))."""
-    return LinearSystem.from_data(
-        2, 2, 1,
-        [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
-        [[[1], [0]], [[0], [1]]],
-        domain=[[-1, 2], [-1, 2]])
-
-
 def test_rk4_matches_gaussian_closed_form():
     from mtcontrol import synthesize_transfer, verify_transfer
-    sys = _axis_scaled_system()
+    sys = axis_scaled_system()
     for t0, t in (((0.0, 0.0), (0.8, 0.6)), ((0.5, -0.5), (1.0, 0.5)),
                   ((-0.5, 0.25), (0.5, 1.0))):
         chi = transition(sys, t, t0)
@@ -254,7 +245,7 @@ def test_rk4_matches_gaussian_closed_form():
 def test_rk4_evaluates_each_member_once_per_segment(monkeypatch):
     from mtcontrol import NumericConfig
     from mtcontrol.system import MatrixFunction
-    sys = _axis_scaled_system()
+    sys = axis_scaled_system()
     calls = []
     original = MatrixFunction.__call__
 
@@ -270,3 +261,29 @@ def test_rk4_evaluates_each_member_once_per_segment(monkeypatch):
         counts.append(len(calls))
         assert calls == [(3 * steps, 2)] * 2  # one batch per advancing member
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("kind", ["constant", "axis_scaled", "nilpotent"])
+def test_batched_transition_equals_stacked_single_calls(kind, cyclic_sys):
+    sys = {"constant": cyclic_sys, "axis_scaled": axis_scaled_system(),
+           "nilpotent": _nilpotent_system()}[kind]
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-0.5, 1.0, size=sys.m)
+    starts = rng.uniform(-0.5, 1.0, size=(6, sys.m))
+    starts[2] = t                 # a start equal to the end
+    starts[4, 0] = t[0]           # a start that does not move along axis 1
+    batch = transition(sys, t, starts)
+    single = np.stack([transition(sys, t, s) for s in starts])
+    assert batch.shape == (6, sys.n, sys.n)
+    assert np.array_equal(batch, single)
+    assert np.array_equal(batch[2], np.eye(sys.n))
+
+
+def test_rk4_chi_composes_the_batched_stepper_over_segments():
+    sys = _nilpotent_system()
+    t0, t = np.array([0.0, 0.0]), np.array([1.5, 1.0])
+    from mtcontrol.flow import _rk4_chi
+    assert np.array_equal(_rk4_chi(sys, curve_segment(t0, t), sys_cfg()),
+                          transition(sys, t, t0))
+    degenerate = _rk4_chi(sys, PolylineCurve(np.stack([t0, t0, t])), sys_cfg())
+    assert np.array_equal(degenerate, transition(sys, t, t0))

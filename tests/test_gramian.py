@@ -12,7 +12,7 @@ from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve
 from mtcontrol.flow import transition
 from mtcontrol.gramian import image_basis, numerical_rank
 
-from conftest import random_commuting_system
+from conftest import axis_scaled_system, random_commuting_system
 
 
 def test_diag_gramian_closed_form(diag_sys):
@@ -244,3 +244,66 @@ def test_image_basis_rank_and_span(case):
     for col in a.T:
         inside, _ = basis.contains(col, DEFAULT_CONFIG.residual_rel_tol)
         assert inside
+
+
+@pytest.mark.parametrize("build", [controllability_gramian, reachability_gramian])
+def test_time_varying_gramian_matches_quad_of_closed_form(build):
+    from scipy.integrate import quad
+    sys = axis_scaled_system()
+    for t0, t in (((0.0, 0.0), (0.8, 0.6)), ((-0.5, 0.25), (0.5, 1.0))):
+        g = build(sys, t0, t)
+        anchor = t0 if g.kind == "controllability" else t
+        expected = np.diag([
+            quad(lambda s, p=p: math.exp(p * p - s * s), a, b,
+                 epsabs=1e-13, epsrel=1e-13)[0]
+            for p, a, b in zip(anchor, t0, t)])
+        assert np.max(np.abs(g.value - expected)) <= 1e-10
+
+
+def test_time_varying_gramian_evaluates_each_member_once_per_segment(monkeypatch):
+    from mtcontrol.core import curve_segment, staircase
+    from mtcontrol.gramian import gramian_integrand
+    from mtcontrol.pathint import integrate_along
+    from mtcontrol.system import MatrixFunction
+    sys = axis_scaled_system()
+    members = [sys.M[0], sys.M[1]]
+    calls = []
+    original = MatrixFunction.__call__
+
+    def counting(self, t):
+        if any(self is M for M in members):
+            calls.append((members.index(self), np.shape(t)))
+        return original(self, t)
+
+    monkeypatch.setattr(MatrixFunction, "__call__", counting)
+    P = gramian_integrand(sys, (0.0, 0.0))
+    stage_points = (16 * 3 * DEFAULT_CONFIG.ode_steps_per_segment, 2)
+    # Each member that advances on a segment makes one transition call on
+    # its 16 Gauss nodes, which evaluates every M_a that the paths from the
+    # nodes back to the anchor advance along once, on all their stage points.
+    # The staircase's first leg moves only t1, so chi(anchor, s) needs only
+    # M_1 there; on its second leg s has moved along both axes.
+    integrate_along(P, staircase((0, 0), (0.8, 0.6)))
+    assert calls == [(0, stage_points), (0, stage_points), (1, stage_points)]
+    calls.clear()
+    integrate_along(P, curve_segment((0, 0), (0.8, 0.6)))
+    assert calls == [(0, stage_points), (1, stage_points)] * 2
+
+
+def test_constant_gramian_makes_16_expm_calls_per_direction(monkeypatch):
+    import mtcontrol.flow
+    calls = []
+    original = mtcontrol.flow.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(mtcontrol.flow, "expm", counting)
+    rng = np.random.default_rng(3)
+    for m in (2, 3):
+        sys = random_commuting_system(rng, n=3, m=m, k=1,
+                                      identical_M=True, identical_N=True)
+        calls.clear()
+        controllability_gramian(sys, np.zeros(m), np.full(m, 0.5))
+        assert len(calls) == 16 * m
