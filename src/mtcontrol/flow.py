@@ -9,9 +9,13 @@ the commutation condition holds (the integral is then path independent).
 `transition` takes one start point t0 or a (P, m) batch of them; the
 quadrature integrands pass all Gauss nodes of a segment as one batch.  A
 constant family takes one expm per start point.  A time-varying family
-evaluates each M_a once on the stage points of all P segments, then one
-RK4 step loop advances the P stacked matrices; `_rk4_chi` runs the same
-stepper segment by segment along a polyline.
+evaluates each M_a once on the stage points of all P segments.  RK4 is
+linear in X, so each step is a fixed matrix R_j applied to X: all step
+propagators are built at once with batched matmuls, and their ordered
+product R_{S-1}...R_0 is taken pairwise in log2(S) levels (an associative
+reduction, cf. Blelloch, "Prefix sums and their applications", 1990).
+`_rk4_chi` composes these propagators segment by segment along a polyline.
+A chi with non-finite entries (overflow) is a named ValueError.
 """
 
 from __future__ import annotations
@@ -50,48 +54,56 @@ class FundamentalMatrix:
     condition_number: float
 
 
-def _rk4(sys: LinearSystem, starts: np.ndarray, end, X: np.ndarray,
+def _rk4(sys: LinearSystem, starts: np.ndarray, end,
          cfg: NumericConfig) -> np.ndarray:
-    """Advance the stack X (P, n, n) by classical RK4 along the P straight
-    segments starts[p] -> end, solving dX/dtau = (sum_a M_a delta^a) X with
+    """The (P, n, n) classical RK4 propagators of dX/dtau = (sum_a M_a
+    delta^a) X along the P straight segments starts[p] -> end, with
     delta = end - starts[p] and tau in [0, 1].
 
     Each M_a is evaluated once, on the batch of all RK4 stage points (step
-    starts, midpoints and ends) of the segments that advance along axis a;
-    the step loop then only multiplies stacked matrices.
+    starts, midpoints and ends) of the segments that advance along axis a.
+    One RK4 step maps X to R_j X; all R_j come from batched matmuls (the
+    step run on X = I), and their ordered product R_{S-1}...R_0 is taken in
+    log2(S) levels of pairwise products.  Stacks are segment-major,
+    (P, stage, n, n): the masked sums over segments then move whole
+    contiguous blocks, which is faster than a stage-major layout.
     """
     steps = cfg.ode_steps_per_segment
     h = 1.0 / steps
     s = np.arange(steps) * h
-    stages = np.concatenate([s, s + 0.5 * h, s + h])[:, None, None]
+    stages = np.concatenate([s, s + 0.5 * h, s + h])[:, None]
     delta = end - starts
-    points = starts + stages * delta  # (3 * steps, P, m), stage-major
-    A = np.zeros((len(stages), len(starts), sys.n, sys.n))
+    points = starts[:, None] + stages * delta[:, None]  # (P, 3 * steps, m)
+    A = np.zeros((len(starts), len(stages), sys.n, sys.n))
     for alpha in range(sys.m):
         rows = delta[:, alpha] != 0.0
         if np.any(rows):
-            M = sys.M[alpha](points[:, rows].reshape(-1, sys.m))
-            A[:, rows] += delta[rows, alpha, None, None] * M.reshape(
-                len(stages), -1, sys.n, sys.n)
-    A1, A2, A3 = A[:steps], A[steps:2 * steps], A[2 * steps:]
-    half, sixth = 0.5 * h, h / 6.0
-    for j in range(steps):
-        k1 = A1[j] @ X
-        k2 = A2[j] @ (X + half * k1)
-        k3 = A2[j] @ (X + half * k2)
-        k4 = A3[j] @ (X + h * k3)
-        X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return X
+            M = sys.M[alpha](points[rows].reshape(-1, sys.m))
+            A[rows] += delta[rows, alpha, None, None, None] * M.reshape(
+                -1, len(stages), sys.n, sys.n)
+    A1, A2, A3 = A[:, :steps], A[:, steps:2 * steps], A[:, 2 * steps:]
+    eye = np.eye(sys.n)
+    B2 = A2 @ (eye + 0.5 * h * A1)
+    B3 = A2 @ (eye + 0.5 * h * B2)
+    B4 = A3 @ (eye + h * B3)
+    R = eye + h / 6.0 * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
+    while R.shape[1] > 1:  # an odd count carries its last matrix, in order
+        pairs = R.shape[1] // 2
+        product = R[:, 1:2 * pairs:2] @ R[:, 0:2 * pairs:2]
+        if R.shape[1] % 2:
+            product = np.concatenate([product, R[:, -1:]], axis=1)
+        R = product
+    return R[:, 0]
 
 
 def _rk4_chi(sys: LinearSystem, curve: PolylineCurve, cfg: NumericConfig) -> np.ndarray:
     """Integrate dX/dtau = (sum_a M_a(gamma(tau)) gamma_dot^a(tau)) X along
-    `curve` with X(0) = I, one segment at a time."""
-    X = np.eye(sys.n)[None]
+    `curve` with X(0) = I, composing one RK4 propagator per segment."""
+    X = np.eye(sys.n)
     for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
         if np.any(b != a):
-            X = _rk4(sys, a[None], b, X, cfg)
-    return X[0]
+            X = _rk4(sys, a[None], b, cfg)[0] @ X
+    return X
 
 
 def transition(sys: LinearSystem, t, t0,
@@ -101,7 +113,8 @@ def transition(sys: LinearSystem, t, t0,
     `t0` is one start point (m,), giving (n, n), or a batch of start points
     (P, m), giving (P, n, n); each matrix of a batch equals the one-point
     result bit for bit.  Constant systems take one expm per start point;
-    time-varying ones advance all start points in one RK4 step loop.
+    time-varying ones take the RK4 propagators of all start points at once.
+    Raises ValueError when chi overflows (non-finite entries).
     """
     t = as_point(t, m=sys.m)
     batch = np.ndim(t0) == 2
@@ -114,16 +127,20 @@ def transition(sys: LinearSystem, t, t0,
         starts = as_point(t0, m=sys.m)[None]
     chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
     moving = np.any(starts != t, axis=1)
-    if sys.M.is_constant:
-        for p in np.flatnonzero(moving):
-            acc = np.zeros((sys.n, sys.n))
-            for alpha in range(sys.m):
-                d = t[alpha] - starts[p, alpha]
-                if d != 0.0:
-                    acc += d * sys.M[alpha](starts[p])
-            chi[p] = expm(acc)
-    elif np.any(moving):
-        chi[moving] = _rk4(sys, starts[moving], t, chi[moving], cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sys.M.is_constant:
+            for p in np.flatnonzero(moving):
+                acc = np.zeros((sys.n, sys.n))
+                for alpha in range(sys.m):
+                    d = t[alpha] - starts[p, alpha]
+                    if d != 0.0:
+                        acc += d * sys.M[alpha](starts[p])
+                chi[p] = expm(acc)
+        elif np.any(moving):
+            chi[moving] = _rk4(sys, starts[moving], t, cfg)
+    if not np.all(np.isfinite(chi)):
+        raise ValueError("fundamental matrix overflowed (non-finite entries) "
+                         "between t0 and t")
     return chi if batch else chi[0]
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,37 @@ def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, mes
     code, tree = run_json(capsys, ["check", str(path)])
     assert code == 2
     assert tree == {"command": "check", "error": message}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("doc, t", [
+    ({"m": 1, "n": 1, "k": 1, "M": [[[800]]], "N": [[[1]]]}, "1"),
+    ({"m": 1, "n": 1, "k": 1, "M": [[["50*(1+t1^2)"]]], "N": [[[1]]],
+      "domain": [[-100, 100]]}, "20"),
+], ids=["constant", "time_varying"])
+def test_overflowed_fundamental_matrix_is_a_named_error(capsys, tmp_path, doc, t,
+                                                        json_mode):
+    # chi = e^800 (expm) and e^(50 (20 + 20^3/3)) (RK4) overflow to inf
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    argv = (["--json"] if json_mode else []) + ["flow", str(path), "--t0", "0", "--t", t]
+    message = "fundamental matrix overflowed (non-finite entries) between t0 and t"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    if json_mode:
+        tree = json.loads(captured.out, parse_constant=_reject_constant)
+        assert tree == {"command": "flow", "error": message}
+    else:
+        assert captured.out == f"command: flow\nerror: {message}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_flow_computes_chi_once_for_x(capsys, monkeypatch, diag_cfg):

@@ -287,3 +287,75 @@ def test_rk4_chi_composes_the_batched_stepper_over_segments():
                           transition(sys, t, t0))
     degenerate = _rk4_chi(sys, PolylineCurve(np.stack([t0, t0, t])), sys_cfg())
     assert np.array_equal(degenerate, transition(sys, t, t0))
+
+
+def _sequential_rk4(sys, t, t0, steps):
+    """The step loop that `_rk4` replaced, kept as the reference: the same
+    stage matrices, one RK4 step at a time from X = I."""
+    t, t0 = np.asarray(t, dtype=float), np.asarray(t0, dtype=float)
+    delta = t - t0
+    h = 1.0 / steps
+
+    def A(tau):
+        point = t0 + tau * delta
+        return sum(d * sys.M[a](point) for a, d in enumerate(delta) if d != 0.0)
+
+    half, sixth = 0.5 * h, h / 6.0
+    X = np.eye(sys.n)
+    for j in range(steps):
+        s = j * h
+        A1, A2, A3 = A(s), A(s + half), A(s + h)
+        k1 = A1 @ X
+        k2 = A2 @ (X + half * k1)
+        k3 = A2 @ (X + half * k2)
+        k4 = A3 @ (X + h * k3)
+        X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return X
+
+
+def _random_polynomial_system():
+    """A seeded 3x3 family whose entries are polynomials in t1 and t2; the
+    reference comparison needs no commutation, so none is imposed."""
+    rng = np.random.default_rng(11)
+    n = 3
+
+    def entry(var):
+        c = np.round(rng.uniform(-1.0, 1.0, size=3), 3)
+        return f"({c[0]})+({c[1]})*{var}+({c[2]})*t1*t2"
+
+    M = [[[entry(var) for _ in range(n)] for _ in range(n)] for var in ("t1", "t2^2")]
+    N = [[[1.0]] + [[0.0]] * (n - 1), [[0.0]] * (n - 1) + [[1.0]]]
+    return LinearSystem.from_data(2, n, 1, M, N, domain=[[-2, 2], [-2, 2]])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 255, 256])
+@pytest.mark.parametrize("kind", ["axis_scaled", "nilpotent", "random_polynomial"])
+def test_step_propagators_match_the_sequential_step_loop(kind, steps):
+    # odd step counts carry the last propagator through a pairwise level
+    from mtcontrol import NumericConfig
+    from mtcontrol.flow import _rk4
+    sys = {"axis_scaled": axis_scaled_system, "nilpotent": _nilpotent_system,
+           "random_polynomial": _random_polynomial_system}[kind]()
+    cfg = NumericConfig(ode_steps_per_segment=steps)
+    t = np.array([0.9, 0.7])
+    starts = np.array([[-0.4, 0.1], [0.2, -0.6], [t[0], -0.2]])  # last: axis 1 still
+    batch = transition(sys, t, starts, cfg)
+    for p, t0 in enumerate(starts):
+        reference = _sequential_rk4(sys, t, t0, steps)
+        scale = np.linalg.norm(reference)
+        assert np.linalg.norm(batch[p] - reference) <= 1e-13 * scale
+        single = _rk4(sys, t0[None], t, cfg)
+        assert single.shape == (1, sys.n, sys.n)
+        assert np.linalg.norm(single[0] - reference) <= 1e-13 * scale
+
+
+def test_rk4_converges_at_fourth_order():
+    # halving the step must divide the error by about 2^4 = 16
+    from mtcontrol import NumericConfig
+    sys = axis_scaled_system()
+    t0, t = (-0.5, 0.25), (1.5, 1.0)
+    exact = np.diag([math.exp((t[i] ** 2 - t0[i] ** 2) / 2) for i in range(2)])
+    errors = [np.max(np.abs(transition(sys, t, t0, NumericConfig(ode_steps_per_segment=s))
+                            - exact)) for s in (8, 16, 32)]
+    for coarse, fine in zip(errors[:-1], errors[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
