@@ -44,12 +44,22 @@ class ConfigError(ValueError):
     pass
 
 
+# Every number in a report is rounded to this format, in text and JSON.
+_FMT = "%.12g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return _FMT % float(x)
 
 
 def _matrix_tree(a: np.ndarray) -> list:
-    return [[float(_fmt(x)) for x in row] for row in np.atleast_2d(a)]
+    """The rows of `a`, each entry rounded as `_fmt` prints it: the whole
+    matrix is formatted in one call and parsed back in one pass."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    flat = a.ravel().tolist()
+    values = list(map(float, ((_FMT + " ") * len(flat) % tuple(flat)).split()))
+    width = a.shape[1]
+    return [values[i * width:(i + 1) * width] for i in range(len(a))]
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -155,6 +165,14 @@ def cmd_flow(args) -> dict:
     t0 = _parse_point(args.t0, system.m)
     t = _parse_point(args.t, system.m)
     fm = flow.fundamental_matrix(system, t, t0, cfg)
+    if not np.isfinite(fm.condition_number):
+        # the true chi is invertible: an infinite condition number with a
+        # finite largest singular value means chi underflowed to singular
+        if np.isfinite(np.linalg.norm(fm.value, 2)):
+            raise ValueError("fundamental matrix underflowed (singular to "
+                             "working precision) between t0 and t")
+        raise ValueError("fundamental matrix is too large for its condition "
+                         "number to be computed between t0 and t")
     tree = {
         "command": "flow",
         "t0": t0.tolist(),
@@ -391,7 +409,13 @@ def run(argv=None) -> int:
         tree = {"command": args.command, "error": str(exc)}
         code = 2
     if args.json:
-        print(json.dumps(tree, indent=2, sort_keys=False))
+        try:
+            text = json.dumps(tree, indent=2, allow_nan=False)
+        except ValueError as exc:  # an inf or nan that no named error caught
+            text = json.dumps({"command": args.command, "error": str(exc)},
+                              indent=2)
+            code = 2
+        print(text)
     else:
         print("\n".join(_render(tree)))
     return code

@@ -36,13 +36,21 @@ __all__ = [
 ]
 
 
+def _exponent_array(m: int, n: int) -> np.ndarray:
+    """The n^m exponent tuples as the rows of an (n^m, m) integer array, in
+    block order."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    ks = np.indices((n,) * m).reshape(m, -1).T
+    # lexsort's last key is the primary one: the sum ascending, then k_1,
+    # k_2, ... each descending.
+    return ks[np.lexsort(np.vstack([-ks[:, ::-1].T, ks.sum(axis=1)]))]
+
+
 def exponent_order(m: int, n: int) -> list[tuple[int, ...]]:
     """All n^m exponent tuples (k_1..k_m), 0 <= k_i <= n-1, in block order:
     ascending total sum, ties broken by lexicographically decreasing tuple."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    tuples = itertools.product(range(n), repeat=m)
-    return sorted(tuples, key=lambda ks: (sum(ks), tuple(-k for k in ks)))
+    return list(map(tuple, _exponent_array(m, n).tolist()))
 
 
 @dataclass(frozen=True)
@@ -54,35 +62,39 @@ class ControllabilityMatrix:
 def controllability_matrix(sys: LinearSystem,
                            cfg: NumericConfig = DEFAULT_CONFIG
                            ) -> ControllabilityMatrix:
-    """Assemble G for a constant, commuting system."""
+    """Assemble G for a constant, commuting system.
+
+    The n^m products are formed with m - 1 broadcast matmuls over the
+    stacked powers, in the left-to-right order of the block formula.
+    Raises ValueError when an entry overflows."""
     if not sys.is_constant:
         raise ValueError("the controllability matrix is defined for constant systems")
     require(check_M_commutation(sys, cfg))
 
-    origin = np.zeros(sys.m)
-    M = [sys.M[a](origin) for a in range(sys.m)]
-    N = [sys.N[a](origin) for a in range(sys.m)]
+    m, n = sys.m, sys.n
+    origin = np.zeros(m)
+    M = np.stack([sys.M[a](origin) for a in range(m)])          # (m, n, n)
+    N = np.stack([sys.N[a](origin) for a in range(m)])          # (m, n, k)
 
-    # M_a^p by repeated multiplication; exponents stay <= n-1.
-    powers = []
-    for a in range(sys.m):
-        p = [np.eye(sys.n)]
-        for _ in range(1, sys.n):
-            p.append(p[-1] @ M[a])
-        powers.append(p)
-
-    order = exponent_order(sys.m, sys.n)
-    blocks = []
-    index = []
-    for alpha in range(1, sys.m + 1):
-        for ks in order:
-            prod = np.eye(sys.n)
-            for a, k in enumerate(ks):
-                if k:
-                    prod = prod @ powers[a][k]
-            blocks.append(prod @ N[alpha - 1])
-            index.append((alpha, ks))
-    return ControllabilityMatrix(np.hstack(blocks), index)
+    ks = _exponent_array(m, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # powers[a, p] = M_a^p by repeated multiplication; p <= n-1.
+        powers = np.empty((m, n, n, n))
+        powers[:, 0] = np.eye(n)
+        for p in range(1, n):
+            powers[:, p] = powers[:, p - 1] @ M
+        # All n^m products M_1^k1 ... M_m^km, multiplied left to right, then
+        # every N_alpha: blocks[alpha - 1, j] is the block of the j-th tuple.
+        prod = powers[0, ks[:, 0]]
+        for a in range(1, m):
+            prod = prod @ powers[a, ks[:, a]]
+        blocks = prod @ N[:, None]                              # (m, n^m, n, k)
+    if not np.all(np.isfinite(blocks)):
+        raise ValueError("controllability matrix overflowed (non-finite entries)")
+    value = np.ascontiguousarray(blocks.transpose(2, 0, 1, 3)).reshape(n, -1)
+    order = list(map(tuple, ks.tolist()))
+    return ControllabilityMatrix(value, list(itertools.product(range(1, m + 1),
+                                                               order)))
 
 
 def rank_G(G: ControllabilityMatrix, cfg: NumericConfig = DEFAULT_CONFIG) -> int:

@@ -58,18 +58,40 @@ class CompatibilityError(RuntimeError):
             f"{report.condition_name} failed with residual {report.max_residual:.6g}")
 
 
+def _numeric_grid(entries) -> np.ndarray | None:
+    """`entries` as a float array when every entry is a plain number (no
+    string, no Expr), else None."""
+    try:
+        grid = np.array(entries)
+    except ValueError:  # ragged nesting; the object path reports it
+        return None
+    return grid.astype(float, copy=False) if grid.dtype.kind in "biuf" else None
+
+
 class MatrixFunction:
-    """A matrix whose entries are real constants or expressions of t1..tm."""
+    """A matrix whose entries are real constants or expressions of t1..tm.
+
+    A matrix of plain numbers is kept as one float array, with no
+    expression object per entry."""
 
     def __init__(self, entries, m: int):
-        grid = np.asarray(entries, dtype=object)
+        grid = _numeric_grid(entries)
+        if grid is None:
+            grid = np.asarray(entries, dtype=object)
         if grid.ndim == 1:
             grid = grid.reshape(-1, 1)
         if grid.ndim != 2:
             raise ValueError(f"matrix entries must be 2-D, got shape {grid.shape}")
-        parsed = np.empty(grid.shape, dtype=object)
+        self.m = m
+        self._varying = []
+        if grid.dtype != object:
+            bad = np.argwhere(~np.isfinite(grid))
+            if len(bad):
+                raise ValueError(f"non-finite constant entry at "
+                                 f"({bad[0][0]}, {bad[0][1]})")
+            self._constant = grid
+            return
         constant = np.zeros(grid.shape)  # expression entries stay 0 here
-        varying = []
         for (i, j), entry in np.ndenumerate(grid):
             if isinstance(entry, _expr.Expr):
                 pass
@@ -83,18 +105,13 @@ class MatrixFunction:
                 if not np.isfinite(value):
                     raise ValueError(f"non-finite constant entry at ({i}, {j})")
                 constant[i, j] = value
-                parsed[i, j] = _expr.Num(value)
             else:
-                varying.append((i, j, entry))
-                parsed[i, j] = entry
-        self.m = m
-        self.entries = parsed
+                self._varying.append((i, j, entry))
         self._constant = constant
-        self._varying = varying
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.entries.shape
+        return self._constant.shape
 
     @property
     def is_constant(self) -> bool:
@@ -129,9 +146,12 @@ class MatrixFunction:
         return out if batch else out[0]
 
     def diff(self, beta: int) -> "MatrixFunction":
-        """Entrywise exact partial derivative with respect to t^beta."""
-        d = np.empty(self.shape, dtype=object)
-        for (i, j), e in np.ndenumerate(self.entries):
+        """Entrywise exact partial derivative with respect to t^beta; the
+        constant entries differentiate to 0."""
+        if not self._varying:
+            return MatrixFunction(np.zeros(self.shape), self.m)
+        d = np.zeros(self.shape, dtype=object)
+        for i, j, e in self._varying:
             d[i, j] = e.diff(beta)
         return MatrixFunction(d, self.m)
 

@@ -1,15 +1,21 @@
 import json
 import math
+import struct
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import mtcontrol.flow
 import mtcontrol.gramian
-from mtcontrol.cli import run
+from mtcontrol.cli import _matrix_tree, run
 
-DEMO_DIAG = str(Path(__file__).resolve().parents[1] / "demos" / "configs"
-                / "diagonal_two_time.json")
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+DEMO_DIAG = str(DEMOS / "diagonal_two_time.json")
 
 DIAG = {
     "m": 2, "n": 2, "k": 1,
@@ -291,6 +297,30 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _assert_named_error(capsys, argv, json_mode, message):
+    """`argv` exits 2 with `message` as its report, strict JSON in --json
+    mode, and no RuntimeWarning recorded or written to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run((["--json"] if json_mode else []) + argv)
+    captured = _assert_error_report(capsys, code, argv[0], json_mode, message)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+
+
+def _assert_error_report(capsys, code, command, json_mode, message):
+    """The run exited 2 with `message` as its report, strict JSON in --json
+    mode; returns the captured output."""
+    captured = capsys.readouterr()
+    assert code == 2
+    if json_mode:
+        tree = json.loads(captured.out, parse_constant=_reject_constant)
+        assert tree == {"command": command, "error": message}
+    else:
+        assert captured.out == f"command: {command}\nerror: {message}\n"
+    return captured
+
+
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("doc, t", [
     ({"m": 1, "n": 1, "k": 1, "M": [[[800]]], "N": [[[1]]]}, "1"),
@@ -302,20 +332,9 @@ def test_overflowed_fundamental_matrix_is_a_named_error(capsys, tmp_path, doc, t
     # chi = e^800 (expm) and e^(50 (20 + 20^3/3)) (RK4) overflow to inf
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    argv = (["--json"] if json_mode else []) + ["flow", str(path), "--t0", "0", "--t", t]
-    message = "fundamental matrix overflowed (non-finite entries) between t0 and t"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    if json_mode:
-        tree = json.loads(captured.out, parse_constant=_reject_constant)
-        assert tree == {"command": "flow", "error": message}
-    else:
-        assert captured.out == f"command: flow\nerror: {message}\n"
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "RuntimeWarning" not in captured.err
+    _assert_named_error(
+        capsys, ["flow", str(path), "--t0", "0", "--t", t], json_mode,
+        "fundamental matrix overflowed (non-finite entries) between t0 and t")
 
 
 def test_flow_computes_chi_once_for_x(capsys, monkeypatch, diag_cfg):
@@ -381,3 +400,132 @@ def test_negative_values_after_a_space(capsys, diag_cfg, argv, mode):
     spaced = _output(capsys, [*prefix, command, diag_cfg, *flags])
     assert spaced == _output(capsys, [*prefix, command, diag_cfg, *joined])
     assert spaced[0] == 0 and spaced[2] == ""
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_underflowed_fundamental_matrix_is_a_named_error(capsys, tmp_path, json_mode):
+    # chi = e^-800 underflows to 0.0: finite, but its condition number is
+    # inf; the library returns it with a warning, the report refuses it
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "k": 1, "M": [[[-800]]],
+                                "N": [[[1]]]}))
+    argv = ["flow", str(path), "--t0", "0", "--t", "1"]
+    with pytest.warns(RuntimeWarning, match=r"ill-conditioned \(cond = inf\)"):
+        code = run((["--json"] if json_mode else []) + argv)
+    _assert_error_report(capsys, code, "flow", json_mode,
+                         "fundamental matrix underflowed (singular to working "
+                         "precision) between t0 and t")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_unmeasurable_condition_number_is_a_named_error(capsys, tmp_path,
+                                                        json_mode):
+    # chi = I + (e^710.13 - 1)/3 J: entries near 8.5e307 are finite, but its
+    # largest singular value e^710.13 is not, so cond is inf without underflow
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 1, "n": 3, "k": 1, "M": [[[236.71] * 3] * 3],
+                                "N": [[[1], [0], [0]]]}))
+    argv = ["flow", str(path), "--t0", "0", "--t", "1"]
+    with pytest.warns(RuntimeWarning, match=r"ill-conditioned \(cond = inf\)"):
+        code = run((["--json"] if json_mode else []) + argv)
+    _assert_error_report(capsys, code, "flow", json_mode,
+                         "fundamental matrix is too large for its condition "
+                         "number to be computed between t0 and t")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_overflowed_controllability_matrix_is_a_named_error(capsys, tmp_path,
+                                                            json_mode):
+    # M^2 = 1e400 overflows to inf; unchecked, G would reach the report
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"m": 1, "n": 3, "k": 1,
+                                "M": [[[1e200, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                                "N": [[[1], [1], [1]]]}))
+    _assert_named_error(capsys, ["kalman", str(path)], json_mode,
+                        "controllability matrix overflowed (non-finite entries)")
+
+
+def test_non_finite_report_value_is_an_error_in_json(capsys, monkeypatch, diag_cfg):
+    # a value that no named error catches still never reaches stdout as JSON
+    def infinite(system, t0, phi0, t, cfg, check=True):
+        return np.array([math.inf, 0.0])
+
+    monkeypatch.setattr(mtcontrol.flow, "solve_adjoint", infinite)
+    code = run(["--json", "flow", diag_cfg, "--t0", "0,0", "--t", "1,1",
+                "--phi0", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    tree = json.loads(captured.out, parse_constant=_reject_constant)
+    assert tree == {"command": "flow", "error": "Out of range float values are "
+                                                "not JSON compliant: inf"}
+    assert captured.err == ""
+
+
+# The cyclic demo fails the gramian condition, which gates these commands.
+_DEMO_REFUSED = {("cyclic_three_time", c) for c in ("gramian", "analyze",
+                                                    "synthesize")}
+
+
+@pytest.mark.parametrize("command", ["check", "flow", "gramian", "kalman",
+                                     "analyze", "synthesize", "simulate"])
+@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.json")))
+def test_every_subcommand_on_the_demos_emits_strict_json(capsys, tmp_path, demo,
+                                                         command):
+    path = DEMOS / f"{demo}.json"
+    doc = json.loads(path.read_text())
+    m, n, k = doc["m"], doc["n"], doc["k"]
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"u": [[0.0] * k for _ in range(m)]}))
+    t0, t = ",".join(["0"] * m), ",".join(["1"] * m)
+    x0, y = ",".join(["1"] + ["0"] * (n - 1)), ",".join(["0"] * n)
+    flags = {
+        "check": [],
+        "flow": ["--t0", t0, "--t", t, "--x0", x0, "--phi0", x0],
+        "gramian": ["--t0", t0, "--t", t],
+        "kalman": [],
+        "analyze": ["--t0", t0, "--t", t, "--x0", x0, "--y", y],
+        "synthesize": ["--t0", t0, "--t", t, "--x0", x0, "--y", y],
+        "simulate": ["--t0", t0, "--t", t, "--x0", x0, "--control", str(control)],
+    }[command]
+    code = run(["--json", command, str(path), *flags])
+    tree = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == (2 if (demo, command) in _DEMO_REFUSED else 0)
+    assert tree["command"] == command
+
+
+def _reference_tree(a):
+    return [[float(format(float(x), ".12g")) for x in row] for row in np.atleast_2d(a)]
+
+
+def _bits(tree):
+    """Each entry as its 8 bytes, so signed zeros and nan compare exactly."""
+    return [[struct.pack("<d", x) for x in row] for row in tree]
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+                -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                0.1, 1 / 3, -123456789.123456789]
+_ENTRIES = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    arrays(float, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_ENTRIES),
+    arrays(float, st.tuples(st.just(1), st.integers(1, 40)), elements=_ENTRIES),
+    arrays(float, st.tuples(st.integers(1, 40), st.just(1)), elements=_ENTRIES),
+    arrays(float, st.integers(0, 8), elements=_ENTRIES),
+    arrays(float, (), elements=_ENTRIES),
+))
+def test_matrix_tree_matches_per_entry_formatting(a):
+    got = _matrix_tree(a)
+    assert _bits(got) == _bits(_reference_tree(a))
+    assert all(type(x) is float for row in got for x in row)
+
+
+@pytest.mark.parametrize("a", [np.array(-0.0), np.zeros((3, 0)), np.zeros((0, 4)),
+                               np.array([[-0.0, 5e-324, -1e300, 1e300]]),
+                               np.array([[1e-320], [-0.0], [1 / 3]])],
+                         ids=["scalar", "zero_columns", "zero_rows", "row", "column"])
+def test_matrix_tree_edge_shapes(a):
+    assert _bits(_matrix_tree(a)) == _bits(_reference_tree(a))
+    assert len(_matrix_tree(a)) == np.atleast_2d(a).shape[0]

@@ -225,6 +225,17 @@ def test_ill_conditioned_flow_warns(diag_sys):
         fundamental_matrix(diag_sys, (40.0, 0.0), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("M, x", [([[-800.0]], [0.0]),
+                                  ([[-800.0, 0.0], [0.0, 1.0]], [0.0, math.e])])
+def test_underflowed_flow_still_solves(M, x):
+    # e^-800 underflows to 0.0: correct to working precision, with a warning
+    n = len(M)
+    sys = LinearSystem.from_data(1, n, 1, [M], [np.ones((n, 1)).tolist()])
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        got = solve_homogeneous(sys, (0.0,), np.ones(n), (1.0,))
+    assert got.tolist() == pytest.approx(x, rel=1e-14)
+
+
 def test_rk4_matches_gaussian_closed_form():
     from mtcontrol import synthesize_transfer, verify_transfer
     sys = axis_scaled_system()

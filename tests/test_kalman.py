@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtcontrol import (CompatibilityError, LinearSystem, autonomous_analysis,
                        compare_rank, controllability_gramian,
@@ -29,7 +32,7 @@ def test_exponent_order_m2_n3():
 
 
 def test_exponent_order_is_total_permutation():
-    for m, n in itertools.product(range(1, 4), range(1, 5)):
+    for m, n in itertools.product(range(1, 6), range(1, 7)):
         order = exponent_order(m, n)
         assert len(order) == n ** m
         assert len(set(order)) == n ** m
@@ -39,11 +42,94 @@ def test_exponent_order_is_total_permutation():
             assert sum(a) <= sum(b)
             if sum(a) == sum(b):
                 assert a > b
+        reference = sorted(itertools.product(range(n), repeat=m),
+                           key=lambda ks: (sum(ks), tuple(-k for k in ks)))
+        assert order == reference
+        assert all(type(k) is int for ks in order for k in ks)
 
 
 def test_exponent_order_validates_inputs():
     with pytest.raises(ValueError):
         exponent_order(0, 2)
+
+
+def _per_tuple_G(sys):
+    """G as one product per exponent tuple and alpha, multiplied left to
+    right from the identity and skipping zero exponents: the reference the
+    broadcast assembly must match bit for bit."""
+    origin = np.zeros(sys.m)
+    M = [sys.M[a](origin) for a in range(sys.m)]
+    N = [sys.N[a](origin) for a in range(sys.m)]
+    powers = []
+    for a in range(sys.m):
+        p = [np.eye(sys.n)]
+        for _ in range(1, sys.n):
+            p.append(p[-1] @ M[a])
+        powers.append(p)
+    order = sorted(itertools.product(range(sys.n), repeat=sys.m),
+                   key=lambda ks: (sum(ks), tuple(-k for k in ks)))
+    blocks, index = [], []
+    for alpha in range(1, sys.m + 1):
+        for ks in order:
+            prod = np.eye(sys.n)
+            for a, k in enumerate(ks):
+                if k:
+                    prod = prod @ powers[a][k]
+            blocks.append(prod @ N[alpha - 1])
+            index.append((alpha, ks))
+    return np.hstack(blocks), index
+
+
+@st.composite
+def commuting_families(draw):
+    """m, n, k drawn; each M_a a different polynomial (degree <= 2) in one
+    shared A, so the family commutes; N may be all zeros."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    # small integers and halves give exact zeros and signed zeros
+    entries = st.one_of(st.floats(-1.5, 1.5),
+                        st.integers(-2, 2).map(lambda v: v / 2))
+    A = draw(arrays(float, (n, n), elements=entries))
+    coeffs = draw(arrays(float, (m, 3), elements=entries))
+    M = [c[0] * np.eye(n) + c[1] * A + c[2] * (A @ A) for c in coeffs]
+    if draw(st.booleans()):
+        N = np.zeros((m, n, k))
+    else:
+        N = draw(arrays(float, (m, n, k), elements=entries))
+    return LinearSystem.from_data(m, n, k, [x.tolist() for x in M],
+                                  [x.tolist() for x in N])
+
+
+@settings(max_examples=60, deadline=None)
+@given(commuting_families())
+def test_controllability_matrix_matches_per_tuple_products(sys):
+    G = controllability_matrix(sys)
+    value, index = _per_tuple_G(sys)
+    assert G.value.shape == (sys.n, sys.m * sys.n ** sys.m * sys.k)
+    assert G.value.tobytes() == value.tobytes()  # signed zeros included
+    assert G.block_index == index
+    assert all(type(a) is int and all(type(k) is int for k in ks)
+               for a, ks in G.block_index)
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 1, 1), (1, 4, 2), (3, 1, 2), (4, 5, 3)])
+@pytest.mark.parametrize("zero_N", [False, True], ids=["N", "zero_N"])
+def test_controllability_matrix_matches_per_tuple_products_at_the_edges(m, n, k,
+                                                                       zero_N):
+    rng = np.random.default_rng(m * 100 + n * 10 + k)
+    sys = random_commuting_system(rng, n=n, m=m, k=k)
+    if zero_N:
+        sys = LinearSystem.from_data(
+            m, n, k, [sys.M[a](np.zeros(m)).tolist() for a in range(m)],
+            np.zeros((m, n, k)).tolist())
+    G = controllability_matrix(sys)
+    value, index = _per_tuple_G(sys)
+    assert G.value.tobytes() == value.tobytes()
+    assert G.value.flags.c_contiguous
+    assert G.block_index == index
+    assert G.block_index[0] == (1, (0,) * m)
+    assert G.block_index[-1] == (m, (n - 1,) * m)
 
 
 def test_controllability_matrix_diag(diag_sys):

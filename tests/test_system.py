@@ -9,7 +9,7 @@ from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        MatrixFamily, check_control_compat,
                        check_F_compatibility, check_gramian_compat,
                        check_M_commutation)
-from mtcontrol.expr import ExprDomainError
+from mtcontrol.expr import ExprDomainError, Num
 from mtcontrol.system import MatrixFunction
 
 
@@ -190,6 +190,55 @@ def test_constant_family_evaluation_and_diff():
     d = fam[0].diff(1)((2.0, 0.0))
     assert d[0, 0] == pytest.approx(4.0)
     assert fam[1].is_constant
+
+
+@st.composite
+def plain_matrices(draw):
+    """Nested lists of floats, of ints, of bools, or of all three mixed."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    element = draw(st.sampled_from([
+        finite, st.integers(-2 ** 60, 2 ** 60), st.booleans(),
+        st.one_of(finite, st.integers(-9, 9), st.booleans())]))
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(element, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plain_matrices())
+def test_plain_number_matrix_equals_the_expression_path(entries):
+    values = np.array(entries, dtype=float)
+    plain = MatrixFunction(entries, 2)
+    # Num objects take the per-entry expression path
+    wrapped = MatrixFunction([[Num(float(x)) for x in row] for row in entries], 2)
+    assert plain.is_constant and wrapped.is_constant
+    assert plain.shape == wrapped.shape == values.shape
+    points = np.array([[0.0, 0.0], [1.0, -2.0]])
+    assert plain(points).tobytes() == wrapped(points).tobytes()
+    assert plain((0.5, 0.5)).tobytes() == wrapped((0.5, 0.5)).tobytes()
+    for beta in (1, 2):
+        d = plain.diff(beta)
+        assert d.is_constant and d.shape == values.shape
+        assert d((0.0, 0.0)).tobytes() == wrapped.diff(beta)((0.0, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("entries, where", [
+    ([[1, 2], [math.inf, math.nan]], "(1, 0)"),
+    ([[1, -math.inf], [math.nan, 2]], "(0, 1)"),
+    ([1.0, 2.0, math.nan], "(2, 0)"),
+    ([["1", 2], [math.inf, math.nan]], "(1, 0)"),  # expression path
+], ids=["plain", "plain_first_row", "column", "expression"])
+def test_non_finite_constant_names_the_first_entry_in_row_major_order(entries, where):
+    with pytest.raises(ValueError) as exc:
+        MatrixFunction(entries, 1)
+    assert str(exc.value) == f"non-finite constant entry at {where}"
+
+
+def test_matrix_function_copies_a_plain_array():
+    source = np.ones((2, 2))
+    mf = MatrixFunction(source, 1)
+    source[0, 0] = 5.0
+    assert mf((0.0,))[0, 0] == 1.0
 
 
 def test_time_varying_check_differentiates_once_per_pair(monkeypatch):
