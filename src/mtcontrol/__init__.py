@@ -7,8 +7,8 @@ phases, and synthesizes controls realizing feasible phase transfers.
 """
 
 from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
-                   curve_segment, staircase)
-from .expr import Expr, ExprDomainError, ExprError, differentiate, evaluate, parse
+                   as_points, curve_segment, staircase)
+from .expr import Expr, ExprDomainError, ExprError, differentiate, parse
 from .flow import (FundamentalMatrix, fundamental_matrix, solve_adjoint,
                    solve_affine, solve_controlled, solve_homogeneous, transition)
 from .gramian import (CompleteDecision, Gramian, SubspaceBasis, TransferDecision,
@@ -18,8 +18,7 @@ from .gramian import (CompleteDecision, Gramian, SubspaceBasis, TransferDecision
 from .kalman import (AutonomousReport, ControllabilityMatrix, RankComparison,
                      autonomous_analysis, compare_rank, controllability_matrix,
                      exponent_order, rank_G)
-from .pathint import (OneFormFamily, PathIndependenceReport, integrate_along,
-                      verify_path_independence)
+from .pathint import OneFormFamily, integrate_along
 from .synth import (SynthesisResult, SynthesizedControl, TransferVerification,
                     candidate_control, synthesize_transfer, verify_transfer)
 from .system import (CompatibilityError, ConditionReport, ControlFamily,

@@ -150,7 +150,10 @@ def cmd_check(args) -> dict:
     # F defaults to the zero family so the report always carries all four
     # conditions; a config may supply its own forcing under "F".
     f_data = doc.get("F", [[[0.0]] * system.n for _ in range(system.m)])
-    F = MatrixFamily.from_data(f_data, system.m)
+    try:
+        F = MatrixFamily.from_data(f_data, system.m)
+    except (ExprError, ValueError) as exc:
+        raise ConfigError(f"bad forcing data: {exc}") from None
     conditions.append(check_F_compatibility(system, F, cfg))
     conditions.append(check_control_compat(system, u, cfg))
     conditions.append(check_gramian_compat(system, cfg))

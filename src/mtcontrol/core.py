@@ -1,8 +1,9 @@
 """Foundational value types: multitime points, polyline curves, numeric settings.
 
 A multitime is a point t = (t^1, ..., t^m) in R^m.  Throughout the package
-multitimes are plain 1-D float arrays; `as_point` is the single validation
-funnel.  Matrices are plain numpy arrays.
+multitimes are plain 1-D float arrays and batches of them (P, m) float
+arrays; `as_point` and `as_points` are the single validation funnels.
+Matrices are plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "as_point",
+    "as_points",
     "PolylineCurve",
     "curve_segment",
     "NumericConfig",
@@ -34,6 +36,20 @@ def as_point(coords, m: int | None = None) -> np.ndarray:
     if m is not None and t.size != m:
         raise ValueError(f"expected multitime of dimension {m}, got {t.size}")
     return t
+
+
+def as_points(coords, m: int) -> np.ndarray:
+    """Validate and convert a batch of multitime points to a (P, m) float
+    array.
+
+    Raises ValueError when the batch is not 2-D, has a width other than
+    `m`, or holds a non-finite coordinate.
+    """
+    points = np.asarray(coords, dtype=float)
+    if points.ndim != 2 or points.shape[1] != m or not np.all(np.isfinite(points)):
+        raise ValueError(f"expected a batch of finite multitimes of "
+                         f"dimension {m}, got shape {points.shape}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,9 @@ def curve_segment(t0, t1) -> PolylineCurve:
 def staircase(t0, t1) -> PolylineCurve:
     """Axis-ordered staircase from t0 to t1: advance one coordinate at a time.
 
-    Used as the geometric contrast path in path-independence certificates.
+    The contrast path of the acceptance suite's path-independence witness:
+    maximal geometric contrast with the straight segment while staying
+    inside the box spanned by t0 and t1.
     """
     a = as_point(t0)
     b = as_point(t1, m=a.size)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Expr", "ExprError", "ExprDomainError", "parse", "evaluate", "differentiate"]
+__all__ = ["Expr", "ExprError", "ExprDomainError", "parse", "differentiate"]
 
 _FUNCTIONS = {
     "exp": np.exp,
@@ -415,10 +415,6 @@ def parse(text: str, m: int) -> Expr:
     if not isinstance(text, str) or not text.strip():
         raise ExprError("empty expression")
     return _Parser(text, m).parse()
-
-
-def evaluate(e: Expr, t) -> float:
-    return e(t)
 
 
 def differentiate(e: Expr, alpha: int) -> Expr:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point, curve_segment
+from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
+                   as_points, curve_segment)
 from .pathint import OneFormFamily, integrate_along
 from .system import (LinearSystem, MatrixFamily, check_control_compat,
                      check_F_compatibility, check_M_commutation, require)
@@ -118,13 +119,7 @@ def transition(sys: LinearSystem, t, t0,
     """
     t = as_point(t, m=sys.m)
     batch = np.ndim(t0) == 2
-    if batch:
-        starts = np.asarray(t0, dtype=float)
-        if starts.shape[1] != sys.m or not np.all(np.isfinite(starts)):
-            raise ValueError(f"expected a batch of finite multitimes of "
-                             f"dimension {sys.m}, got shape {starts.shape}")
-    else:
-        starts = as_point(t0, m=sys.m)[None]
+    starts = as_points(t0, sys.m) if batch else as_point(t0, m=sys.m)[None]
     chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
     moving = np.any(starts != t, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,8 +15,8 @@ condition checks implemented here:
 Conditions are analytic identities, so they are checked exactly for
 constant families (single commutator evaluation) and on a tensor sample
 grid over the domain box otherwise.  Failure at any grid point is
-conclusive; passing on a modest grid is cross-checked downstream by the
-path-independence certificates.
+conclusive; a pass for a time-varying family means only that the
+condition held at the grid_samples_per_axis^m sample points.
 
 Matrix functions evaluate on a whole (P, m) batch of points in one numpy
 pass per entry, so each check evaluates every matrix it needs once over
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as _expr
-from .core import DEFAULT_CONFIG, NumericConfig, as_point
+from .core import DEFAULT_CONFIG, NumericConfig, as_point, as_points
 
 __all__ = [
     "MatrixFunction",
@@ -78,6 +78,8 @@ class MatrixFunction:
         grid = _numeric_grid(entries)
         if grid is None:
             grid = np.asarray(entries, dtype=object)
+            if grid.ndim == 1 and any(isinstance(e, (list, tuple)) for e in grid):
+                raise ValueError("matrix rows must all have the same length")
         if grid.ndim == 1:
             grid = grid.reshape(-1, 1)
         if grid.ndim != 2:
@@ -98,7 +100,11 @@ class MatrixFunction:
             elif isinstance(entry, str):
                 entry = _expr.parse(entry, m)
             else:
-                entry = _expr.Num(float(entry))
+                try:
+                    entry = _expr.Num(float(entry))
+                except TypeError:
+                    raise ValueError(f"matrix entry at ({i}, {j}) must be a number "
+                                     f"or an expression, got {entry!r}") from None
             if entry.is_constant():
                 value = (entry.value if isinstance(entry, _expr.Num)
                          else entry(np.zeros(m)))
@@ -129,13 +135,7 @@ class MatrixFunction:
             if batch:
                 return self._constant[None].repeat(len(t), axis=0)
             return self._constant.copy()
-        if batch:
-            points = np.asarray(t, dtype=float)
-            if points.shape[1] != self.m or not np.all(np.isfinite(points)):
-                raise ValueError(f"expected a batch of finite multitimes of "
-                                 f"dimension {self.m}, got shape {points.shape}")
-        else:
-            points = as_point(t, m=self.m)[None]
+        points = as_points(t, self.m) if batch else as_point(t, m=self.m)[None]
         out = self._constant[None].repeat(len(points), axis=0)
         for i, j, e in self._varying:
             values = e.eval(points)
@@ -154,6 +154,15 @@ class MatrixFunction:
         for i, j, e in self._varying:
             d[i, j] = e.diff(beta)
         return MatrixFunction(d, self.m)
+
+
+def _members(data, m: int, kind: str) -> Sequence:
+    """`data` as the list of a family's m members; ValueError otherwise."""
+    if not isinstance(data, (list, tuple, np.ndarray)):
+        raise ValueError(f"{kind} data must be a list, got {type(data).__name__}")
+    if len(data) != m:
+        raise ValueError(f"expected {m} {kind} members, got {len(data)}")
+    return data
 
 
 class MatrixFamily:
@@ -175,9 +184,7 @@ class MatrixFamily:
     @classmethod
     def from_data(cls, data: Sequence, m: int) -> "MatrixFamily":
         """Build from m nested-list matrices of numbers / expression strings."""
-        if len(data) != m:
-            raise ValueError(f"expected {m} family members, got {len(data)}")
-        return cls([MatrixFunction(entry, m) for entry in data])
+        return cls([MatrixFunction(entry, m) for entry in _members(data, m, "family")])
 
     @property
     def is_constant(self) -> bool:
@@ -213,10 +220,8 @@ class ControlFamily:
 
     @classmethod
     def from_data(cls, data: Sequence, m: int) -> "ControlFamily":
-        if len(data) != m:
-            raise ValueError(f"expected {m} control members, got {len(data)}")
         members = []
-        for entry in data:
+        for entry in _members(data, m, "control"):
             mf = MatrixFunction(entry, m)
             if mf.shape[1] != 1:
                 mf = MatrixFunction(np.asarray(entry, dtype=object).reshape(-1, 1), m)

@@ -284,13 +284,51 @@ def test_expression_singularity_is_a_named_error(capsys, tmp_path, doc, message,
 @pytest.mark.parametrize("entry, message", [
     ("1e400", "bad system data: non-finite constant entry at (0, 0)"),
     ('"exp(1000)"', "overflow in exp(1000.0)"),
-], ids=["literal", "folded"])
+    ("null", "bad system data: matrix entry at (0, 0) must be a number or an "
+             "expression, got None"),
+], ids=["literal", "folded", "null"])
 def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, message):
     path = tmp_path / "overflow.json"
     path.write_text('{"m": 1, "n": 1, "k": 1, "M": [[[%s]]], "N": [[[1]]]}' % entry)
     code, tree = run_json(capsys, ["check", str(path)])
     assert code == 2
     assert tree == {"command": "check", "error": message}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"M": [[[1, 2], [3]], [[0, 0], [0, 0]]]},
+     "bad system data: matrix rows must all have the same length"),
+    ({"F": [[[1], [2, 3]], [[0]]]},
+     "bad forcing data: matrix rows must all have the same length"),
+    ({"M": 5}, "bad system data: family data must be a list, got int"),
+    ({"u": [[None], [0]]}, "bad control data: matrix entry at (0, 0) must be a "
+                           "number or an expression, got None"),
+], ids=["ragged_M", "ragged_F", "non_list_M", "null_control"])
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, message,
+                                               json_mode):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(dict(DIAG, **change)))
+    code = run((["--json"] if json_mode else []) + ["check", str(path)])
+    _assert_error_report(capsys, code, "check", json_mode, message)
+
+
+@pytest.mark.parametrize("F, passed, residual, pair", [
+    ([[[1], [2]], [[0], [3]]], True, 0.0, None),  # M_1 F_2 = M_2 F_1 = 0
+    ([[[0], [0]], [[1], [0]]], False, 1.0, [1, 2]),  # M_1 F_2 = e_1, M_2 F_1 = 0
+], ids=["compatible", "incompatible"])
+def test_check_with_config_forcing(capsys, tmp_path, F, passed, residual, pair):
+    path = tmp_path / "with_F.json"
+    path.write_text(json.dumps(dict(json.loads(Path(DEMO_DIAG).read_text()), F=F)))
+    code, tree = run_json(capsys, ["check", str(path)])
+    assert code == 0
+    by_name = {c["condition"]: c for c in tree["conditions"]}
+    assert by_name["F-compatibility (Eq. 7)"] == {
+        "condition": "F-compatibility (Eq. 7)", "pass": passed,
+        "max_residual": residual,
+        "worst_point": None if pair is None else [0.0, 0.0],
+        "worst_pair": pair}
+    assert tree["all_pass"] is passed
 
 
 def _reject_constant(name):

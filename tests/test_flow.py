@@ -370,3 +370,20 @@ def test_rk4_converges_at_fourth_order():
                             - exact)) for s in (8, 16, 32)]
     for coarse, fine in zip(errors[:-1], errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
+
+
+@pytest.mark.parametrize("batch", [np.zeros((3, 3)), [[0.0, 0.5], [math.nan, 0.0]]],
+                         ids=["wrong_width", "nan"])
+@pytest.mark.parametrize("caller", ["matrix_function", "constant_transition",
+                                    "time_varying_transition"])
+def test_a_malformed_batch_of_points_is_refused(caller, batch, diag_sys):
+    # MatrixFunction and transition share one validation funnel, core.as_points
+    sys = axis_scaled_system()
+    call = {"matrix_function": lambda: sys.M[0](batch),
+            "constant_transition": lambda: transition(diag_sys, (1.0, 1.0), batch),
+            "time_varying_transition": lambda: transition(sys, (1.0, 1.0), batch)}
+    shape = np.shape(batch)
+    with pytest.raises(ValueError) as exc:
+        call[caller]()
+    assert str(exc.value) == (f"expected a batch of finite multitimes of "
+                              f"dimension 2, got shape {shape}")

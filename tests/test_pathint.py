@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtcontrol import (MatrixFamily, OneFormFamily, PolylineCurve,
-                       curve_segment, integrate_along, verify_path_independence)
+                       curve_segment, integrate_along)
 from mtcontrol.gramian import gramian_integrand
 
 
@@ -53,20 +53,20 @@ def test_primitive_constant():
 
 def test_primitive_linear_integrand():
     fam = MatrixFamily.from_data([[["2*t1"]], [["0"]]], 2)
-    P = OneFormFamily.from_family(fam)
+    P = OneFormFamily(list(fam), fam.shape)
     assert primitive(P, (0, 0), (2, 0))[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_primitive_at_base_point_is_zero():
     fam = MatrixFamily.from_data([[["2*t1"]], [["t2"]]], 2)
-    P = OneFormFamily.from_family(fam)
+    P = OneFormFamily(list(fam), fam.shape)
     assert np.array_equal(primitive(P, (1, 1), (1, 1)), np.zeros((1, 1)))
 
 
 def test_primitive_differentiates_back_to_integrand():
     # closed one-form: P1 = t2, P2 = t1 (mixed partials match)
     fam = MatrixFamily.from_data([[["t2"]], [["t1"]]], 2)
-    P = OneFormFamily.from_family(fam)
+    P = OneFormFamily(list(fam), fam.shape)
     t0 = np.array([0.0, 0.0])
     h = 1e-6
     for t in ([0.7, 0.4], [1.3, -0.5]):
@@ -82,7 +82,7 @@ def test_primitive_differentiates_back_to_integrand():
 
 def test_additivity_and_reversal():
     fam = MatrixFamily.from_data([[["t1*t2"]], [["cos(t1)"]]], 2)
-    P = OneFormFamily.from_family(fam)
+    P = OneFormFamily(list(fam), fam.shape)
     a, b, c = np.array([0.0, 0.0]), np.array([1.0, 0.5]), np.array([2.0, -1.0])
     whole = integrate_along(P, PolylineCurve(np.stack([a, b, c])))
     parts = (integrate_along(P, curve_segment(a, b)) +
@@ -92,41 +92,3 @@ def test_additivity_and_reversal():
     backward = integrate_along(P, curve_segment(c, a))
     assert np.allclose(forward, -backward, atol=1e-12)
 
-
-def test_path_independence_certificate_passes(diag_sys):
-    P = gramian_integrand(diag_sys, (0.0, 0.0))
-    report = verify_path_independence(P, (0, 0), (1, 1))
-    assert report.passed
-    assert report.discrepancy <= 1e-9
-    assert report.mixed_partial_residual is None  # derived, not expression-backed
-
-
-def test_path_independence_certificate_fails(cyclic_sys):
-    P = gramian_integrand(cyclic_sys, (0.0, 0.0, 0.0))
-    report = verify_path_independence(P, (0, 0, 0), (1, 1, 1))
-    assert not report.passed
-    assert report.discrepancy > 1e-3
-
-
-def test_path_independence_constant_equal_members():
-    C = np.array([[1.0, 0.0], [0.0, 2.0]])
-    P = constant_one_form([C, C])
-    report = verify_path_independence(P, (0, 0), (1, 2))
-    assert report.passed
-
-
-def test_path_independence_symbolic_mixed_partials():
-    closed = OneFormFamily.from_family(
-        MatrixFamily.from_data([[["t2"]], [["t1"]]], 2))
-    assert verify_path_independence(closed, (0, 0), (1, 1)).passed
-    open_form = OneFormFamily.from_family(
-        MatrixFamily.from_data([[["t2"]], [["0"]]], 2))
-    report = verify_path_independence(open_form, (0, 0), (1, 1))
-    assert not report.passed
-    assert report.mixed_partial_residual == pytest.approx(1.0)
-
-
-def test_path_independence_requires_distinct_endpoints():
-    P = constant_one_form([np.eye(1), np.eye(1)])
-    with pytest.raises(ValueError):
-        verify_path_independence(P, (1, 1), (1, 1))

@@ -234,6 +234,19 @@ def test_non_finite_constant_names_the_first_entry_in_row_major_order(entries, w
     assert str(exc.value) == f"non-finite constant entry at {where}"
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[1, None], [None, 2]], "matrix entry at (0, 1) must be a number or an "
+                             "expression, got None"),
+    ([["t1", 0], [[2], "t1"]], "matrix entry at (1, 0) must be a number or an "
+                               "expression, got [2]"),
+    ([[1, 2], [3]], "matrix rows must all have the same length"),
+], ids=["null", "nested_list", "ragged"])
+def test_malformed_entries_are_a_named_error(entries, message):
+    with pytest.raises(ValueError) as exc:
+        MatrixFunction(entries, 1)
+    assert str(exc.value) == message
+
+
 def test_matrix_function_copies_a_plain_array():
     source = np.ones((2, 2))
     mf = MatrixFunction(source, 1)
