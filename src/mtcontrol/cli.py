@@ -96,7 +96,8 @@ def build_system(doc: dict) -> tuple[LinearSystem, NumericConfig, dict]:
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
     m, n, k = doc["m"], doc["n"], doc["k"]
-    if not all(isinstance(v, int) and v >= 1 for v in (m, n, k)):
+    # bool is an int subclass, and a JSON true is not the dimension 1
+    if not all(type(v) is int and v >= 1 for v in (m, n, k)):
         raise ConfigError("m, n, k must be positive integers")
     try:
         cfg = NumericConfig(**doc.get("numeric", {}))

@@ -73,8 +73,7 @@ def controllability_matrix(sys: LinearSystem,
 
     m, n = sys.m, sys.n
     origin = np.zeros(m)
-    M = np.stack([sys.M[a](origin) for a in range(m)])          # (m, n, n)
-    N = np.stack([sys.N[a](origin) for a in range(m)])          # (m, n, k)
+    M, N = sys.M(origin), sys.N(origin)                         # (m, n, n), (m, n, k)
 
     ks = _exponent_array(m, n)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,28 +3,29 @@
 The system is dx/dt^alpha = M_alpha(t) x + N_alpha(t) u_alpha(t) with m
 evolution directions, state dimension n and control dimension k.  Every
 downstream computation (flows, gramians, synthesis) is gated by the
-condition checks implemented here:
+condition checks implemented here.  Each says that a two-index term X_ab
+is symmetric in (a, b):
 
-  * M-commutation:        dM_a/dt^b + M_a M_b symmetric in (a, b)
-  * F-compatibility:      M_a F_b + dF_a/dt^b symmetric in (a, b)
-  * control compatibility: M_a N_b u_b + (dN_a/dt^b) u_a + N_a du_a/dt^b
-                           symmetric in (a, b)
-  * gramian compatibility: M_a N_b N_b' + (dN_a/dt^b) N_a'
-                           + N_a (dN_a/dt^b)' + N_b N_b' M_a' symmetric
+  * M-commutation:         X_ab = M_a M_b + dM_a/dt^b
+  * F-compatibility:       X_ab = M_a F_b + dF_a/dt^b
+  * control compatibility: X_ab = M_a N_b u_b + N_a du_a/dt^b + (dN_a/dt^b) u_a
+  * gramian compatibility: X_ab = M_a N_b N_b' + N_b N_b' M_a'
+                                  + (dN_a/dt^b) N_a' + N_a (dN_a/dt^b)'
 
 Conditions are analytic identities, so they are checked exactly for
-constant families (single commutator evaluation) and on a tensor sample
-grid over the domain box otherwise.  Failure at any grid point is
-conclusive; a pass for a time-varying family means only that the
-condition held at the grid_samples_per_axis^m sample points.
+constant families (at the origin alone) and on a tensor sample grid over
+the domain box otherwise.  Failure at any grid point is conclusive; a pass
+for a time-varying family means only that the condition held at the
+grid_samples_per_axis^m sample points.
 
-Matrix functions evaluate on a whole (P, m) batch of points in one numpy
-pass per entry, so each check evaluates every matrix it needs once over
-the whole grid, and differentiates each family member once per pair.
+A check evaluates each family once, as one (m, P, r, c) stack over all
+sample points, and forms X_ab for every ordered pair a != b (never a = b)
+in one batched expression; only a varying family is differentiated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,12 +61,15 @@ class CompatibilityError(RuntimeError):
 
 def _numeric_grid(entries) -> np.ndarray | None:
     """`entries` as a float array when every entry is a plain number (no
-    string, no Expr), else None."""
+    string, no Expr, no bool), else None."""
     try:
         grid = np.array(entries)
     except ValueError:  # ragged nesting; the object path reports it
         return None
-    return grid.astype(float, copy=False) if grid.dtype.kind in "biuf" else None
+    # numpy reads [1, True] as [1, 1]; the object path rejects the bool
+    if grid.dtype.kind not in "iuf" or bool in map(type, np.array(entries, object).flat):
+        return None
+    return grid.astype(float, copy=False)
 
 
 class MatrixFunction:
@@ -101,6 +105,8 @@ class MatrixFunction:
                 entry = _expr.parse(entry, m)
             else:
                 try:
+                    if isinstance(entry, (bool, np.bool_)):  # not a number here
+                        raise TypeError
                     entry = _expr.Num(float(entry))
                 except TypeError:
                     raise ValueError(f"matrix entry at ({i}, {j}) must be a number "
@@ -190,6 +196,11 @@ class MatrixFamily:
     def is_constant(self) -> bool:
         return all(a.is_constant for a in self.members)
 
+    def __call__(self, t) -> np.ndarray:
+        """Every member at t, stacked: (m, r, c) at one point of shape (m,),
+        (m, P, r, c) on a batch of points of shape (P, m)."""
+        return np.stack([a(t) for a in self.members])
+
     def __getitem__(self, alpha0: int) -> MatrixFunction:
         return self.members[alpha0]
 
@@ -200,8 +211,8 @@ class MatrixFamily:
         return self.m
 
 
-class ControlFamily:
-    """A control candidate u = (u_alpha): m members, each a k-vector.
+class ControlFamily(MatrixFamily):
+    """A control candidate u = (u_alpha): m members, each a k x 1 column.
 
     Entries are constants or expressions; membership in the control space
     is decided by `check_control_compat`.  Black-box callables without
@@ -209,14 +220,10 @@ class ControlFamily:
     """
 
     def __init__(self, members: Sequence[MatrixFunction]):
-        members = list(members)
-        k = members[0].shape[0]
-        for u in members:
-            if u.shape != (k, 1):
-                raise ValueError("control members must be column vectors of equal size")
-        self.members = members
-        self.m = len(members)
-        self.k = k
+        super().__init__(members)
+        if self.shape[1] != 1:
+            raise ValueError("control members must be column vectors of equal size")
+        self.k = self.shape[0]
 
     @classmethod
     def from_data(cls, data: Sequence, m: int) -> "ControlFamily":
@@ -231,10 +238,6 @@ class ControlFamily:
     @classmethod
     def zero(cls, m: int, k: int) -> "ControlFamily":
         return cls([MatrixFunction(np.zeros((k, 1)), m) for _ in range(m)])
-
-    @property
-    def is_constant(self) -> bool:
-        return all(u.is_constant for u in self.members)
 
     def value(self, alpha: int, t) -> np.ndarray:
         """u_alpha(t) as a flat k-vector (alpha is 1-based); (P, k) on a
@@ -346,114 +349,110 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
 
 
-def _run_pair_check(name: str, sys: LinearSystem, sides_fn, constant: bool,
-                    cfg: NumericConfig) -> ConditionReport:
-    """Evaluate sides_fn(alpha, beta, T) -> (lhs, rhs) for all pairs
-    alpha < beta and reduce |lhs - rhs| to a report.  Constant families
-    are checked at one point T of shape (m,), giving single matrices;
-    time-varying ones on the whole (P, m) sample grid T at once, giving
-    (P, r, c) stacks.  The worst point is the first maximum in
-    point-major, pair-minor order."""
-    pairs = list(itertools.combinations(range(1, sys.m + 1), 2))
-    if not pairs:
-        return ConditionReport(name, 0.0, True, None, None)
-    T = np.zeros(sys.m) if constant else sys.grid_points(cfg)
-    points = np.atleast_2d(T)
-    residuals = np.empty((len(points), len(pairs)))
-    scale = 0.0  # largest side norm, per point
-    for p, (a, b) in enumerate(pairs):
-        lhs, rhs = sides_fn(a, b, T)
-        residuals[:, p] = _norms(lhs - rhs)
-        scale = np.maximum(scale, np.maximum(_norms(lhs), _norms(rhs)))
+@functools.lru_cache(maxsize=None)
+def _ordered_pairs(m: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The K pairs a < b (1-based, `combinations` order) and the 0-based
+    indices (A, B) of all 2K ordered pairs: every (a, b), then every (b, a)."""
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    A, B = (np.array(pairs + [(b, a) for a, b in pairs]) - 1).T
+    return pairs, A, B
+
+
+def _sample(sys: LinearSystem, constant: bool, cfg: NumericConfig
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (P, m) sample points of a check, the origin alone for constant
+    data and the grid otherwise, and the indices (A, B) of `_ordered_pairs`."""
+    T = np.zeros((1, sys.m)) if constant else sys.grid_points(cfg)
+    return (T, *_ordered_pairs(sys.m)[1:])
+
+
+def _derivatives(family: MatrixFamily, T: np.ndarray, A: np.ndarray,
+                 B: np.ndarray) -> np.ndarray:
+    """dF_a/dt^b on the points T for each ordered pair (a, b) of (A, B), as
+    a (2K, P, r, c) stack: a different function per pair."""
+    return np.stack([family[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
+
+
+def _symmetry_report(name: str, X: np.ndarray, T: np.ndarray,
+                     cfg: NumericConfig) -> ConditionReport:
+    """The report on |X_ab - X_ba| for the (2K, P, r, c) stack X of X_ab on
+    the points T, ordered as `_ordered_pairs`.  The scale is the largest
+    |X_ab|; the worst point is the first maximum, point-major, pair-minor."""
+    K = len(X) // 2
+    residuals = _norms(X[:K] - X[K:]).T                    # (P, K)
     worst = int(np.argmax(residuals))
     r = float(residuals.flat[worst])
-    passed = bool(r <= cfg.residual_rel_tol * (1.0 + float(np.max(scale))))
+    passed = bool(r <= cfg.residual_rel_tol * (1.0 + float(np.max(_norms(X)))))
     if r == 0.0:
         return ConditionReport(name, 0.0, passed, None, None)
-    return ConditionReport(name, r, passed, points[worst // len(pairs)],
-                           pairs[worst % len(pairs)])
+    pairs = _ordered_pairs(T.shape[1])[0]
+    return ConditionReport(name, r, passed, T[worst // K], pairs[worst % K])
 
 
 def check_M_commutation(sys: LinearSystem,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
-    """dM_a/dt^b + M_a M_b - dM_b/dt^a - M_b M_a over all pairs a < b."""
-    constant = sys.M.is_constant
-
-    def sides(a, b, T):
-        Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
-        lhs = Ma @ Mb
-        rhs = Mb @ Ma
-        if not constant:
-            lhs = lhs + sys.M[a - 1].diff(b)(T)
-            rhs = rhs + sys.M[b - 1].diff(a)(T)
-        return lhs, rhs
-
-    return _run_pair_check("M-commutation (Eq. 6)", sys, sides, constant, cfg)
+    """X_ab = M_a M_b + dM_a/dt^b symmetric in (a, b)."""
+    name = "M-commutation (Eq. 6)"
+    if sys.m == 1:
+        return ConditionReport(name, 0.0, True, None, None)
+    T, A, B = _sample(sys, sys.M.is_constant, cfg)
+    M = sys.M(T)
+    X = M[A] @ M[B]
+    if not sys.M.is_constant:
+        X = X + _derivatives(sys.M, T, A, B)
+    return _symmetry_report(name, X, T, cfg)
 
 
 def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
                           cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
-    """M_a F_b + dF_a/dt^b - M_b F_a - dF_b/dt^a on the sample set."""
+    """X_ab = M_a F_b + dF_a/dt^b symmetric in (a, b)."""
     if F.m != sys.m or F.shape != (sys.n, 1):
         raise ValueError(f"F must be a family of {sys.n}x1 vectors, got {F.shape}")
-    constant = sys.M.is_constant and F.is_constant
-
-    def sides(a, b, T):
-        lhs = sys.M[a - 1](T) @ F[b - 1](T)
-        rhs = sys.M[b - 1](T) @ F[a - 1](T)
-        if not constant:
-            lhs = lhs + F[a - 1].diff(b)(T)
-            rhs = rhs + F[b - 1].diff(a)(T)
-        return lhs, rhs
-
-    return _run_pair_check("F-compatibility (Eq. 7)", sys, sides, constant, cfg)
+    name = "F-compatibility (Eq. 7)"
+    if sys.m == 1:
+        return ConditionReport(name, 0.0, True, None, None)
+    T, A, B = _sample(sys, sys.M.is_constant and F.is_constant, cfg)
+    X = sys.M(T)[A] @ F(T)[B]
+    if not F.is_constant:
+        X = X + _derivatives(F, T, A, B)
+    return _symmetry_report(name, X, T, cfg)
 
 
 def check_control_compat(sys: LinearSystem, u,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
-    """Decides membership of u in the control space.
-
-    Residual of M_a N_b u_b + (dN_a/dt^b) u_a + N_a du_a/dt^b minus the
-    (a <-> b) swap.  `u` is a ControlFamily or any object exposing
-    value(alpha, T) and derivative(alpha, beta, T) that take one point
-    (m,) or a (P, m) batch of points and return (k,) or (P, k).
+    """Decides membership of u in the control space: X_ab = M_a N_b u_b
+    + N_a du_a/dt^b + (dN_a/dt^b) u_a symmetric in (a, b).  `u` is a
+    ControlFamily or any object exposing value(alpha, T) and
+    derivative(alpha, beta, T) that map a (P, m) batch of points to (P, k).
     """
-    constant = (sys.is_constant and getattr(u, "is_constant", False))
-
-    def sides(a, b, T):
-        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
-        ua, ub = u.value(a, T)[..., None], u.value(b, T)[..., None]
-        lhs = sys.M[a - 1](T) @ (Nb @ ub) + Na @ u.derivative(a, b, T)[..., None]
-        rhs = sys.M[b - 1](T) @ (Na @ ua) + Nb @ u.derivative(b, a, T)[..., None]
-        if not sys.N.is_constant:
-            lhs = lhs + sys.N[a - 1].diff(b)(T) @ ua
-            rhs = rhs + sys.N[b - 1].diff(a)(T) @ ub
-        return lhs, rhs
-
-    return _run_pair_check("control-compatibility (Eq. 14)", sys, sides,
-                           constant, cfg)
+    name = "control-compatibility (Eq. 14)"
+    if sys.m == 1:
+        return ConditionReport(name, 0.0, True, None, None)
+    u_constant = getattr(u, "is_constant", False)
+    T, A, B = _sample(sys, sys.is_constant and u_constant, cfg)
+    N = sys.N(T)
+    U = np.stack([u.value(a, T) for a in range(1, sys.m + 1)])[..., None]
+    X = sys.M(T)[A] @ (N @ U)[B]
+    if not u_constant:
+        X = X + N[A] @ np.stack([u.derivative(a + 1, b + 1, T) for a, b
+                                 in zip(A.tolist(), B.tolist())])[..., None]
+    if not sys.N.is_constant:
+        X = X + _derivatives(sys.N, T, A, B) @ U[A]
+    return _symmetry_report(name, X, T, cfg)
 
 
 def check_gramian_compat(sys: LinearSystem,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
-    """Path-independence condition for the gramian integrand.
-
-    Residual of M_a N_b N_b' + (dN_a/dt^b) N_a' + N_a (dN_a/dt^b)'
-    + N_b N_b' M_a' minus the (a <-> b) swap.
-    """
-    constant = sys.is_constant
-
-    def sides(a, b, T):
-        Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
-        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
-        lhs = Ma @ Nb @ _T(Nb) + Nb @ _T(Nb) @ _T(Ma)
-        rhs = Mb @ Na @ _T(Na) + Na @ _T(Na) @ _T(Mb)
-        if not sys.N.is_constant:
-            dNa = sys.N[a - 1].diff(b)(T)
-            dNb = sys.N[b - 1].diff(a)(T)
-            lhs = lhs + dNa @ _T(Na) + Na @ _T(dNa)
-            rhs = rhs + dNb @ _T(Nb) + Nb @ _T(dNb)
-        return lhs, rhs
-
-    return _run_pair_check("gramian-compatibility (Eq. 17)", sys, sides,
-                           constant, cfg)
+    """Path independence of the gramian integrand: X_ab = M_a N_b N_b'
+    + N_b N_b' M_a' + (dN_a/dt^b) N_a' + N_a (dN_a/dt^b)' symmetric in (a, b)."""
+    name = "gramian-compatibility (Eq. 17)"
+    if sys.m == 1:
+        return ConditionReport(name, 0.0, True, None, None)
+    T, A, B = _sample(sys, sys.is_constant, cfg)
+    N = sys.N(T)
+    Ma, Na, Nb = sys.M(T)[A], N[A], N[B]
+    X = Ma @ Nb @ _T(Nb) + (N @ _T(N))[B] @ _T(Ma)
+    if not sys.N.is_constant:
+        dN = _derivatives(sys.N, T, A, B)
+        X = X + dN @ _T(Na) + Na @ _T(dN)
+    return _symmetry_report(name, X, T, cfg)

@@ -286,7 +286,9 @@ def test_expression_singularity_is_a_named_error(capsys, tmp_path, doc, message,
     ('"exp(1000)"', "overflow in exp(1000.0)"),
     ("null", "bad system data: matrix entry at (0, 0) must be a number or an "
              "expression, got None"),
-], ids=["literal", "folded", "null"])
+    ("true", "bad system data: matrix entry at (0, 0) must be a number or an "
+             "expression, got True"),
+], ids=["literal", "folded", "null", "boolean"])
 def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, message):
     path = tmp_path / "overflow.json"
     path.write_text('{"m": 1, "n": 1, "k": 1, "M": [[[%s]]], "N": [[[1]]]}' % entry)
@@ -303,7 +305,18 @@ def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, mes
     ({"M": 5}, "bad system data: family data must be a list, got int"),
     ({"u": [[None], [0]]}, "bad control data: matrix entry at (0, 0) must be a "
                            "number or an expression, got None"),
-], ids=["ragged_M", "ragged_F", "non_list_M", "null_control"])
+    ({"m": True}, "m, n, k must be positive integers"),
+    ({"k": False}, "m, n, k must be positive integers"),
+    ({"M": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
+     "bad system data: matrix entry at (0, 0) must be a number or an "
+     "expression, got True"),
+    ({"F": [[[0], [1.5]], [[0], [True]]]},
+     "bad forcing data: matrix entry at (1, 0) must be a number or an "
+     "expression, got True"),
+    ({"u": [[1], [False]]}, "bad control data: matrix entry at (0, 0) must be a "
+                            "number or an expression, got False"),
+], ids=["ragged_M", "ragged_F", "non_list_M", "null_control", "bool_m", "bool_k",
+        "bool_M", "bool_F", "bool_control"])
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, message,
                                                json_mode):
@@ -311,6 +324,17 @@ def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, messag
     path.write_text(json.dumps(dict(DIAG, **change)))
     code = run((["--json"] if json_mode else []) + ["check", str(path)])
     _assert_error_report(capsys, code, "check", json_mode, message)
+
+
+def test_check_forms_no_product_of_a_member_with_itself(capsys, tmp_path):
+    # M_1 M_1 = 1e400 would overflow; every product M_a M_b with a != b is 0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 2, "n": 1, "k": 1, "M": [[[1e200]], [[0]]],
+                                "N": [[[1]], [[0]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, tree = run_json(capsys, ["check", str(path)])
+    assert code == 0 and tree["all_pass"]
 
 
 @pytest.mark.parametrize("F, passed, residual, pair", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
-                       MatrixFamily, check_control_compat,
-                       check_F_compatibility, check_gramian_compat,
-                       check_M_commutation)
+from mtcontrol import (CompatibilityError, ConditionReport, ControlFamily,
+                       LinearSystem, MatrixFamily, SynthesizedControl,
+                       check_control_compat, check_F_compatibility,
+                       check_gramian_compat, check_M_commutation)
+from mtcontrol.core import NumericConfig
 from mtcontrol.expr import ExprDomainError, Num
-from mtcontrol.system import MatrixFunction
+from mtcontrol.system import MatrixFunction, _norms
 
 
 def test_commutation_passes_cyclic(cyclic_sys):
@@ -194,11 +196,11 @@ def test_constant_family_evaluation_and_diff():
 
 @st.composite
 def plain_matrices(draw):
-    """Nested lists of floats, of ints, of bools, or of all three mixed."""
+    """Nested lists of floats, of ints, or of both mixed."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
     element = draw(st.sampled_from([
-        finite, st.integers(-2 ** 60, 2 ** 60), st.booleans(),
-        st.one_of(finite, st.integers(-9, 9), st.booleans())]))
+        finite, st.integers(-2 ** 60, 2 ** 60),
+        st.one_of(finite, st.integers(-9, 9))]))
     r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     return draw(st.lists(st.lists(element, min_size=c, max_size=c),
                          min_size=r, max_size=r))
@@ -240,7 +242,15 @@ def test_non_finite_constant_names_the_first_entry_in_row_major_order(entries, w
     ([["t1", 0], [[2], "t1"]], "matrix entry at (1, 0) must be a number or an "
                                "expression, got [2]"),
     ([[1, 2], [3]], "matrix rows must all have the same length"),
-], ids=["null", "nested_list", "ragged"])
+    ([[1, True]], "matrix entry at (0, 1) must be a number or an expression, got True"),
+    ([[0.5], [False]], "matrix entry at (1, 0) must be a number or an "
+                       "expression, got False"),
+    (np.array([[False, True]]), "matrix entry at (0, 0) must be a number or an "
+                                "expression, got False"),
+    ([["t1", True]], "matrix entry at (0, 1) must be a number or an expression, "
+                     "got True"),
+], ids=["null", "nested_list", "ragged", "bool_among_ints", "bool_among_floats",
+        "bool_array", "bool_beside_expression"])
 def test_malformed_entries_are_a_named_error(entries, message):
     with pytest.raises(ValueError) as exc:
         MatrixFunction(entries, 1)
@@ -252,6 +262,20 @@ def test_matrix_function_copies_a_plain_array():
     mf = MatrixFunction(source, 1)
     source[0, 0] = 5.0
     assert mf((0.0,))[0, 0] == 1.0
+
+
+def test_control_family_is_a_family_of_columns():
+    with pytest.raises(ValueError, match="a family needs at least one member"):
+        ControlFamily([])
+    with pytest.raises(ValueError, match="control members must be column "
+                                         "vectors of equal size"):
+        ControlFamily([MatrixFunction([[1, 2]], 2)] * 2)
+    with pytest.raises(ValueError, match="family members must share a shape"):
+        ControlFamily([MatrixFunction([[1]], 2), MatrixFunction([[1], [2]], 2)])
+    u = ControlFamily.from_data([["t1", 0], [1, 2]], 2)
+    assert isinstance(u, MatrixFamily)
+    assert (u.m, u.k, u.shape, u.is_constant) == (2, 2, (2, 1), False)
+    assert u((1.0, 3.0)).tolist() == [[[1.0], [0.0]], [[1.0], [2.0]]]
 
 
 def test_time_varying_check_differentiates_once_per_pair(monkeypatch):
@@ -287,10 +311,10 @@ MENU = {
 
 
 @st.composite
-def menu_term(draw, m, kinds=tuple(MENU)):
+def menu_term(draw, m, kinds=tuple(MENU), axis=None):
     kind = draw(st.sampled_from(kinds))
     c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 1.0))
-    return MENU[kind](c, draw(st.integers(1, m)))
+    return MENU[kind](c, axis or draw(st.integers(1, m)))
 
 
 @st.composite
@@ -367,3 +391,161 @@ def test_one_singular_point_anywhere_in_a_batch_raises(case):
     with pytest.raises(ExprDomainError) as exc:
         MatrixFunction(entries, m)(points)
     assert str(exc.value) == message
+
+
+# --- the per-pair formulas as the reference for the batched checks ----------
+
+def _reference_pair_check(name, sys, sides_fn, constant, cfg):
+    """Evaluate sides_fn(alpha, beta, T) -> (lhs, rhs) for all pairs
+    alpha < beta, one pair at a time, and reduce |lhs - rhs| to a report."""
+    pairs = list(itertools.combinations(range(1, sys.m + 1), 2))
+    if not pairs:
+        return ConditionReport(name, 0.0, True, None, None)
+    T = np.zeros(sys.m) if constant else sys.grid_points(cfg)
+    points = np.atleast_2d(T)
+    residuals = np.empty((len(points), len(pairs)))
+    scale = 0.0
+    for p, (a, b) in enumerate(pairs):
+        lhs, rhs = sides_fn(a, b, T)
+        residuals[:, p] = _norms(lhs - rhs)
+        scale = np.maximum(scale, np.maximum(_norms(lhs), _norms(rhs)))
+    worst = int(np.argmax(residuals))
+    r = float(residuals.flat[worst])
+    passed = bool(r <= cfg.residual_rel_tol * (1.0 + float(np.max(scale))))
+    if r == 0.0:
+        return ConditionReport(name, 0.0, passed, None, None)
+    return ConditionReport(name, r, passed, points[worst // len(pairs)],
+                           pairs[worst % len(pairs)])
+
+
+def reference_M_commutation(sys, cfg):
+    constant = sys.M.is_constant
+
+    def sides(a, b, T):
+        Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
+        lhs, rhs = Ma @ Mb, Mb @ Ma
+        if not constant:
+            lhs = lhs + sys.M[a - 1].diff(b)(T)
+            rhs = rhs + sys.M[b - 1].diff(a)(T)
+        return lhs, rhs
+
+    return _reference_pair_check("M-commutation (Eq. 6)", sys, sides, constant, cfg)
+
+
+def reference_F_compatibility(sys, F, cfg):
+    constant = sys.M.is_constant and F.is_constant
+
+    def sides(a, b, T):
+        lhs = sys.M[a - 1](T) @ F[b - 1](T)
+        rhs = sys.M[b - 1](T) @ F[a - 1](T)
+        if not constant:
+            lhs = lhs + F[a - 1].diff(b)(T)
+            rhs = rhs + F[b - 1].diff(a)(T)
+        return lhs, rhs
+
+    return _reference_pair_check("F-compatibility (Eq. 7)", sys, sides, constant, cfg)
+
+
+def reference_control_compat(sys, u, cfg):
+    constant = sys.is_constant and getattr(u, "is_constant", False)
+
+    def sides(a, b, T):
+        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
+        ua, ub = u.value(a, T)[..., None], u.value(b, T)[..., None]
+        lhs = sys.M[a - 1](T) @ (Nb @ ub) + Na @ u.derivative(a, b, T)[..., None]
+        rhs = sys.M[b - 1](T) @ (Na @ ua) + Nb @ u.derivative(b, a, T)[..., None]
+        if not sys.N.is_constant:
+            lhs = lhs + sys.N[a - 1].diff(b)(T) @ ua
+            rhs = rhs + sys.N[b - 1].diff(a)(T) @ ub
+        return lhs, rhs
+
+    return _reference_pair_check("control-compatibility (Eq. 14)", sys, sides,
+                                 constant, cfg)
+
+
+def reference_gramian_compat(sys, cfg):
+    constant = sys.is_constant
+
+    def sides(a, b, T):
+        Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
+        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
+        lhs = Ma @ Nb @ Nb.swapaxes(-1, -2) + Nb @ Nb.swapaxes(-1, -2) @ Ma.swapaxes(-1, -2)
+        rhs = Mb @ Na @ Na.swapaxes(-1, -2) + Na @ Na.swapaxes(-1, -2) @ Mb.swapaxes(-1, -2)
+        if not sys.N.is_constant:
+            dNa = sys.N[a - 1].diff(b)(T)
+            dNb = sys.N[b - 1].diff(a)(T)
+            lhs = lhs + dNa @ Na.swapaxes(-1, -2) + Na @ dNa.swapaxes(-1, -2)
+            rhs = rhs + dNb @ Nb.swapaxes(-1, -2) + Nb @ dNb.swapaxes(-1, -2)
+        return lhs, rhs
+
+    return _reference_pair_check("gramian-compatibility (Eq. 17)", sys, sides,
+                                 constant, cfg)
+
+
+@st.composite
+def check_case(draw):
+    """A system, forcing F, control u and settings, m = 1..3.  Each family
+    is constant, of menu entries, or of menu terms in the member's own
+    variable (dA_a/dt^b = 0 for b != a); its members are drawn apart or
+    shared across alpha, so conditions both fail and hold."""
+    m = draw(st.sampled_from([2, 3, 1]))  # m = 1 is vacuous: draw it least
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    number = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0))
+    varying = []
+
+    def entry(kind, a):
+        if kind == "constant":
+            return draw(number)
+        varying.append(True)
+        return draw(menu_term(m, axis=a) if kind == "own_axis" else menu_entry(m))[0]
+
+    def family(rows, cols):
+        kind = draw(st.sampled_from(["constant", "menu", "own_axis"]))
+        members = [[[entry(kind, a) for _ in range(cols)] for _ in range(rows)]
+                   for a in range(1, m + 1)]
+        return [members[0]] * m if draw(st.booleans()) else members
+
+    M, N, F = family(n, n), family(n, k), family(n, 1)
+    # a short RK4 keeps the synthesized control's chi cheap; the grid size
+    # only changes the number of points
+    cfg = NumericConfig(grid_samples_per_axis=draw(st.integers(1, 5)),
+                        ode_steps_per_segment=4)
+    box = [[-1.0, 2.0]] * m
+    sys = LinearSystem.from_data(m, n, k, M, N, domain=box if varying else
+                                 draw(st.sampled_from([None, box])))
+    kind = draw(st.sampled_from(["zero", "family", "synthesized"]))
+    if kind == "zero":
+        u = ControlFamily.zero(m, k)
+    elif kind == "family":
+        u = ControlFamily.from_data(family(k, 1), m)
+    else:
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        u = SynthesizedControl(sys, np.zeros(m), v, True,
+                               check_gramian_compat(sys, cfg), cfg)
+    return sys, MatrixFamily.from_data(F, m), u, cfg
+
+
+def _same_report(new, reference):
+    assert new.condition_name == reference.condition_name
+    assert new.passed is reference.passed
+    assert new.max_residual == reference.max_residual or (
+        math.isnan(new.max_residual) and math.isnan(reference.max_residual))
+    if reference.worst_point is None:
+        assert new.worst_point is None
+    else:
+        assert new.worst_point.tobytes() == reference.worst_point.tobytes()
+    assert new.worst_pair == reference.worst_pair
+    if new.worst_pair is not None:
+        assert all(type(i) is int for i in new.worst_pair)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(check_case())
+def test_batched_checks_equal_the_per_pair_formulas_bit_for_bit(case):
+    sys, F, u, cfg = case
+    for new, reference in [
+            (check_M_commutation(sys, cfg), reference_M_commutation(sys, cfg)),
+            (check_F_compatibility(sys, F, cfg), reference_F_compatibility(sys, F, cfg)),
+            (check_control_compat(sys, u, cfg), reference_control_compat(sys, u, cfg)),
+            (check_gramian_compat(sys, cfg), reference_gramian_compat(sys, cfg))]:
+        _same_report(new, reference)
