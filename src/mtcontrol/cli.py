@@ -23,7 +23,9 @@ at a sample point) and gate refusals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 
@@ -52,14 +54,11 @@ def _fmt(x: float) -> str:
     return _FMT % float(x)
 
 
-def _matrix_tree(a: np.ndarray) -> list:
-    """The rows of `a`, each entry rounded as `_fmt` prints it: the whole
-    matrix is formatted in one call and parsed back in one pass."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+def _formatted(a: np.ndarray) -> list[str]:
+    """Every entry of the 2-D array `a`, row-major, as `_fmt` prints it:
+    the whole matrix is formatted in one `%` call."""
     flat = a.ravel().tolist()
-    values = list(map(float, ((_FMT + " ") * len(flat) % tuple(flat)).split()))
-    width = a.shape[1]
-    return [values[i * width:(i + 1) * width] for i in range(len(a))]
+    return ((_FMT + " ") * len(flat) % tuple(flat)).split()
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -181,7 +180,7 @@ def cmd_flow(args) -> dict:
         "command": "flow",
         "t0": t0.tolist(),
         "t": t.tolist(),
-        "chi": _matrix_tree(fm.value),
+        "chi": fm.value,
         "condition_number": float(_fmt(fm.condition_number)),
     }
     if args.x0 is not None:
@@ -208,7 +207,7 @@ def cmd_gramian(args) -> dict:
         "kind": g.kind,
         "t0": t0.tolist(),
         "t": t.tolist(),
-        "value": _matrix_tree(g.value),
+        "value": g.value,
         "rank": gramian.numerical_rank(g.value, cfg),
         "path_dependent": g.path_dependent,
     }
@@ -219,7 +218,7 @@ def cmd_kalman(args) -> dict:
     G = kalman.controllability_matrix(system, cfg)
     return {
         "command": "kalman",
-        "G": _matrix_tree(G.value),
+        "G": G.value,
         "block_index": [{"alpha": a, "exponents": list(ks)}
                         for a, ks in G.block_index],
         "rank": kalman.rank_G(G, cfg),
@@ -339,14 +338,132 @@ def _render(tree: dict, indent: int = 0) -> list[str]:
             for v in value:
                 lines.append(f"{pad}  -")
                 lines.extend(_render(v, indent + 2))
-        elif (isinstance(value, list) and value
-              and all(isinstance(v, list) for v in value)):
+        elif isinstance(value, np.ndarray) and len(value):  # 0 rows print "[]"
             lines.append(f"{pad}{key}:")
-            for row in value:
-                lines.append(f"{pad}  [" + ", ".join(_fmt(x) for x in row) + "]")
+            tokens, width = _formatted(value), value.shape[1]
+            for i in range(len(value)):
+                lines.append(f"{pad}  [" + ", ".join(tokens[i * width:(i + 1) * width])
+                             + "]")
         else:
             lines.append(f"{pad}{key}: {value}")
     return lines
+
+
+# --- JSON -------------------------------------------------------------------
+#
+# `_json` writes a report exactly as json.dumps(report, indent=2,
+# allow_nan=False) would, with each 2-D float array written as the list of
+# its rows rounded to `_FMT`.  On CPython the stdlib runs its pure-Python
+# encoder whenever `indent` is set; here only containers that hold
+# containers recurse in Python.
+
+_NON_FINITE = "Out of range float values are not JSON compliant: "
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _not_serializable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(pad: str):
+    """The C encoder with json.dumps(indent=2)'s separators for the items of
+    a container of scalars that sit at `pad`."""
+    return json.encoder.c_make_encoder(
+        None, _not_serializable, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + pad, False, False, False)
+
+
+def _json_matrix(a: np.ndarray, pad: str) -> str:
+    """A 2-D float array as the list of its rows, each entry rounded to
+    `_FMT`: one `%` call formats the entries and one fills the layout."""
+    rows, cols = a.shape
+    if not rows:
+        return "[]"
+    inner, entry = pad + "  ", pad + "    "
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(_NON_FINITE + repr(float(a.flat[np.argmin(finite)])))
+    # json writes float(token): a plain decimal token is already that, an
+    # integer gains '.0', and an exponent form (1e+12 and up, subnormals)
+    # goes through repr
+    tokens = [t if "." in t and "e" not in t else t + ".0" if "e" not in t
+              else repr(float(t)) for t in _formatted(a)]
+    row = ("[\n" + entry + (",\n" + entry).join(["%s"] * cols) + "\n" + inner + "]"
+           if cols else "[]")
+    return ("[\n" + inner + (",\n" + inner).join([row] * rows) + "\n" + pad
+            + "]") % tuple(tokens)
+
+
+def _json_records(value: list, pad: str) -> str | None:
+    """A list of dicts that share their keys, in order, and hold only ints
+    and int lists of one length per key (such as `block_index`), from one
+    `%` template built from the first record; None for any other list."""
+    first = value[0]
+    if type(first) is not dict or not first:
+        return None
+    keys = tuple(first)
+    lengths = [len(v) if type(v) is list else -1 for v in first.values()]
+    flat: list = []
+    for record in value:
+        if type(record) is not dict or tuple(record) != keys:
+            return None
+        for v, n in zip(record.values(), lengths):
+            if n < 0:
+                flat.append(v)
+            elif type(v) is list and len(v) == n:
+                flat += v
+            else:
+                return None
+    if set(map(type, flat)) != {int}:  # bool is an int subclass, not an int
+        return None
+    inner, field, entry = pad + "  ", pad + "    ", pad + "      "
+    parts = []
+    for key, n in zip(keys, lengths):
+        name = json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": "
+        if n < 0:
+            parts.append(name + "%d")
+        elif n == 0:
+            parts.append(name + "[]")
+        else:
+            parts.append(name + "[\n" + entry + (",\n" + entry).join(["%d"] * n)
+                         + "\n" + field + "]")
+    record = "{\n" + field + (",\n" + field).join(parts) + "\n" + inner + "}"
+    return ("[\n" + inner + (",\n" + inner).join([record] * len(value)) + "\n"
+            + pad + "]") % tuple(flat)
+
+
+def _json(value, pad: str = "") -> str:
+    """`value` as json.dumps(value, indent=2, allow_nan=False) writes it
+    when its first line starts at `pad`, for string keys; a 2-D float array
+    is written as the list of its rows, each entry rounded to `_FMT`.  The
+    first non-finite float in document order raises the stdlib's
+    ValueError."""
+    if isinstance(value, np.ndarray):
+        return _json_matrix(value, pad)
+    items = (value.values() if isinstance(value, dict) else
+             value if isinstance(value, (list, tuple)) else ())
+    inner = pad + "  "
+    if not any(isinstance(v, _CONTAINERS) for v in items):
+        # a scalar, or a container of scalars: one C-encoder call
+        try:
+            text = "".join(_flat_encoder(inner)(value, 0))
+        except ValueError:  # the C encoder's message does not name the value
+            bad = next(x for x in (items or [value])
+                       if isinstance(x, float) and not math.isfinite(x))
+            raise ValueError(_NON_FINITE + float.__repr__(bad)) from None
+        if not items:
+            return text
+        return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
+    if isinstance(value, dict):
+        parts = [json.encoder.encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    records = _json_records(value, pad)
+    if records is not None:
+        return records
+    parts = [_json(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,10 +531,9 @@ def run(argv=None) -> int:
         code = 2
     if args.json:
         try:
-            text = json.dumps(tree, indent=2, allow_nan=False)
+            text = _json(tree)
         except ValueError as exc:  # an inf or nan that no named error caught
-            text = json.dumps({"command": args.command, "error": str(exc)},
-                              indent=2)
+            text = _json({"command": args.command, "error": str(exc)})
             code = 2
         print(text)
     else:

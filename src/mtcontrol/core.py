@@ -8,7 +8,7 @@ Matrices are plain numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,11 @@ class NumericConfig:
     grid_samples_per_axis: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass, and a JSON true is not the number 1
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.quad_points_per_segment < 1:
             raise ValueError("quad_points_per_segment must be >= 1")
         if self.ode_steps_per_segment < 1:

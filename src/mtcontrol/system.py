@@ -97,7 +97,7 @@ class MatrixFunction:
                                  f"({bad[0][0]}, {bad[0][1]})")
             self._constant = grid
             return
-        constant = np.zeros(grid.shape)  # expression entries stay 0 here
+        self._constant = np.zeros(grid.shape)  # expression entries stay 0 here
         for (i, j), entry in np.ndenumerate(grid):
             if isinstance(entry, _expr.Expr):
                 pass
@@ -111,15 +111,19 @@ class MatrixFunction:
                 except TypeError:
                     raise ValueError(f"matrix entry at ({i}, {j}) must be a number "
                                      f"or an expression, got {entry!r}") from None
-            if entry.is_constant():
-                value = (entry.value if isinstance(entry, _expr.Num)
-                         else entry(np.zeros(m)))
-                if not np.isfinite(value):
-                    raise ValueError(f"non-finite constant entry at ({i}, {j})")
-                constant[i, j] = value
-            else:
-                self._varying.append((i, j, entry))
-        self._constant = constant
+            self._place(i, j, entry)
+
+    def _place(self, i: int, j: int, entry: _expr.Expr) -> None:
+        """Put a valid expression at (i, j): its value in the constant array
+        when it is variable-free, else in the list of varying entries."""
+        if entry.is_constant():
+            value = (entry.value if isinstance(entry, _expr.Num)
+                     else entry(np.zeros(self.m)))
+            if not np.isfinite(value):
+                raise ValueError(f"non-finite constant entry at ({i}, {j})")
+            self._constant[i, j] = value
+        else:
+            self._varying.append((i, j, entry))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -154,12 +158,11 @@ class MatrixFunction:
     def diff(self, beta: int) -> "MatrixFunction":
         """Entrywise exact partial derivative with respect to t^beta; the
         constant entries differentiate to 0."""
-        if not self._varying:
-            return MatrixFunction(np.zeros(self.shape), self.m)
-        d = np.zeros(self.shape, dtype=object)
+        d = MatrixFunction.__new__(MatrixFunction)
+        d.m, d._constant, d._varying = self.m, np.zeros(self.shape), []
         for i, j, e in self._varying:
-            d[i, j] = e.diff(beta)
-        return MatrixFunction(d, self.m)
+            d._place(i, j, e.diff(beta))
+        return d
 
 
 def _members(data, m: int, kind: str) -> Sequence:
@@ -264,6 +267,10 @@ class LinearSystem:
         if N.shape != (n, k):
             raise ValueError(f"N members must be {n}x{k}, got {N.shape}")
         if domain is not None:
+            # numpy reads [false, true] as [0, 1]; a bound must be a number
+            if any(isinstance(v, (bool, np.bool_))
+                   for v in np.asarray(domain, dtype=object).flat):
+                raise ValueError("domain bounds must be numbers, not booleans")
             domain = np.asarray(domain, dtype=float)
             if domain.shape != (m, 2):
                 raise ValueError(f"domain must have shape ({m}, 2)")
@@ -276,13 +283,13 @@ class LinearSystem:
         self.m, self.n, self.k = m, n, k
         self.M, self.N = M, N
         self.domain = domain
+        self._grids: dict[int, np.ndarray] = {}  # by samples per axis
 
     @classmethod
     def from_data(cls, m: int, n: int, k: int, M_data, N_data,
                   domain=None) -> "LinearSystem":
         return cls(m, n, k, MatrixFamily.from_data(M_data, m),
-                   MatrixFamily.from_data(N_data, m),
-                   None if domain is None else np.asarray(domain, dtype=float))
+                   MatrixFamily.from_data(N_data, m), domain)
 
     @property
     def is_constant(self) -> bool:
@@ -295,7 +302,11 @@ class LinearSystem:
         return bool(np.all(t >= self.domain[:, 0]) and np.all(t <= self.domain[:, 1]))
 
     def grid_points(self, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
-        """Tensor sample grid over the domain box, endpoints included."""
+        """Tensor sample grid over the domain box, endpoints included, as a
+        read-only (P, m) array built once per sample count."""
+        grid = self._grids.get(cfg.grid_samples_per_axis)
+        if grid is not None:
+            return grid
         if self.domain is None or not np.all(np.isfinite(self.domain)):
             # Constant families are checked exactly elsewhere; grid sampling
             # on an unbounded domain (only reached for derived, non-Expr
@@ -307,7 +318,10 @@ class LinearSystem:
         axes = [np.linspace(lo, hi, cfg.grid_samples_per_axis)
                 for lo, hi in box]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        grid = np.stack([g.ravel() for g in mesh], axis=-1)
+        grid.setflags(write=False)
+        self._grids[cfg.grid_samples_per_axis] = grid
+        return grid
 
 
 @dataclass(frozen=True)

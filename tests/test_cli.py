@@ -1,6 +1,5 @@
 import json
 import math
-import struct
 import warnings
 from pathlib import Path
 
@@ -12,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import mtcontrol.flow
 import mtcontrol.gramian
-from mtcontrol.cli import _matrix_tree, run
+from mtcontrol.cli import _json, _render, run
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 DEMO_DIAG = str(DEMOS / "diagonal_two_time.json")
@@ -315,8 +314,15 @@ def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, mes
      "expression, got True"),
     ({"u": [[1], [False]]}, "bad control data: matrix entry at (0, 0) must be a "
                             "number or an expression, got False"),
+    ({"domain": [[False, True], [0, 1]]},
+     "bad system data: domain bounds must be numbers, not booleans"),
+    ({"numeric": {"grid_samples_per_axis": True}},
+     "bad numeric config: grid_samples_per_axis must be a number, got True"),
+    ({"numeric": {"rank_rel_tol": True}},
+     "bad numeric config: rank_rel_tol must be a number, got True"),
 ], ids=["ragged_M", "ragged_F", "non_list_M", "null_control", "bool_m", "bool_k",
-        "bool_M", "bool_F", "bool_control"])
+        "bool_M", "bool_F", "bool_control", "bool_domain", "bool_grid_samples",
+        "bool_rank_tol"])
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, message,
                                                json_mode):
@@ -559,35 +565,99 @@ def _reference_tree(a):
     return [[float(format(float(x), ".12g")) for x in row] for row in np.atleast_2d(a)]
 
 
-def _bits(tree):
-    """Each entry as its 8 bytes, so signed zeros and nan compare exactly."""
-    return [[struct.pack("<d", x) for x in row] for row in tree]
+def _plain(value):
+    """`value` with each array leaf replaced by the rows json.dumps is given."""
+    if isinstance(value, np.ndarray):
+        return _reference_tree(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
 
 
-_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+def _written(write, value):
+    try:
+        return write(value)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _stdlib(value):
+    return json.dumps(_plain(value), indent=2, allow_nan=False)
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, 1e300,
                 -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
-                0.1, 1 / 3, -123456789.123456789]
+                0.1, 1 / 3, -123456789.123456789, 1e-5, 1e11, 999999999999.5,
+                1e12, -1e12, 123456789012.5, 1e15, 9.99999999999e15, 1e16, 2.5e16]
 _ENTRIES = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(
+_MATRICES = st.one_of(
     arrays(float, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_ENTRIES),
     arrays(float, st.tuples(st.just(1), st.integers(1, 40)), elements=_ENTRIES),
     arrays(float, st.tuples(st.integers(1, 40), st.just(1)), elements=_ENTRIES),
-    arrays(float, st.integers(0, 8), elements=_ENTRIES),
-    arrays(float, (), elements=_ENTRIES),
-))
-def test_matrix_tree_matches_per_entry_formatting(a):
-    got = _matrix_tree(a)
-    assert _bits(got) == _bits(_reference_tree(a))
-    assert all(type(x) is float for row in got for x in row)
+)
+_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", '"quoted"', "\x00\x1f\n\t",
+                                              "caf\u00e9", "\U0001f600", "%d %s %%"]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _ENTRIES, _TEXT)
+# block_index-like records, and near misses that must take the generic path
+_RECORDS = st.integers(0, 4).flatmap(lambda n: st.lists(st.fixed_dictionaries({
+    "alpha": st.integers(-3, 10**20),
+    "exponents": st.lists(st.integers(0, 9), min_size=n, max_size=n),
+}), min_size=1, max_size=6))
+_NEAR_RECORDS = st.lists(st.fixed_dictionaries({
+    "alpha": st.one_of(st.integers(0, 3), st.booleans()),
+    "exponents": st.lists(st.one_of(st.integers(0, 3), st.booleans()), max_size=3),
+}), min_size=1, max_size=4)
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _MATRICES, _RECORDS, _NEAR_RECORDS),
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.dictionaries(_TEXT, children, max_size=5)),
+    max_leaves=12)
 
 
-@pytest.mark.parametrize("a", [np.array(-0.0), np.zeros((3, 0)), np.zeros((0, 4)),
-                               np.array([[-0.0, 5e-324, -1e300, 1e300]]),
-                               np.array([[1e-320], [-0.0], [1 / 3]])],
-                         ids=["scalar", "zero_columns", "zero_rows", "row", "column"])
-def test_matrix_tree_edge_shapes(a):
-    assert _bits(_matrix_tree(a)) == _bits(_reference_tree(a))
-    assert len(_matrix_tree(a)) == np.atleast_2d(a).shape[0]
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_json_writes_what_json_dumps_writes(tree):
+    # byte for byte, or the same ValueError for the first non-finite float
+    assert _written(_json, tree) == _written(_stdlib, tree)
+
+
+_FINITE_EDGES = [x for x in _EDGE_VALUES if math.isfinite(x)]
+
+
+@pytest.mark.parametrize("a", [np.zeros((0, 4)), np.zeros((3, 0)),
+                               np.resize(_FINITE_EDGES, (1, 40)),
+                               np.resize(_FINITE_EDGES, (40, 1))],
+                         ids=["zero_rows", "zero_columns", "row", "column"])
+def test_json_matrix_edge_shapes(a):
+    tree = {"command": "kalman", "G": a, "block_index": [], "rank": 0}
+    assert _json(tree) == _stdlib(tree)
+    assert json.loads(_json(tree))["G"] == _reference_tree(a)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["scalar", "list", "matrix", "nested"])
+def test_json_names_the_first_non_finite_value(bad, where):
+    leaf = {"scalar": bad, "list": [1.0, bad, math.nan],
+            "matrix": np.array([[0.5, bad], [math.nan, 1.0]]),
+            "nested": [[1, {"x": [bad]}], math.nan]}[where]
+    tree = {"command": "flow", "ok": [1.0, 2.0], "value": leaf, "after": math.nan}
+    message = f"Out of range float values are not JSON compliant: {bad!r}"
+    with pytest.raises(ValueError) as stdlib:
+        _stdlib(tree)
+    assert str(stdlib.value) == message
+    with pytest.raises(ValueError) as ours:
+        _json(tree)
+    assert str(ours.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MATRICES)
+def test_text_rows_print_each_entry_as_fmt(a):
+    lines = _render({"G": a})
+    if not len(a):
+        assert lines == ["G: []"]
+    else:
+        assert lines == ["G:"] + ["  [" + ", ".join(format(float(x), ".12g") for x in row)
+                                  + "]" for row in a]

@@ -53,3 +53,12 @@ def test_numeric_config_validation():
     cfg = NumericConfig(quad_points_per_segment=8)
     assert cfg.quad_points_per_segment == 8
 
+
+@pytest.mark.parametrize("name", ["quad_points_per_segment", "ode_steps_per_segment",
+                                  "rank_rel_tol", "residual_rel_tol",
+                                  "grid_samples_per_axis"])
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_numeric_config_rejects_booleans(name, flag):
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        NumericConfig(**{name: flag})
+

@@ -183,6 +183,48 @@ def test_contains_and_grid(diag_sys):
     assert grid.max(axis=0).tolist() == [1.0, 2.0]
 
 
+def test_grid_is_built_once_per_sample_count(diag_sys):
+    sys = LinearSystem(2, 2, 1, diag_sys.M, diag_sys.N,
+                       domain=np.array([[0.0, 1.0], [-1.0, 2.0]]))
+    grid = sys.grid_points()
+    assert sys.grid_points() is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 5.0
+    coarse = sys.grid_points(NumericConfig(grid_samples_per_axis=3))
+    assert coarse.shape == (9, 2) and grid.shape == (25, 2)
+    assert sys.grid_points(NumericConfig(grid_samples_per_axis=3)) is coarse
+    mesh = np.meshgrid(np.linspace(0, 1, 5), np.linspace(-1, 2, 5), indexing="ij")
+    assert np.array_equal(grid, np.stack([g.ravel() for g in mesh], axis=-1))
+
+
+def test_boolean_domain_is_rejected(diag_sys):
+    with pytest.raises(ValueError, match="domain bounds must be numbers"):
+        LinearSystem(2, 2, 1, diag_sys.M, diag_sys.N,
+                     domain=[[False, True], [0, 1]])
+
+
+@pytest.mark.parametrize("entries", [
+    [["t1*t1", 0], ["3*t1", "t2"]],
+    [["sin(t1)*t2", "exp(-t2)"], ["log(t1 + 2)", 7]],
+    [["t1", "t1/t2"], ["(t1 + t2)^3", "cos(t1*t2)"]],
+    [[1, 2], [3, 4]],
+])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_diff_equals_the_validating_path(entries, beta):
+    # the reference builds the derivative through MatrixFunction.__init__
+    f = MatrixFunction(entries, 2)
+    d = np.zeros(f.shape, dtype=object)
+    for i, j, e in f._varying:
+        d[i, j] = e.diff(beta)
+    reference = MatrixFunction(d, 2)
+    got = f.diff(beta)
+    assert got._constant.tobytes() == reference._constant.tobytes()
+    assert got._varying == reference._varying
+    T = np.array([[0.5, 1.5], [1.0, 2.0]])
+    assert got(T).tobytes() == reference(T).tobytes()
+
+
 def test_constant_family_evaluation_and_diff():
     fam = MatrixFamily.from_data([[["t1*t1", 0], [0, 1]],
                                   [[0, 0], [0, 0]]], 2)
