@@ -37,7 +37,7 @@ from .expr import ExprDomainError, ExprError
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, check_control_compat,
                      check_F_compatibility, check_gramian_compat,
-                     check_M_commutation, require)
+                     check_M_commutation)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -91,6 +91,8 @@ def load_config(path: str) -> dict:
 
 
 def build_system(doc: dict) -> tuple[LinearSystem, NumericConfig, dict]:
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     for key in ("m", "n", "k", "M", "N"):
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -189,8 +191,7 @@ def cmd_flow(args) -> dict:
     if args.phi0 is not None:
         phi0 = _parse_point(args.phi0, system.n)
         tree["phi"] = [float(_fmt(v))
-                       for v in flow.solve_adjoint(system, t0, phi0, t, cfg,
-                                                   check=False)]
+                       for v in flow.solve_adjoint(system, t0, phi0, t, cfg)]
     return tree
 
 
@@ -310,15 +311,16 @@ def cmd_simulate(args) -> dict:
     t = _parse_point(args.t, system.m)
     x0 = _parse_point(args.x0, system.n)
     control_doc = load_config(args.control)
+    if isinstance(control_doc, dict) and "u" not in control_doc:
+        raise ConfigError("control document is missing required key 'u'")
     data = control_doc["u"] if isinstance(control_doc, dict) else control_doc
     u = _load_control(data, system)
-    report = require(check_control_compat(system, u, cfg))
-    x = flow.solve_controlled(system, u, t0, x0, t, cfg=cfg, check=False)
+    x = flow.solve_controlled(system, u, t0, x0, t, cfg=cfg)
     return {
         "command": "simulate",
         "t0": t0.tolist(),
         "t": t.tolist(),
-        "control_condition": _condition_tree(report),
+        "control_condition": _condition_tree(check_control_compat(system, u, cfg)),
         "endpoint": [float(_fmt(v)) for v in x],
     }
 

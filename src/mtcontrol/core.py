@@ -72,12 +72,14 @@ class NumericConfig:
             # bool is an int subclass, and a JSON true is not the number 1
             if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "int" and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.quad_points_per_segment < 1:
             raise ValueError("quad_points_per_segment must be >= 1")
         if self.ode_steps_per_segment < 1:
             raise ValueError("ode_steps_per_segment must be >= 1")
-        if self.rank_rel_tol <= 0 or self.residual_rel_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.rank_rel_tol < np.inf and 0 < self.residual_rel_tol < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.grid_samples_per_axis < 1:
             raise ValueError("grid_samples_per_axis must be >= 1")
 
@@ -102,10 +104,6 @@ class PolylineCurve:
         if not np.all(np.isfinite(w)):
             raise ValueError("waypoints must be finite")
         object.__setattr__(self, "waypoints", w)
-
-    @property
-    def dimension(self) -> int:
-        return self.waypoints.shape[1]
 
     @property
     def segment_count(self) -> int:

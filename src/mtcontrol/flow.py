@@ -140,16 +140,14 @@ def transition(sys: LinearSystem, t, t0,
 
 
 def fundamental_matrix(sys: LinearSystem, t, t0,
-                       cfg: NumericConfig = DEFAULT_CONFIG,
-                       check: bool = True) -> FundamentalMatrix:
+                       cfg: NumericConfig = DEFAULT_CONFIG) -> FundamentalMatrix:
     """chi(t, t0), gated on the commutation condition.
 
     Warns when the result is badly conditioned (condition number beyond
     1e12), since the inverse relation chi(t0, t) = chi(t, t0)^-1 then
     loses accuracy.
     """
-    if check:
-        require(check_M_commutation(sys, cfg))
+    require(check_M_commutation(sys, cfg))
     t = as_point(t, m=sys.m)
     t0 = as_point(t0, m=sys.m)
     if not sys.M.is_constant and not (sys.contains(t) and sys.contains(t0)):
@@ -163,19 +161,17 @@ def fundamental_matrix(sys: LinearSystem, t, t0,
 
 
 def solve_homogeneous(sys: LinearSystem, t0, x0, t,
-                      cfg: NumericConfig = DEFAULT_CONFIG,
-                      check: bool = True) -> np.ndarray:
+                      cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """x(t) = chi(t, t0) x0."""
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    return fundamental_matrix(sys, t, t0, cfg, check=check).value @ x0
+    return fundamental_matrix(sys, t, t0, cfg).value @ x0
 
 
 def solve_adjoint(sys: LinearSystem, t0, phi0, t,
-                  cfg: NumericConfig = DEFAULT_CONFIG,
-                  check: bool = True) -> np.ndarray:
+                  cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Adjoint flow phi(t) = chi(t0, t)^T phi0."""
     phi0 = np.asarray(phi0, dtype=float).reshape(sys.n)
-    return fundamental_matrix(sys, t0, t, cfg, check=check).value.T @ phi0
+    return fundamental_matrix(sys, t0, t, cfg).value.T @ phi0
 
 
 def _forced_solve(sys: LinearSystem, F_value, t0, x0, t,
@@ -205,30 +201,33 @@ def _forced_solve(sys: LinearSystem, F_value, t0, x0, t,
 
 def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
                  curve: PolylineCurve | None = None,
-                 cfg: NumericConfig = DEFAULT_CONFIG,
-                 check: bool = True) -> np.ndarray:
+                 cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """x(t) = chi(t, t0) x0 + integral over gamma of chi(t, s) F_alpha(s) ds^a.
 
-    The result does not depend on the chosen curve: compatibility of F makes
-    the integrand closed, which is exactly what `check` verifies.
+    The result does not depend on the chosen curve: F-compatibility, which
+    gates the call, makes the integrand closed.
     """
-    if check:
-        require(check_M_commutation(sys, cfg))
-        require(check_F_compatibility(sys, F, cfg))
+    require(check_M_commutation(sys, cfg))
+    require(check_F_compatibility(sys, F, cfg))
     return _forced_solve(sys, lambda a, s: F[a - 1](s), t0, x0, t, curve, cfg)
 
 
 def solve_controlled(sys: LinearSystem, u, t0, x0, t,
                      curve: PolylineCurve | None = None,
-                     cfg: NumericConfig = DEFAULT_CONFIG,
-                     check: bool = True) -> np.ndarray:
+                     cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Controlled solution with F_alpha = N_alpha u_alpha.
 
     `u` is a ControlFamily or any object exposing value/derivative; it is
     rejected when it falls outside the control space.
     """
-    if check:
-        require(check_M_commutation(sys, cfg))
-        require(check_control_compat(sys, u, cfg))
+    require(check_M_commutation(sys, cfg))
+    require(check_control_compat(sys, u, cfg))
+    return _controlled_solve(sys, u, t0, x0, t, curve, cfg)
+
+
+def _controlled_solve(sys: LinearSystem, u, t0, x0, t,
+                      curve: PolylineCurve | None,
+                      cfg: NumericConfig) -> np.ndarray:
+    """`solve_controlled` for a caller that has already decided u is a control."""
     return _forced_solve(sys, lambda a, s: sys.N[a - 1](s) @ u.value(a, s)[..., None],
                          t0, x0, t, curve, cfg)

@@ -207,12 +207,6 @@ class MatrixFamily:
     def __getitem__(self, alpha0: int) -> MatrixFunction:
         return self.members[alpha0]
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return self.m
-
 
 class ControlFamily(MatrixFamily):
     """A control candidate u = (u_alpha): m members, each a k x 1 column.
@@ -252,9 +246,22 @@ class ControlFamily(MatrixFamily):
         return self.members[alpha - 1].diff(beta)(t)[..., 0]
 
 
+def _once_per_system(func):
+    """`func(sys, cfg)`, computed once per (sys, cfg) and kept on the system."""
+    @functools.wraps(func)
+    def once(sys, cfg=DEFAULT_CONFIG):
+        key = (func.__name__, cfg)
+        if key not in sys._memo:
+            sys._memo[key] = func(sys, cfg)
+        return sys._memo[key]
+    return once
+
+
 class LinearSystem:
     """The full model: dimensions, matrix families M (n x n) and N (n x k),
-    and the axis-aligned domain box the time-varying entries live on."""
+    and the axis-aligned domain box the time-varying entries live on.  The
+    sample grid and the system-level condition reports are kept on the
+    system, once per config, so a system must not change after it is built."""
 
     def __init__(self, m: int, n: int, k: int, M: MatrixFamily, N: MatrixFamily,
                  domain: np.ndarray | None = None):
@@ -283,7 +290,7 @@ class LinearSystem:
         self.m, self.n, self.k = m, n, k
         self.M, self.N = M, N
         self.domain = domain
-        self._grids: dict[int, np.ndarray] = {}  # by samples per axis
+        self._memo: dict[tuple, object] = {}  # see _once_per_system
 
     @classmethod
     def from_data(cls, m: int, n: int, k: int, M_data, N_data,
@@ -301,12 +308,10 @@ class LinearSystem:
             return True
         return bool(np.all(t >= self.domain[:, 0]) and np.all(t <= self.domain[:, 1]))
 
+    @_once_per_system
     def grid_points(self, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
         """Tensor sample grid over the domain box, endpoints included, as a
-        read-only (P, m) array built once per sample count."""
-        grid = self._grids.get(cfg.grid_samples_per_axis)
-        if grid is not None:
-            return grid
+        read-only (P, m) array."""
         if self.domain is None or not np.all(np.isfinite(self.domain)):
             # Constant families are checked exactly elsewhere; grid sampling
             # on an unbounded domain (only reached for derived, non-Expr
@@ -320,7 +325,6 @@ class LinearSystem:
         mesh = np.meshgrid(*axes, indexing="ij")
         grid = np.stack([g.ravel() for g in mesh], axis=-1)
         grid.setflags(write=False)
-        self._grids[cfg.grid_samples_per_axis] = grid
         return grid
 
 
@@ -374,9 +378,9 @@ def _ordered_pairs(m: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarra
 
 def _sample(sys: LinearSystem, constant: bool, cfg: NumericConfig
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (P, m) sample points of a check, the origin alone for constant
-    data and the grid otherwise, and the indices (A, B) of `_ordered_pairs`."""
-    T = np.zeros((1, sys.m)) if constant else sys.grid_points(cfg)
+    """A check's read-only (P, m) sample points (a kept report holds a view),
+    the origin or else the grid, and the indices (A, B) of `_ordered_pairs`."""
+    T = np.broadcast_to(0.0, (1, sys.m)) if constant else sys.grid_points(cfg)
     return (T, *_ordered_pairs(sys.m)[1:])
 
 
@@ -403,6 +407,7 @@ def _symmetry_report(name: str, X: np.ndarray, T: np.ndarray,
     return ConditionReport(name, r, passed, T[worst // K], pairs[worst % K])
 
 
+@_once_per_system
 def check_M_commutation(sys: LinearSystem,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """X_ab = M_a M_b + dM_a/dt^b symmetric in (a, b)."""
@@ -455,6 +460,7 @@ def check_control_compat(sys: LinearSystem, u,
     return _symmetry_report(name, X, T, cfg)
 
 
+@_once_per_system
 def check_gramian_compat(sys: LinearSystem,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Path independence of the gramian integrand: X_ab = M_a N_b N_b'

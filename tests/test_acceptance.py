@@ -127,8 +127,8 @@ def test_criterion_5_flow_identity_suite():
             assert np.array_equal(transition(sys, t0, t0), np.eye(n))
             x0 = rng.standard_normal(n)
             phi0 = rng.standard_normal(n)
-            x = solve_homogeneous(sys, t0, x0, t1, check=False)
-            phi = solve_adjoint(sys, t0, phi0, t1, check=False)
+            x = solve_homogeneous(sys, t0, x0, t1)
+            phi = solve_adjoint(sys, t0, phi0, t1)
             assert abs(x @ phi - x0 @ phi0) <= 1e-9 * (1 + abs(x0 @ phi0))
             assert np.linalg.norm(
                 chi_10 - transition(sys, t1 - t0, np.zeros(m))) <= 1e-9

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import mtcontrol.flow
 import mtcontrol.gramian
+import mtcontrol.system
 from mtcontrol.cli import _json, _render, run
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -159,6 +160,29 @@ def test_analyze_builds_the_gramian_once(capsys, monkeypatch, transfer):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--x0", "1,0", "--y", "0,0"],
+    ["synthesize", "--x0", "1,0", "--y", "0,0"],
+], ids=["analyze", "synthesize"])
+def test_each_system_condition_is_evaluated_once(capsys, monkeypatch, diag_cfg,
+                                                 argv):
+    # both commands reach the M-commutation and gramian gates twice: through
+    # G or the candidate control, and through the gramian
+    evaluated = []
+    original = mtcontrol.system._symmetry_report
+
+    def counting(name, *args):
+        evaluated.append(name)
+        return original(name, *args)
+
+    monkeypatch.setattr(mtcontrol.system, "_symmetry_report", counting)
+    code, _ = run_json(capsys, [argv[0], diag_cfg, "--t0", "0,0", "--t", "1,1",
+                                *argv[1:]])
+    assert code == 0
+    assert sorted(evaluated) == ["M-commutation (Eq. 6)",
+                                 "gramian-compatibility (Eq. 17)"]
+
+
 def test_analyze_cyclic_carries_warning(capsys, cyclic_cfg):
     code, tree = run_json(capsys, ["analyze", cyclic_cfg, "--t0", "0,0,0",
                                    "--t", "1,1,1"])
@@ -206,6 +230,27 @@ def test_simulate_rejects_bad_control(capsys, cyclic_cfg, tmp_path):
     assert code == 2
     assert tree["refused"]
     assert "Eq. 14" in tree["gate"]["condition"]
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_simulate_refuses_a_non_commuting_system(capsys, tmp_path, json_mode):
+    # M1 M2 - M2 M1 = diag(1, -1); the zero control passes its own condition
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(dict(DIAG, M=[[[0, 1], [0, 0]], [[0, 0], [1, 0]]])))
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"u": [[0], [0]]}))
+    code = run((["--json"] if json_mode else []) + [
+        "simulate", str(path), "--t0", "0,0", "--t", "1,1", "--x0", "1,0",
+        "--control", str(control)])
+    out = capsys.readouterr().out
+    assert code == 2
+    if json_mode:
+        tree = json.loads(out)
+        assert tree["refused"] and "endpoint" not in tree
+        assert tree["gate"]["condition"] == "M-commutation (Eq. 6)"
+    else:
+        assert "endpoint" not in out
+        assert "reason: M-commutation (Eq. 6) residual 1.41421356237\n" in out
 
 
 def test_invalid_json_reports_position(capsys, tmp_path):
@@ -320,9 +365,18 @@ def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, mes
      "bad numeric config: grid_samples_per_axis must be a number, got True"),
     ({"numeric": {"rank_rel_tol": True}},
      "bad numeric config: rank_rel_tol must be a number, got True"),
+    ({"numeric": {"grid_samples_per_axis": 5.0}},
+     "bad numeric config: grid_samples_per_axis must be an integer, got 5.0"),
+    ({"numeric": {"ode_steps_per_segment": 2.5}},
+     "bad numeric config: ode_steps_per_segment must be an integer, got 2.5"),
+    ({"numeric": {"quad_points_per_segment": 2.5}},
+     "bad numeric config: quad_points_per_segment must be an integer, got 2.5"),
+    ({"numeric": {"residual_rel_tol": math.inf}},
+     "bad numeric config: tolerances must be finite and strictly positive"),
 ], ids=["ragged_M", "ragged_F", "non_list_M", "null_control", "bool_m", "bool_k",
         "bool_M", "bool_F", "bool_control", "bool_domain", "bool_grid_samples",
-        "bool_rank_tol"])
+        "bool_rank_tol", "float_grid_samples", "float_ode_steps", "float_quad_points",
+        "inf_residual_tol"])
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, message,
                                                json_mode):
@@ -330,6 +384,24 @@ def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, messag
     path.write_text(json.dumps(dict(DIAG, **change)))
     code = run((["--json"] if json_mode else []) + ["check", str(path)])
     _assert_error_report(capsys, code, "check", json_mode, message)
+
+
+@pytest.mark.parametrize("config, control, message", [
+    ("5", [[0], [0]], "config must be a JSON object"),
+    (json.dumps(DIAG), {"v": [[0], [0]]},
+     "control document is missing required key 'u'"),
+], ids=["non_object_config", "control_without_u"])
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_malformed_document_is_a_named_error(capsys, tmp_path, config, control,
+                                             message, json_mode):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    control_path = tmp_path / "control.json"
+    control_path.write_text(json.dumps(control))
+    code = run((["--json"] if json_mode else []) + [
+        "simulate", str(path), "--t0", "0,0", "--t", "1,0", "--x0", "0,0",
+        "--control", str(control_path)])
+    _assert_error_report(capsys, code, "simulate", json_mode, message)
 
 
 def test_check_forms_no_product_of_a_member_with_itself(capsys, tmp_path):
@@ -515,7 +587,7 @@ def test_overflowed_controllability_matrix_is_a_named_error(capsys, tmp_path,
 
 def test_non_finite_report_value_is_an_error_in_json(capsys, monkeypatch, diag_cfg):
     # a value that no named error catches still never reaches stdout as JSON
-    def infinite(system, t0, phi0, t, cfg, check=True):
+    def infinite(system, t0, phi0, t, cfg):
         return np.array([math.inf, 0.0])
 
     monkeypatch.setattr(mtcontrol.flow, "solve_adjoint", infinite)

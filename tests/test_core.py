@@ -50,6 +50,9 @@ def test_numeric_config_validation():
         NumericConfig(rank_rel_tol=0.0)
     with pytest.raises(ValueError):
         NumericConfig(residual_rel_tol=-1.0)
+    for tol in (np.inf, np.nan):  # inf passes every gate, nan refuses them all
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            NumericConfig(residual_rel_tol=tol)
     cfg = NumericConfig(quad_points_per_segment=8)
     assert cfg.quad_points_per_segment == 8
 
@@ -57,8 +60,12 @@ def test_numeric_config_validation():
 @pytest.mark.parametrize("name", ["quad_points_per_segment", "ode_steps_per_segment",
                                   "rank_rel_tol", "residual_rel_tol",
                                   "grid_samples_per_axis"])
-@pytest.mark.parametrize("flag", [True, False, np.True_])
+@pytest.mark.parametrize("flag", [True, False, np.True_, 5.0, 2.5])
 def test_numeric_config_rejects_booleans(name, flag):
-    with pytest.raises(ValueError, match=f"{name} must be a number"):
+    if type(flag) is float and name.endswith("_tol"):  # a tolerance may be any float
+        assert getattr(NumericConfig(**{name: flag}), name) == flag
+        return
+    kind = "an integer" if type(flag) is float else "a number"
+    with pytest.raises(ValueError, match=f"{name} must be {kind}"):
         NumericConfig(**{name: flag})
 

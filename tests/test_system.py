@@ -11,6 +11,7 @@ from mtcontrol import (CompatibilityError, ConditionReport, ControlFamily,
                        check_control_compat, check_F_compatibility,
                        check_gramian_compat, check_M_commutation)
 from mtcontrol.core import NumericConfig
+from mtcontrol import system as system_module
 from mtcontrol.expr import ExprDomainError, Num
 from mtcontrol.system import MatrixFunction, _norms
 
@@ -181,6 +182,32 @@ def test_contains_and_grid(diag_sys):
     assert grid.shape == (25, 2)
     assert grid.min(axis=0).tolist() == [0.0, 0.0]
     assert grid.max(axis=0).tolist() == [1.0, 2.0]
+
+
+def test_system_conditions_are_decided_once_per_config(monkeypatch):
+    sys = LinearSystem.from_data(
+        2, 2, 1, [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
+        [[["t2"], [0]], [[0], [1]]], domain=[[0, 1], [0, 1]])
+    evaluated = []
+    original = system_module._symmetry_report
+
+    def counting(name, *args):
+        evaluated.append(name)
+        return original(name, *args)
+
+    monkeypatch.setattr(system_module, "_symmetry_report", counting)
+    for check in (check_M_commutation, check_gramian_compat):
+        report = check(sys)
+        assert check(sys) is report
+        assert check(sys, cfg=NumericConfig()) is report  # an equal config
+        coarse = check(sys, NumericConfig(grid_samples_per_axis=3))
+        assert check(sys, NumericConfig(grid_samples_per_axis=3)) is coarse
+    assert evaluated == ["M-commutation (Eq. 6)"] * 2 + \
+        ["gramian-compatibility (Eq. 17)"] * 2
+    # every caller gets the kept report, so its worst point is read-only
+    nilpotent = LinearSystem.from_data(2, 2, 1, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                                       [[[0], [0]], [[0], [0]]])
+    assert not check_M_commutation(nilpotent).worst_point.flags.writeable
 
 
 def test_grid_is_built_once_per_sample_count(diag_sys):
