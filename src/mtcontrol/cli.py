@@ -37,7 +37,7 @@ from .expr import ExprDomainError, ExprError
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, check_control_compat,
                      check_F_compatibility, check_gramian_compat,
-                     check_M_commutation)
+                     check_M_commutation, require)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -231,15 +231,15 @@ def cmd_analyze(args) -> dict:
     system, cfg, _ = build_system(load_config(args.config))
     t0 = _parse_point(args.t0, system.m)
     t = _parse_point(args.t, system.m)
+    x0 = _parse_point(args.x0, system.n) if args.x0 is not None else np.zeros(system.n)
+    y = _parse_point(args.y, system.n) if args.y is not None else np.zeros(system.n)
     tree: dict = {"command": "analyze", "t0": t0.tolist(), "t": t.tolist(),
                   "constant_system": system.is_constant}
     decision = None  # one gramian verdict serves every section below
     if system.is_constant:
-        x0 = (_parse_point(args.x0, system.n) if args.x0 is not None
-              else np.zeros(system.n))
-        y = (_parse_point(args.y, system.n) if args.y is not None
-             else np.zeros(system.n))
         report = kalman.autonomous_analysis(system, t0, x0, t, y, cfg)
+        # without the gramian condition the complete decision below is refused
+        require(report.gramian_condition)
         decision = report.gramian_decision
         tree["autonomous"] = {
             "rank_G": report.rank_G,
@@ -250,16 +250,11 @@ def cmd_analyze(args) -> dict:
             "completely_controllable": report.completely_controllable,
             "completely_reachable": report.completely_reachable,
             "gramian_condition": _condition_tree(report.gramian_condition),
-            "rank_C": None if decision is None else decision.rank,
-            "gramian_transfer_feasible":
-                None if decision is None else decision.feasible,
+            "rank_C": decision.rank,
+            "gramian_transfer_feasible": decision.feasible,
         }
-        if report.warning:
-            tree.setdefault("warnings", []).append(report.warning)
     if args.x0 is not None and args.y is not None:
         if decision is None:
-            x0 = _parse_point(args.x0, system.n)
-            y = _parse_point(args.y, system.n)
             decision = gramian.decide_transfer(system, t0, x0, t, y, cfg)
         tree["transfer"] = {
             "feasible": decision.feasible,
@@ -315,12 +310,14 @@ def cmd_simulate(args) -> dict:
         raise ConfigError("control document is missing required key 'u'")
     data = control_doc["u"] if isinstance(control_doc, dict) else control_doc
     u = _load_control(data, system)
-    x = flow.solve_controlled(system, u, t0, x0, t, cfg=cfg)
+    require(check_M_commutation(system, cfg))
+    condition = require(check_control_compat(system, u, cfg))
+    x = flow._controlled_solve(system, u, t0, x0, t, None, cfg)
     return {
         "command": "simulate",
         "t0": t0.tolist(),
         "t": t.tolist(),
-        "control_condition": _condition_tree(check_control_compat(system, u, cfg)),
+        "control_condition": _condition_tree(condition),
         "endpoint": [float(_fmt(v)) for v in x],
     }
 

@@ -32,6 +32,10 @@ import numpy as np
 
 __all__ = ["Expr", "ExprError", "ExprDomainError", "parse", "differentiate"]
 
+# `parse` refuses longer expressions: printing the derivative of a chain of
+# quotients this long, the deepest recursion here, takes < 600 of 1000 levels.
+MAX_TOKENS = 128
+
 _FUNCTIONS = {
     "exp": np.exp,
     "sin": np.sin,
@@ -311,6 +315,9 @@ def _tokenize(text: str):
             i = j
         else:
             raise ExprError(f"unexpected character {c!r}", i)
+    if len(tokens) > MAX_TOKENS:
+        raise ExprError(f"expression has more than {MAX_TOKENS} tokens",
+                        tokens[MAX_TOKENS][2])
     tokens.append(("end", None, n))
     return tokens
 

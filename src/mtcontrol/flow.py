@@ -7,14 +7,15 @@ straight segment from t0 to t, which is a valid canonical path whenever
 the commutation condition holds (the integral is then path independent).
 
 `transition` takes one start point t0 or a (P, m) batch of them; the
-quadrature integrands pass all Gauss nodes of a segment as one batch.  A
-constant family takes one expm per start point.  A time-varying family
-evaluates each M_a once on the stage points of all P segments.  RK4 is
-linear in X, so each step is a fixed matrix R_j applied to X: all step
-propagators are built at once with batched matmuls, and their ordered
-product R_{S-1}...R_0 is taken pairwise in log2(S) levels (an associative
-reduction, cf. Blelloch, "Prefix sums and their applications", 1990).
-`_rk4_chi` composes these propagators segment by segment along a polyline.
+quadrature integrands pass all Gauss nodes of a segment as one batch.  Both
+routes start from one stack of generators A = sum_a delta^a M_a (the
+one-form pulled back to each segment, `_generators`): a constant family
+takes one expm of A per start point, a time-varying one takes A at the RK4
+stage points of all P segments.  RK4 is linear in X, so each step is a
+fixed matrix R_j applied to X: all step propagators are built at once with
+batched matmuls, and their ordered product R_{S-1}...R_0 is taken pairwise
+in log2(S) levels (an associative reduction, cf. Blelloch, "Prefix sums and
+their applications", 1990).
 A chi with non-finite entries (overflow) is a named ValueError.
 """
 
@@ -55,33 +56,35 @@ class FundamentalMatrix:
     condition_number: float
 
 
-def _rk4(sys: LinearSystem, starts: np.ndarray, end,
-         cfg: NumericConfig) -> np.ndarray:
-    """The (P, n, n) classical RK4 propagators of dX/dtau = (sum_a M_a
-    delta^a) X along the P straight segments starts[p] -> end, with
-    delta = end - starts[p] and tau in [0, 1].
-
-    Each M_a is evaluated once, on the batch of all RK4 stage points (step
-    starts, midpoints and ends) of the segments that advance along axis a.
-    One RK4 step maps X to R_j X; all R_j come from batched matmuls (the
-    step run on X = I), and their ordered product R_{S-1}...R_0 is taken in
-    log2(S) levels of pairwise products.  Stacks are segment-major,
-    (P, stage, n, n): the masked sums over segments then move whole
-    contiguous blocks, which is faster than a stage-major layout.
-    """
-    steps = cfg.ode_steps_per_segment
-    h = 1.0 / steps
-    s = np.arange(steps) * h
-    stages = np.concatenate([s, s + 0.5 * h, s + h])[:, None]
+def _generators(sys: LinearSystem, starts: np.ndarray, end,
+                fractions: np.ndarray) -> np.ndarray:
+    """The (P, S, n, n) generators A = sum_a delta^a M_a at the points
+    starts[p] + fractions[s] * delta, delta = end - starts[p]: each M_a is
+    evaluated once, on the segments with delta^a != 0, and the terms are
+    added in direction order into segment-major (contiguous) blocks."""
     delta = end - starts
-    points = starts[:, None] + stages * delta[:, None]  # (P, 3 * steps, m)
-    A = np.zeros((len(starts), len(stages), sys.n, sys.n))
+    points = starts[:, None] + fractions[:, None] * delta[:, None]  # (P, S, m)
+    A = np.zeros((len(starts), len(fractions), sys.n, sys.n))
     for alpha in range(sys.m):
         rows = delta[:, alpha] != 0.0
         if np.any(rows):
             M = sys.M[alpha](points[rows].reshape(-1, sys.m))
             A[rows] += delta[rows, alpha, None, None, None] * M.reshape(
-                -1, len(stages), sys.n, sys.n)
+                -1, len(fractions), sys.n, sys.n)
+    return A
+
+
+def _rk4(sys: LinearSystem, starts: np.ndarray, end,
+         cfg: NumericConfig) -> np.ndarray:
+    """The (P, n, n) classical RK4 propagators of dX/dtau = A(tau) X along
+    the segments starts[p] -> end, tau in [0, 1], with A at all stage points.
+    One RK4 step maps X to R_j X; all R_j come from batched matmuls (the
+    step run on X = I), and their ordered product R_{S-1}...R_0 is taken in
+    log2(S) levels of pairwise products."""
+    steps = cfg.ode_steps_per_segment
+    h = 1.0 / steps
+    s = np.arange(steps) * h
+    A = _generators(sys, starts, end, np.concatenate([s, s + 0.5 * h, s + h]))
     A1, A2, A3 = A[:, :steps], A[:, steps:2 * steps], A[:, 2 * steps:]
     eye = np.eye(sys.n)
     B2 = A2 @ (eye + 0.5 * h * A1)
@@ -97,24 +100,13 @@ def _rk4(sys: LinearSystem, starts: np.ndarray, end,
     return R[:, 0]
 
 
-def _rk4_chi(sys: LinearSystem, curve: PolylineCurve, cfg: NumericConfig) -> np.ndarray:
-    """Integrate dX/dtau = (sum_a M_a(gamma(tau)) gamma_dot^a(tau)) X along
-    `curve` with X(0) = I, composing one RK4 propagator per segment."""
-    X = np.eye(sys.n)
-    for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
-        if np.any(b != a):
-            X = _rk4(sys, a[None], b, cfg)[0] @ X
-    return X
-
-
 def transition(sys: LinearSystem, t, t0,
                cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """chi(t, t0) as a bare array (no gating, no condition reporting).
 
     `t0` is one start point (m,), giving (n, n), or a batch of start points
     (P, m), giving (P, n, n); each matrix of a batch equals the one-point
-    result bit for bit.  Constant systems take one expm per start point;
-    time-varying ones take the RK4 propagators of all start points at once.
+    result bit for bit.  Both routes start from one generator stack.
     Raises ValueError when chi overflows (non-finite entries).
     """
     t = as_point(t, m=sys.m)
@@ -124,13 +116,11 @@ def transition(sys: LinearSystem, t, t0,
     moving = np.any(starts != t, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         if sys.M.is_constant:
-            for p in np.flatnonzero(moving):
-                acc = np.zeros((sys.n, sys.n))
-                for alpha in range(sys.m):
-                    d = t[alpha] - starts[p, alpha]
-                    if d != 0.0:
-                        acc += d * sys.M[alpha](starts[p])
-                chi[p] = expm(acc)
+            A = _generators(sys, starts[moving], t, np.zeros(1))[:, 0]
+            # one expm per start while bench/test_bench.py pins 16 * m expm
+            # calls per constant gramian; one batched call once it counts matrices
+            for p, generator in zip(np.flatnonzero(moving), A):
+                chi[p] = expm(generator)
         elif np.any(moving):
             chi[moving] = _rk4(sys, starts[moving], t, cfg)
     if not np.all(np.isfinite(chi)):

@@ -10,6 +10,7 @@ the segment's Gauss nodes as one (Q, m) array of points.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,10 +39,14 @@ class OneFormFamily:
         return np.asarray(self.members[alpha - 1](t), dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1], once per order; read-only, as shared."""
     x, w = np.polynomial.legendre.leggauss(max(order, 2))
-    # map from [-1, 1] to [0, 1]
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w  # from [-1, 1] to [0, 1]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def integrate_along(P: OneFormFamily, curve: PolylineCurve,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtcontrol import LinearSystem
+from mtcontrol.flow import _rk4
 
 
 @pytest.fixture
@@ -100,3 +101,14 @@ def axis_scaled_system():
         [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
         [[[1], [0]], [[0], [1]]],
         domain=[[-1, 2], [-1, 2]])
+
+
+def rk4_chi(sys, curve, cfg):
+    """chi along the polyline `curve` by RK4 alone, also for a constant
+    system: one propagator of the library's stepper per segment, composed
+    in order from X = I."""
+    X = np.eye(sys.n)
+    for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
+        if np.any(b != a):
+            X = _rk4(sys, a[None], b, cfg)[0] @ X
+    return X

@@ -20,12 +20,12 @@ from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        solve_adjoint, solve_homogeneous, synthesize_transfer,
                        verify_transfer)
 from mtcontrol.core import curve_segment, staircase
-from mtcontrol.flow import _rk4_chi, transition
+from mtcontrol.flow import transition
 from mtcontrol.gramian import gramian_integrand, numerical_rank
 from mtcontrol.pathint import integrate_along
 from mtcontrol.expr import differentiate
 
-from conftest import random_commuting_system, random_passing_system
+from conftest import random_commuting_system, random_passing_system, rk4_chi
 from test_expr import _central_difference, _random_expr
 
 # The fixed 256-step default leaves ~1e-8 truncation error on the widest
@@ -132,7 +132,7 @@ def test_criterion_5_flow_identity_suite():
             assert abs(x @ phi - x0 @ phi0) <= 1e-9 * (1 + abs(x0 @ phi0))
             assert np.linalg.norm(
                 chi_10 - transition(sys, t1 - t0, np.zeros(m))) <= 1e-9
-            rk4 = _rk4_chi(sys, curve_segment(t0, t1), RK4_CONFIG)
+            rk4 = rk4_chi(sys, curve_segment(t0, t1), RK4_CONFIG)
             assert np.linalg.norm(chi_10 - rk4) <= 1e-9
         assert time.perf_counter() - start < 30.0
 

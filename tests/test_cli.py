@@ -160,14 +160,20 @@ def test_analyze_builds_the_gramian_once(capsys, monkeypatch, transfer):
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--x0", "1,0", "--y", "0,0"],
-    ["synthesize", "--x0", "1,0", "--y", "0,0"],
-], ids=["analyze", "synthesize"])
-def test_each_system_condition_is_evaluated_once(capsys, monkeypatch, diag_cfg,
-                                                 argv):
-    # both commands reach the M-commutation and gramian gates twice: through
-    # G or the candidate control, and through the gramian
+GRAMIAN_GATES = ["M-commutation (Eq. 6)", "gramian-compatibility (Eq. 17)"]
+
+
+@pytest.mark.parametrize("argv, conditions", [
+    (["analyze", "--x0", "1,0", "--y", "0,0"], GRAMIAN_GATES),
+    (["synthesize", "--x0", "1,0", "--y", "0,0"], GRAMIAN_GATES),
+    (["simulate", "--x0", "1,0", "--control"],
+     ["M-commutation (Eq. 6)", "control-compatibility (Eq. 14)"]),
+], ids=["analyze", "synthesize", "simulate"])
+def test_each_system_condition_is_evaluated_once(capsys, monkeypatch, tmp_path,
+                                                 diag_cfg, argv, conditions):
+    # analyze and synthesize reach the M-commutation and gramian gates twice:
+    # through G or the candidate control, and through the gramian; simulate
+    # gates the control and reports its condition
     evaluated = []
     original = mtcontrol.system._symmetry_report
 
@@ -175,12 +181,15 @@ def test_each_system_condition_is_evaluated_once(capsys, monkeypatch, diag_cfg,
         evaluated.append(name)
         return original(name, *args)
 
+    if argv[0] == "simulate":
+        control = tmp_path / "control.json"
+        control.write_text(json.dumps({"u": [["1"], ["0"]]}))
+        argv = argv + [str(control)]
     monkeypatch.setattr(mtcontrol.system, "_symmetry_report", counting)
     code, _ = run_json(capsys, [argv[0], diag_cfg, "--t0", "0,0", "--t", "1,1",
                                 *argv[1:]])
     assert code == 0
-    assert sorted(evaluated) == ["M-commutation (Eq. 6)",
-                                 "gramian-compatibility (Eq. 17)"]
+    assert sorted(evaluated) == conditions
 
 
 def test_analyze_cyclic_carries_warning(capsys, cyclic_cfg):
@@ -373,10 +382,16 @@ def test_non_finite_constant_entry_is_a_named_error(capsys, tmp_path, entry, mes
      "bad numeric config: quad_points_per_segment must be an integer, got 2.5"),
     ({"numeric": {"residual_rel_tol": math.inf}},
      "bad numeric config: tolerances must be finite and strictly positive"),
+    ({"M": [[["(" * 3000 + "t1" + ")" * 3000, 0], [0, 0]], [[0, 0], [0, 0]]],
+      "domain": [[0, 1], [0, 1]]},
+     "bad system data: expression has more than 128 tokens (at position 128)"),
+    ({"M": [[["+".join(["t1"] * 5000), 0], [0, 0]], [[0, 0], [0, 0]]],
+      "domain": [[0, 1], [0, 1]]},
+     "bad system data: expression has more than 128 tokens (at position 192)"),
 ], ids=["ragged_M", "ragged_F", "non_list_M", "null_control", "bool_m", "bool_k",
         "bool_M", "bool_F", "bool_control", "bool_domain", "bool_grid_samples",
         "bool_rank_tol", "float_grid_samples", "float_ode_steps", "float_quad_points",
-        "inf_residual_tol"])
+        "inf_residual_tol", "deep_parentheses", "long_sum"])
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_malformed_matrix_data_is_a_named_error(capsys, tmp_path, change, message,
                                                json_mode):

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from mtcontrol.expr import (Call, ExprDomainError, ExprError, Neg, Num, Var,
-                            differentiate, parse)
+from mtcontrol.expr import (MAX_TOKENS, Call, ExprDomainError, ExprError, Neg,
+                            Num, Var, differentiate, parse)
 
 
 def test_parse_exp_neg_product():
@@ -174,3 +175,43 @@ def test_print_parse_round_trip():
 def test_negative_literal_prints_reparseable():
     e = Neg(Num(2.0))
     assert parse(str(e), 1)((0.0,)) == -2.0
+
+
+def _pad(size: int) -> str:
+    """A leading minus, one token, when `size` is even."""
+    return "-" * (size % 2 == 0)
+
+
+# Expressions of exactly `size` tokens.
+SIZED = {
+    "quotients": lambda size: _pad(size) + "/".join(["t1"] * ((size + 1) // 2)),
+    "sum": lambda size: _pad(size) + "+".join(["t1"] * ((size + 1) // 2)),
+    "parentheses": lambda size: (_pad(size) + "(" * ((size - 1) // 2) + "t1"
+                                 + ")" * ((size - 1) // 2)),
+    "minus": lambda size: "-" * (size - 1) + "t1",
+}
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("shape", SIZED)
+def test_size_limit_is_a_named_error(shape):
+    with pytest.raises(ExprError, match=f"more than {MAX_TOKENS} tokens"):
+        parse(SIZED[shape](MAX_TOKENS + 1), 1)
+    # the largest accepted expression parses, evaluates, differentiates and
+    # prints, derivative included, within 650 of the default 1000 levels
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 650)
+    try:
+        e = parse(SIZED[shape](MAX_TOKENS), 1)
+        d = differentiate(e, 1)
+        points = np.full((3, 1), 0.5)
+        assert np.all(np.isfinite(e.eval(points))) and np.all(np.isfinite(d.eval(points)))
+        assert str(e) and str(d)
+    finally:
+        sys.setrecursionlimit(limit)

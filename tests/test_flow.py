@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
@@ -9,8 +12,9 @@ from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        solve_affine, solve_controlled, solve_homogeneous)
 from mtcontrol.core import PolylineCurve, curve_segment, staircase
 from mtcontrol.flow import transition
+from mtcontrol.system import MatrixFunction
 
-from conftest import axis_scaled_system, random_commuting_system
+from conftest import axis_scaled_system, random_commuting_system, rk4_chi
 
 
 def test_diag_flow_closed_form(diag_sys):
@@ -73,9 +77,8 @@ def test_rk4_agrees_with_expm_on_constant_systems():
     for _ in range(5):
         sys = random_commuting_system(rng, n=3, m=2, k=1)
         t0, t = rng.uniform(-1, 1, size=(2, 2))
-        from mtcontrol.flow import _rk4_chi
         exact = transition(sys, t, t0)
-        rk4 = _rk4_chi(sys, curve_segment(t0, t), sys_cfg())
+        rk4 = rk4_chi(sys, curve_segment(t0, t), sys_cfg())
         assert np.linalg.norm(exact - rk4) <= 1e-9
 
 
@@ -104,8 +107,7 @@ def test_time_varying_flow_matches_closed_form():
     chi = transition(sys, t, t0)
     assert np.linalg.norm(chi - exact) <= 1e-9
     # path independence: RK4 along the staircase gives the same value
-    from mtcontrol.flow import _rk4_chi
-    chi_stairs = _rk4_chi(sys, staircase(t0, t), sys_cfg())
+    chi_stairs = rk4_chi(sys, staircase(t0, t), sys_cfg())
     assert np.linalg.norm(chi_stairs - exact) <= 1e-9
 
 
@@ -290,13 +292,53 @@ def test_batched_transition_equals_stacked_single_calls(kind, cyclic_sys):
     assert np.array_equal(batch[2], np.eye(sys.n))
 
 
+def _looped_constant_transition(sys, t, starts):
+    """The per-point, per-direction loop that the generator stack replaced,
+    kept as the reference: the sum of delta^a M_a for each moving start,
+    skipping directions with delta^a = 0, then one expm."""
+    chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
+    for p in np.flatnonzero(np.any(starts != t, axis=1)):
+        acc = np.zeros((sys.n, sys.n))
+        for alpha in range(sys.m):
+            d = t[alpha] - starts[p, alpha]
+            if d != 0.0:
+                acc += d * sys.M[alpha](starts[p])
+        chi[p] = expm(acc)
+    return chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 4), P=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_constant_transition_equals_the_per_direction_loop(m, n, P, seed, data):
+    # generic values, so that a change in the order of the sum shows
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.0, 1.0, size=(m, n, n))
+    N = MatrixFamily([MatrixFunction(np.ones((n, 1)), m)] * m)
+    sys = LinearSystem(m, n, 1, MatrixFamily([MatrixFunction(a, m) for a in M]), N)
+    points = rng.uniform(-2.0, 2.0, size=(P + 1, m))
+    # zeros of both signs in place of some coordinates (NaN keeps one) ...
+    zeros = data.draw(arrays(float, (P + 1, m),
+                             elements=st.sampled_from([math.nan, 0.0, -0.0])))
+    points = np.where(np.isnan(zeros), points, zeros)
+    t, starts = points[0], points[1:]
+    # ... and starts that do not advance along some axes: zero deltas
+    starts = np.where(data.draw(arrays(bool, (P, m))), t, starts)
+    reference = _looped_constant_transition(sys, t, starts)
+    batch = transition(sys, t, starts)
+    assert np.array_equal(batch, reference)
+    assert np.array_equal(np.signbit(batch), np.signbit(reference))
+    single = transition(sys, t, starts[0])
+    assert np.array_equal(single, reference[0])
+    assert np.array_equal(np.signbit(single), np.signbit(reference[0]))
+
+
 def test_rk4_chi_composes_the_batched_stepper_over_segments():
     sys = _nilpotent_system()
     t0, t = np.array([0.0, 0.0]), np.array([1.5, 1.0])
-    from mtcontrol.flow import _rk4_chi
-    assert np.array_equal(_rk4_chi(sys, curve_segment(t0, t), sys_cfg()),
+    assert np.array_equal(rk4_chi(sys, curve_segment(t0, t), sys_cfg()),
                           transition(sys, t, t0))
-    degenerate = _rk4_chi(sys, PolylineCurve(np.stack([t0, t0, t])), sys_cfg())
+    degenerate = rk4_chi(sys, PolylineCurve(np.stack([t0, t0, t])), sys_cfg())
     assert np.array_equal(degenerate, transition(sys, t, t0))
 
 
