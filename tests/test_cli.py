@@ -131,6 +131,47 @@ def test_kalman_command(capsys, diag_cfg):
     assert tree["block_index"][1] == {"alpha": 1, "exponents": [1, 0]}
 
 
+# `mtcontrol kalman demos/configs/diagonal_two_time.json`, as printed
+_DIAG_KALMAN_TEXT = """\
+command: kalman
+G:
+  [1, 1, 0, 0, 0, 0, 0, 0]
+  [0, 0, 0, 0, 1, 0, 0, 0]
+block_index:
+  -
+    alpha: 1
+    exponents: [0, 0]
+  -
+    alpha: 1
+    exponents: [1, 0]
+  -
+    alpha: 1
+    exponents: [0, 1]
+  -
+    alpha: 1
+    exponents: [1, 1]
+  -
+    alpha: 2
+    exponents: [0, 0]
+  -
+    alpha: 2
+    exponents: [1, 0]
+  -
+    alpha: 2
+    exponents: [0, 1]
+  -
+    alpha: 2
+    exponents: [1, 1]
+rank: 2
+state_dimension: 2
+"""
+
+
+def test_kalman_text_report_on_the_diagonal_demo(capsys):
+    assert run(["kalman", DEMO_DIAG]) == 0
+    assert capsys.readouterr().out == _DIAG_KALMAN_TEXT
+
+
 def test_analyze_diag_reports_rank_gap(capsys, diag_cfg):
     code, tree = run_json(capsys, ["analyze", diag_cfg, "--t0", "0,0",
                                    "--t", "1,0", "--x0", "1,0", "--y", "0,0"])
