@@ -30,6 +30,8 @@ import re
 import sys
 
 import numpy as np
+from numpy.lib.recfunctions import (structured_to_unstructured,
+                                    unstructured_to_structured)
 
 from . import flow, gramian, kalman, synth
 from .core import NumericConfig, PolylineCurve, as_point
@@ -54,11 +56,20 @@ def _fmt(x: float) -> str:
     return _FMT % float(x)
 
 
-def _formatted(a: np.ndarray) -> list[str]:
-    """Every entry of the 2-D array `a`, row-major, as `_fmt` prints it:
-    the whole matrix is formatted in one `%` call."""
-    flat = a.ravel().tolist()
-    return ((_FMT + " ") * len(flat) % tuple(flat)).split()
+def _formatted(a: np.ndarray, spell=None) -> list[str]:
+    """Every entry of the 2-D float array `a`, row-major, as `_fmt` prints
+    it, or as `spell` rewrites the list of those tokens.
+
+    Each distinct bit pattern is formatted and spelled once, all in one `%`
+    call, and its token is gathered back for every entry that has it.
+    Keying on the int64 view keeps -0.0 apart from 0.0."""
+    flat = a.ravel()
+    bits = flat.view(np.int64).tolist()
+    distinct = dict(zip(bits, flat.tolist()))  # in order of first occurrence
+    tokens = ((_FMT + " ") * len(distinct) % tuple(distinct.values())).split()
+    if spell is not None:
+        tokens = spell(tokens)
+    return list(map(dict(zip(distinct, tokens)).__getitem__, bits))
 
 
 def _parse_point(text: str, m: int) -> np.ndarray:
@@ -220,8 +231,10 @@ def cmd_kalman(args) -> dict:
     return {
         "command": "kalman",
         "G": G.value,
-        "block_index": [{"alpha": a, "exponents": list(ks)}
-                        for a, ks in G.block_index],
+        # the records {"alpha": a, "exponents": [k_1, ..., k_m]}, one per block
+        "block_index": unstructured_to_structured(
+            G.block_table, np.dtype([("alpha", np.int64),
+                                     ("exponents", np.int64, (system.m,))])),
         "rank": kalman.rank_G(G, cfg),
         "state_dimension": system.n,
     }
@@ -339,20 +352,44 @@ def _render(tree: dict, indent: int = 0) -> list[str]:
                 lines.extend(_render(v, indent + 2))
         elif isinstance(value, np.ndarray) and len(value):  # 0 rows print "[]"
             lines.append(f"{pad}{key}:")
-            tokens, width = _formatted(value), value.shape[1]
-            for i in range(len(value)):
-                lines.append(f"{pad}  [" + ", ".join(tokens[i * width:(i + 1) * width])
-                             + "]")
+            if value.dtype.names:
+                lines += _text_table(value, pad).split("\n")
+            else:
+                tokens, width = _formatted(value), value.shape[1]
+                lines += [f"{pad}  [" + ", ".join(tokens[i * width:(i + 1) * width]) + "]"
+                          for i in range(len(value))]
         else:
             lines.append(f"{pad}{key}: {value}")
     return lines
+
+
+def _fields(table: np.ndarray) -> list[tuple[str, int | None]]:
+    """(name, length) per field of a structured int table: None for a
+    scalar field, the length of a 1-D list field."""
+    return [(name, (table.dtype[name].shape or (None,))[0])
+            for name in table.dtype.names]
+
+
+def _table_ints(table: np.ndarray) -> tuple:
+    """The fields of every record of a structured int table, record-major."""
+    return tuple(structured_to_unstructured(table).ravel().tolist())
+
+
+def _text_table(table: np.ndarray, pad: str) -> str:
+    """The records of a structured int table as `_render` writes a list of
+    dicts whose values are ints and int lists, from one `%` template."""
+    record = "\n".join([pad + "  -"] + [
+        f"{pad}    {name}: " + ("%d" if n is None else "[" + ", ".join(["%d"] * n) + "]")
+        for name, n in _fields(table)])
+    return "\n".join([record] * len(table)) % _table_ints(table)
 
 
 # --- JSON -------------------------------------------------------------------
 #
 # `_json` writes a report exactly as json.dumps(report, indent=2,
 # allow_nan=False) would, with each 2-D float array written as the list of
-# its rows rounded to `_FMT`.  On CPython the stdlib runs its pure-Python
+# its rows rounded to `_FMT` and each structured int array as the list of
+# its records.  On CPython the stdlib runs its pure-Python
 # encoder whenever `indent` is set; here only containers that hold
 # containers recurse in Python.
 
@@ -373,6 +410,14 @@ def _flat_encoder(pad: str):
         ": ", ",\n" + pad, False, False, False)
 
 
+def _json_spelling(tokens: list[str]) -> list[str]:
+    """`_FMT` tokens as json writes float(token): a plain decimal token is
+    already that, an integer gains '.0', and an exponent form (1e+12 and up,
+    subnormals) goes through repr."""
+    return [t if "." in t and "e" not in t else t + ".0" if "e" not in t
+            else repr(float(t)) for t in tokens]
+
+
 def _json_matrix(a: np.ndarray, pad: str) -> str:
     """A 2-D float array as the list of its rows, each entry rounded to
     `_FMT`: one `%` call formats the entries and one fills the layout."""
@@ -383,63 +428,37 @@ def _json_matrix(a: np.ndarray, pad: str) -> str:
     finite = np.isfinite(a)
     if not finite.all():
         raise ValueError(_NON_FINITE + repr(float(a.flat[np.argmin(finite)])))
-    # json writes float(token): a plain decimal token is already that, an
-    # integer gains '.0', and an exponent form (1e+12 and up, subnormals)
-    # goes through repr
-    tokens = [t if "." in t and "e" not in t else t + ".0" if "e" not in t
-              else repr(float(t)) for t in _formatted(a)]
+    tokens = _formatted(a, _json_spelling)
     row = ("[\n" + entry + (",\n" + entry).join(["%s"] * cols) + "\n" + inner + "]"
            if cols else "[]")
     return ("[\n" + inner + (",\n" + inner).join([row] * rows) + "\n" + pad
             + "]") % tuple(tokens)
 
 
-def _json_records(value: list, pad: str) -> str | None:
-    """A list of dicts that share their keys, in order, and hold only ints
-    and int lists of one length per key (such as `block_index`), from one
-    `%` template built from the first record; None for any other list."""
-    first = value[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = tuple(first)
-    lengths = [len(v) if type(v) is list else -1 for v in first.values()]
-    flat: list = []
-    for record in value:
-        if type(record) is not dict or tuple(record) != keys:
-            return None
-        for v, n in zip(record.values(), lengths):
-            if n < 0:
-                flat.append(v)
-            elif type(v) is list and len(v) == n:
-                flat += v
-            else:
-                return None
-    if set(map(type, flat)) != {int}:  # bool is an int subclass, not an int
-        return None
+def _json_table(table: np.ndarray, pad: str) -> str:
+    """The records of a structured int table as json writes a list of dicts
+    whose values are ints and non-empty int lists, from one `%` template."""
+    if not len(table):
+        return "[]"
     inner, field, entry = pad + "  ", pad + "    ", pad + "      "
-    parts = []
-    for key, n in zip(keys, lengths):
-        name = json.encoder.encode_basestring_ascii(key).replace("%", "%%") + ": "
-        if n < 0:
-            parts.append(name + "%d")
-        elif n == 0:
-            parts.append(name + "[]")
-        else:
-            parts.append(name + "[\n" + entry + (",\n" + entry).join(["%d"] * n)
-                         + "\n" + field + "]")
+    parts = [json.encoder.encode_basestring_ascii(name) + ": "
+             + ("%d" if n is None else
+                "[\n" + entry + (",\n" + entry).join(["%d"] * n) + "\n" + field + "]")
+             for name, n in _fields(table)]
     record = "{\n" + field + (",\n" + field).join(parts) + "\n" + inner + "}"
-    return ("[\n" + inner + (",\n" + inner).join([record] * len(value)) + "\n"
-            + pad + "]") % tuple(flat)
+    return ("[\n" + inner + (",\n" + inner).join([record] * len(table)) + "\n"
+            + pad + "]") % _table_ints(table)
 
 
 def _json(value, pad: str = "") -> str:
     """`value` as json.dumps(value, indent=2, allow_nan=False) writes it
     when its first line starts at `pad`, for string keys; a 2-D float array
-    is written as the list of its rows, each entry rounded to `_FMT`.  The
+    is written as the list of its rows, each entry rounded to `_FMT`, and a
+    structured int array as the list of its records.  The
     first non-finite float in document order raises the stdlib's
     ValueError."""
     if isinstance(value, np.ndarray):
-        return _json_matrix(value, pad)
+        return (_json_table if value.dtype.names else _json_matrix)(value, pad)
     items = (value.values() if isinstance(value, dict) else
              value if isinstance(value, (list, tuple)) else ())
     inner = pad + "  "
@@ -458,9 +477,6 @@ def _json(value, pad: str = "") -> str:
         parts = [json.encoder.encode_basestring_ascii(k) + ": " + _json(v, inner)
                  for k, v in value.items()]
         return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    records = _json_records(value, pad)
-    if records is not None:
-        return records
     parts = [_json(v, inner) for v in value]
     return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
 

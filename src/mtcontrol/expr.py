@@ -32,8 +32,10 @@ import numpy as np
 
 __all__ = ["Expr", "ExprError", "ExprDomainError", "parse", "differentiate"]
 
-# `parse` refuses longer expressions: printing the derivative of a chain of
-# quotients this long, the deepest recursion here, takes < 600 of 1000 levels.
+# `parse` refuses longer expressions, and `check_size` trees of more nodes (a
+# parsed tree has at most one node per token): printing the derivative of a
+# chain of quotients this long, the deepest recursion here, takes < 600 of
+# 1000 levels.
 MAX_TOKENS = 128
 
 _FUNCTIONS = {
@@ -422,6 +424,20 @@ def parse(text: str, m: int) -> Expr:
     if not isinstance(text, str) or not text.strip():
         raise ExprError("empty expression")
     return _Parser(text, m).parse()
+
+
+def check_size(e: Expr) -> None:
+    """Raise ExprError when `e` has more than MAX_TOKENS nodes, the most a
+    parsed expression can have.
+
+    The walk is iterative and stops past the limit: a recursive count
+    would overflow the stack on exactly the deep trees it refuses."""
+    stack, count = [e], 0
+    while stack:
+        count += 1
+        if count > MAX_TOKENS:
+            raise ExprError(f"expression has more than {MAX_TOKENS} nodes")
+        stack.extend(v for v in vars(stack.pop()).values() if isinstance(v, Expr))
 
 
 def differentiate(e: Expr, alpha: int) -> Expr:

@@ -12,7 +12,6 @@ compatibility condition holds; in general only rank C <= rank G is true.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +54,22 @@ def exponent_order(m: int, n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ControllabilityMatrix:
-    value: np.ndarray                                  # n x (m * n^m * k)
-    block_index: list[tuple[int, tuple[int, ...]]]     # (alpha, exponents) per block
+    value: np.ndarray      # n x (m * n^m * k)
+    exponents: np.ndarray  # (n^m, m): the exponent tuples in block order
+
+    @property
+    def block_table(self) -> np.ndarray:
+        """One row (alpha, k_1, ..., k_m) per block of G, left to right:
+        alpha = 1..m, each over the exponent tuples in block order."""
+        ks = self.exponents
+        m = ks.shape[1]
+        return np.hstack([np.repeat(np.arange(1, m + 1), len(ks))[:, None],
+                          np.tile(ks, (m, 1))])
+
+    @property
+    def block_index(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(alpha, exponents) per block of G, left to right."""
+        return [(a, tuple(ks)) for a, *ks in self.block_table.tolist()]
 
 
 def controllability_matrix(sys: LinearSystem,
@@ -91,9 +104,7 @@ def controllability_matrix(sys: LinearSystem,
     if not np.all(np.isfinite(blocks)):
         raise ValueError("controllability matrix overflowed (non-finite entries)")
     value = np.ascontiguousarray(blocks.transpose(2, 0, 1, 3)).reshape(n, -1)
-    order = list(map(tuple, ks.tolist()))
-    return ControllabilityMatrix(value, list(itertools.product(range(1, m + 1),
-                                                               order)))
+    return ControllabilityMatrix(value, ks)
 
 
 def rank_G(G: ControllabilityMatrix, cfg: NumericConfig = DEFAULT_CONFIG) -> int:

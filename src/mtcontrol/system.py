@@ -100,7 +100,8 @@ class MatrixFunction:
         self._constant = np.zeros(grid.shape)  # expression entries stay 0 here
         for (i, j), entry in np.ndenumerate(grid):
             if isinstance(entry, _expr.Expr):
-                pass
+                # a ready-made tree gets the size limit `parse` enforces
+                _expr.check_size(entry)
             elif isinstance(entry, str):
                 entry = _expr.parse(entry, m)
             else:

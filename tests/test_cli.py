@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import warnings
@@ -13,6 +16,9 @@ import mtcontrol.flow
 import mtcontrol.gramian
 import mtcontrol.system
 from mtcontrol.cli import _json, _render, run
+from mtcontrol.core import DEFAULT_CONFIG
+from mtcontrol.kalman import controllability_matrix, rank_G
+from mtcontrol.system import LinearSystem
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 DEMO_DIAG = str(DEMOS / "diagonal_two_time.json")
@@ -694,7 +700,11 @@ def _reference_tree(a):
 
 
 def _plain(value):
-    """`value` with each array leaf replaced by the rows json.dumps is given."""
+    """`value` with each array leaf replaced by what json.dumps is given: the
+    rows of a float array, the list of dicts of a structured int array."""
+    if isinstance(value, np.ndarray) and value.dtype.names:
+        return [{name: record[name].tolist() for name in value.dtype.names}
+                for record in value]
     if isinstance(value, np.ndarray):
         return _reference_tree(value)
     if isinstance(value, dict):
@@ -720,15 +730,21 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320, 1e3
                 0.1, 1 / 3, -123456789.123456789, 1e-5, 1e11, 999999999999.5,
                 1e12, -1e12, 123456789012.5, 1e15, 9.99999999999e15, 1e16, 2.5e16]
 _ENTRIES = st.one_of(st.floats(), st.sampled_from(_EDGE_VALUES))
+# few distinct values, repeated, with signed zeros: as in G, mostly zeros
+_POOLS = st.one_of(st.just([0.0, -0.0, 1e12, 5e-324]),
+                   st.lists(_ENTRIES, min_size=1, max_size=4))
 _MATRICES = st.one_of(
     arrays(float, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_ENTRIES),
     arrays(float, st.tuples(st.just(1), st.integers(1, 40)), elements=_ENTRIES),
     arrays(float, st.tuples(st.integers(1, 40), st.just(1)), elements=_ENTRIES),
+    _POOLS.flatmap(lambda pool: arrays(
+        float, st.tuples(st.integers(1, 8), st.integers(1, 12)),
+        elements=st.sampled_from(pool))),
 )
 _TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", '"quoted"', "\x00\x1f\n\t",
                                               "caf\u00e9", "\U0001f600", "%d %s %%"]))
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _ENTRIES, _TEXT)
-# block_index-like records, and near misses that must take the generic path
+# lists of dicts, written by the generic path
 _RECORDS = st.integers(0, 4).flatmap(lambda n: st.lists(st.fixed_dictionaries({
     "alpha": st.integers(-3, 10**20),
     "exponents": st.lists(st.integers(0, 9), min_size=n, max_size=n),
@@ -737,8 +753,14 @@ _NEAR_RECORDS = st.lists(st.fixed_dictionaries({
     "alpha": st.one_of(st.integers(0, 3), st.booleans()),
     "exponents": st.lists(st.one_of(st.integers(0, 3), st.booleans()), max_size=3),
 }), min_size=1, max_size=4)
+# structured int arrays, written as lists of records (as `block_index` is)
+_TABLES = st.integers(1, 3).flatmap(lambda n: arrays(
+    np.dtype([("alpha", np.int64), ("exponents", np.int64, (n,))]),
+    st.integers(0, 5), elements=st.tuples(st.integers(-3, 2**62),
+                                          st.lists(st.integers(0, 9), min_size=n,
+                                                   max_size=n).map(tuple))))
 _TREES = st.recursive(
-    st.one_of(_SCALARS, _MATRICES, _RECORDS, _NEAR_RECORDS),
+    st.one_of(_SCALARS, _MATRICES, _RECORDS, _NEAR_RECORDS, _TABLES),
     lambda children: st.one_of(st.lists(children, max_size=5),
                                st.dictionaries(_TEXT, children, max_size=5)),
     max_leaves=12)
@@ -789,3 +811,41 @@ def test_text_rows_print_each_entry_as_fmt(a):
     else:
         assert lines == ["G:"] + ["  [" + ", ".join(format(float(x), ".12g") for x in row)
                                   + "]" for row in a]
+
+
+def _commuting_config(m, n, k, seed):
+    """Diagonal integer M_a, which commute, and integer N_a."""
+    rng = np.random.default_rng(seed)
+    return {"m": m, "n": n, "k": k,
+            "M": [np.diag(rng.integers(-2, 3, n)).tolist() for _ in range(m)],
+            "N": [rng.integers(-2, 3, (n, k)).tolist() for _ in range(m)]}
+
+
+def _printed(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(1, 3))
+       .filter(lambda s: s[0] * s[1] ** s[0] * s[2] <= 2000),
+       st.integers(0, 2**32 - 1))
+def test_kalman_report_writes_block_index_as_the_record_list(tmp_path_factory, size,
+                                                             seed):
+    m, n, k = size
+    doc = _commuting_config(m, n, k, seed)
+    path = tmp_path_factory.mktemp("kalman") / "config.json"
+    path.write_text(json.dumps(doc))
+    system = LinearSystem.from_data(m, n, k, doc["M"], doc["N"])
+    G = controllability_matrix(system)
+    # the report as it was built from one dict per block
+    order = sorted(itertools.product(range(n), repeat=m),
+                   key=lambda ks: (sum(ks), [-x for x in ks]))
+    tree = {"command": "kalman", "G": G.value,
+            "block_index": [{"alpha": a, "exponents": list(ks)}
+                            for a in range(1, m + 1) for ks in order],
+            "rank": rank_G(G, DEFAULT_CONFIG), "state_dimension": n}
+    assert _printed(["--json", "kalman", str(path)]) == (0, _stdlib(tree) + "\n")
+    assert _printed(["kalman", str(path)]) == (0, "\n".join(_render(tree)) + "\n")

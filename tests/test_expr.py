@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from mtcontrol.expr import (MAX_TOKENS, Call, ExprDomainError, ExprError, Neg,
-                            Num, Var, differentiate, parse)
+from mtcontrol.expr import (MAX_TOKENS, BinOp, Call, ExprDomainError, ExprError,
+                            Neg, Num, Var, differentiate, parse)
+from mtcontrol.system import MatrixFunction
 
 
 def test_parse_exp_neg_product():
@@ -213,5 +214,19 @@ def test_size_limit_is_a_named_error(shape):
         points = np.full((3, 1), 0.5)
         assert np.all(np.isfinite(e.eval(points))) and np.all(np.isfinite(d.eval(points)))
         assert str(e) and str(d)
+        # MatrixFunction takes the largest parsed tree as it is
+        f = MatrixFunction([[e]], 1)
+        assert len(f._varying) == 1 and f._varying[0][2] is e
+        assert f(points)[:, 0, 0].tobytes() == e.eval(points).tobytes()
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("leaves", [MAX_TOKENS // 2 + 1, 2001])
+def test_matrix_function_refuses_an_oversized_tree(leaves):
+    # a left-associative sum of `leaves` variables: 2 * leaves - 1 nodes
+    e = Var(1)
+    for _ in range(leaves - 1):
+        e = BinOp("+", e, Var(1))
+    with pytest.raises(ExprError, match=f"more than {MAX_TOKENS} nodes"):
+        MatrixFunction([[e]], 1)
