@@ -420,7 +420,7 @@ def _json_spelling(tokens: list[str]) -> list[str]:
 
 def _json_matrix(a: np.ndarray, pad: str) -> str:
     """A 2-D float array as the list of its rows, each entry rounded to
-    `_FMT`: one `%` call formats the entries and one fills the layout."""
+    `_FMT`: `_formatted` gives the tokens and one `%` call fills the layout."""
     rows, cols = a.shape
     if not rows:
         return "[]"
