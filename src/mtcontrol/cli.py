@@ -63,10 +63,10 @@ def _formatted(a: np.ndarray, spell=None) -> list[str]:
     Each distinct bit pattern is formatted and spelled once, all in one `%`
     call, and its token is gathered back for every entry that has it.
     Keying on the int64 view keeps -0.0 apart from 0.0."""
-    flat = a.ravel()
-    bits = flat.view(np.int64).tolist()
-    distinct = dict(zip(bits, flat.tolist()))  # in order of first occurrence
-    tokens = ((_FMT + " ") * len(distinct) % tuple(distinct.values())).split()
+    bits = a.ravel().view(np.int64).tolist()
+    distinct = list(set(bits))
+    values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+    tokens = ((_FMT + " ") * len(distinct) % tuple(values)).split()
     if spell is not None:
         tokens = spell(tokens)
     return list(map(dict(zip(distinct, tokens)).__getitem__, bits))

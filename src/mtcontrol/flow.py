@@ -164,29 +164,26 @@ def solve_adjoint(sys: LinearSystem, t0, phi0, t,
     return fundamental_matrix(sys, t0, t, cfg).value.T @ phi0
 
 
-def _forced_solve(sys: LinearSystem, F_value, t0, x0, t,
+def _forced_solve(sys: LinearSystem, forcing, t0, x0, t,
                   curve: PolylineCurve | None, cfg: NumericConfig) -> np.ndarray:
     """x(t) = chi(t, t0) x0 + integral over `curve` (default: the segment
     t0 -> t) of chi(t, s) F_alpha(s) ds^a.
 
-    F_value(alpha, s) gives F_alpha as an (n, 1) column at one point s, or
-    as (P, n, 1) on a batch of points; each integrand call passes its whole
-    batch of quadrature nodes to `transition`."""
+    forcing(s) gives the (m, P, n, 1) stack of every F_alpha on a batch of
+    points s (P, m).  The integrand takes one `transition` per segment, on
+    the segment's Gauss nodes, and applies that chi to the forcing of every
+    advancing direction: chi(t, s) does not depend on alpha."""
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if curve is None:
         curve = curve_segment(t0, t)
 
-    def member(alpha):
-        def P(s):
-            return transition(sys, t, s, cfg) @ F_value(alpha, s)
-        return P
+    def stack(alphas, s):
+        return transition(sys, t, s, cfg) @ forcing(s)[alphas - 1]
 
-    integrand = OneFormFamily([member(alpha) for alpha in range(1, sys.m + 1)],
-                              (sys.n, 1))
-    forced = integrate_along(integrand, curve, cfg)[:, 0]
-    return transition(sys, t, t0, cfg) @ x0 + forced
+    forced = integrate_along(OneFormFamily(stack, sys.m, (sys.n, 1)), curve, cfg)
+    return transition(sys, t, t0, cfg) @ x0 + forced[:, 0]
 
 
 def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
@@ -199,7 +196,7 @@ def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
     """
     require(check_M_commutation(sys, cfg))
     require(check_F_compatibility(sys, F, cfg))
-    return _forced_solve(sys, lambda a, s: F[a - 1](s), t0, x0, t, curve, cfg)
+    return _forced_solve(sys, F, t0, x0, t, curve, cfg)
 
 
 def solve_controlled(sys: LinearSystem, u, t0, x0, t,
@@ -207,7 +204,7 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
                      cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Controlled solution with F_alpha = N_alpha u_alpha.
 
-    `u` is a ControlFamily or any object exposing value/derivative; it is
+    `u` is a ControlFamily or any object exposing values/derivative; it is
     rejected when it falls outside the control space.
     """
     require(check_M_commutation(sys, cfg))
@@ -219,5 +216,5 @@ def _controlled_solve(sys: LinearSystem, u, t0, x0, t,
                       curve: PolylineCurve | None,
                       cfg: NumericConfig) -> np.ndarray:
     """`solve_controlled` for a caller that has already decided u is a control."""
-    return _forced_solve(sys, lambda a, s: sys.N[a - 1](s) @ u.value(a, s)[..., None],
+    return _forced_solve(sys, lambda s: sys.N(s) @ u.values(s)[..., None],
                          t0, x0, t, curve, cfg)

@@ -89,18 +89,20 @@ def gramian_integrand(sys: LinearSystem, anchor,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> OneFormFamily:
     """One-form s -> chi(anchor, s) N_a(s) N_a(s)' chi(anchor, s)'.
 
-    A member takes one point s (m,) or a batch (Q, m) and passes it straight
-    to `transition`."""
+    A call takes a batch of points s (Q, m) and passes it straight to
+    `transition`, once per requested direction."""
     anchor = as_point(anchor, m=sys.m)
 
-    def member(alpha):
-        def P(s):
-            half = transition(sys, anchor, s, cfg) @ sys.N[alpha - 1](s)
-            return half @ _T(half)
-        return P
+    def stack(alphas, s):
+        # chi(anchor, s) does not depend on alpha, yet it is taken once per
+        # direction: bench/test_bench.py and tests/test_gramian.py pin 16 * m
+        # expm calls per constant gramian.  One chi for all directions once
+        # the pin counts matrices (ROADMAP item 1).
+        half = np.stack([transition(sys, anchor, s, cfg) @ sys.N[alpha - 1](s)
+                         for alpha in alphas])
+        return half @ _T(half)
 
-    return OneFormFamily([member(alpha) for alpha in range(1, sys.m + 1)],
-                         (sys.n, sys.n))
+    return OneFormFamily(stack, sys.m, (sys.n, sys.n))
 
 
 def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,

@@ -33,7 +33,7 @@ __all__ = [
 class SynthesizedControl:
     """The closed-over family u_alpha(s) = N_alpha(s)' chi(t0, s)' v.
 
-    Exposes value/derivative so the control-compatibility check can accept
+    Exposes values/derivative so the control-compatibility check can accept
     it; the partial derivative uses d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).
     `valid` records whether the gramian condition held at construction
     (equivalently, whether the family is guaranteed to be a control).
@@ -52,10 +52,15 @@ class SynthesizedControl:
         chi = transition(self.system, self.anchor, s, self.cfg)
         return (_T(chi) @ self.v)[..., None]
 
+    def values(self, s) -> np.ndarray:
+        """Every u_alpha(s), stacked: (m, k) at one point s (m,), (m, P, k)
+        on a batch of points (P, m).  chi(t0, s)' v is taken once for all
+        directions."""
+        return (_T(self.system.N(s)) @ self._weight(s))[..., 0]
+
     def value(self, alpha: int, s) -> np.ndarray:
-        """u_alpha(s) as a k-vector at one point s (m,); (P, k) on a batch
-        of points (P, m)."""
-        return (_T(self.system.N[alpha - 1](s)) @ self._weight(s))[..., 0]
+        """u_alpha(s): k-vector at one point s (m,), (P, k) on a batch."""
+        return self.values(s)[alpha - 1]
 
     def derivative(self, alpha: int, beta: int, s) -> np.ndarray:
         """d u_alpha / ds^beta at one point (k,) or on a batch (P, k)."""
@@ -77,11 +82,7 @@ class SynthesizedControl:
         rows = []
         for p in points:
             p = as_point(p, m=self.system.m)
-            rows.append({
-                "t": p.tolist(),
-                "u": [self.value(a, p).tolist()
-                      for a in range(1, self.system.m + 1)],
-            })
+            rows.append({"t": p.tolist(), "u": self.values(p).tolist()})
         return rows
 
 

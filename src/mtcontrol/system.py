@@ -237,10 +237,14 @@ class ControlFamily(MatrixFamily):
     def zero(cls, m: int, k: int) -> "ControlFamily":
         return cls([MatrixFunction(np.zeros((k, 1)), m) for _ in range(m)])
 
+    def values(self, t) -> np.ndarray:
+        """Every u_alpha(t) as a flat k-vector, stacked: (m, k) at one point
+        of shape (m,), (m, P, k) on a batch of points of shape (P, m)."""
+        return self(t)[..., 0]
+
     def value(self, alpha: int, t) -> np.ndarray:
-        """u_alpha(t) as a flat k-vector (alpha is 1-based); (P, k) on a
-        batch of points of shape (P, m)."""
-        return self.members[alpha - 1](t)[..., 0]
+        """u_alpha(t) (alpha is 1-based): (k,) at one point, (P, k) on a batch."""
+        return self.values(t)[alpha - 1]
 
     def derivative(self, alpha: int, beta: int, t) -> np.ndarray:
         """d u_alpha / dt^beta at t, as a flat k-vector; (P, k) on a batch."""
@@ -442,8 +446,9 @@ def check_control_compat(sys: LinearSystem, u,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Decides membership of u in the control space: X_ab = M_a N_b u_b
     + N_a du_a/dt^b + (dN_a/dt^b) u_a symmetric in (a, b).  `u` is a
-    ControlFamily or any object exposing value(alpha, T) and
-    derivative(alpha, beta, T) that map a (P, m) batch of points to (P, k).
+    ControlFamily or any object exposing values(T), which maps a (P, m)
+    batch of points to the (m, P, k) stack of every u_alpha, and
+    derivative(alpha, beta, T), which maps it to (P, k).
     """
     name = "control-compatibility (Eq. 14)"
     if sys.m == 1:
@@ -451,7 +456,7 @@ def check_control_compat(sys: LinearSystem, u,
     u_constant = getattr(u, "is_constant", False)
     T, A, B = _sample(sys, sys.is_constant and u_constant, cfg)
     N = sys.N(T)
-    U = np.stack([u.value(a, T) for a in range(1, sys.m + 1)])[..., None]
+    U = u.values(T)[..., None]
     X = sys.M(T)[A] @ (N @ U)[B]
     if not u_constant:
         X = X + N[A] @ np.stack([u.derivative(a + 1, b + 1, T) for a, b

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from mtcontrol import LinearSystem
-from mtcontrol.flow import _rk4
+from mtcontrol.core import DEFAULT_CONFIG, as_point
+from mtcontrol.flow import _rk4, transition
+from mtcontrol.synth import SynthesizedControl
+from mtcontrol.system import _T
 
 
 @pytest.fixture
@@ -112,3 +115,44 @@ def rk4_chi(sys, curve, cfg):
         if np.any(b != a):
             X = _rk4(sys, a[None], b, cfg)[0] @ X
     return X
+
+
+def per_direction_forced_solve(sys, F_value, t0, x0, t, curve,
+                               cfg=DEFAULT_CONFIG):
+    """chi(t, t0) x0 + the integral of chi(t, s) F_alpha(s) ds^alpha along
+    `curve`, one direction at a time: every direction that advances on a
+    segment takes its own chi(t, s) on the segment's Gauss nodes and its
+    own F_alpha = F_value(alpha, nodes) (P, n, 1); the terms are summed
+    node-major, direction-minor, segment by segment."""
+    x, w = np.polynomial.legendre.leggauss(cfg.quad_points_per_segment)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    t0, t = as_point(t0, m=sys.m), as_point(t, m=sys.m)
+    total = np.zeros((sys.n, 1))
+    for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
+        delta = b - a
+        if not np.any(delta):
+            continue
+        points = (1.0 - nodes)[:, None] * a + nodes[:, None] * b
+        advancing = [alpha for alpha in range(1, sys.m + 1) if delta[alpha - 1] != 0.0]
+        values = [transition(sys, t, points, cfg) @ F_value(alpha, points)
+                  for alpha in advancing]
+        seg = np.zeros((sys.n, 1))
+        for q, weight in enumerate(weights):
+            for alpha, value in zip(advancing, values):
+                seg += weight * delta[alpha - 1] * value[q]
+        total += seg
+    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    return transition(sys, t, t0, cfg) @ x0 + total[:, 0]
+
+
+def per_direction_control_forcing(sys, u, cfg=DEFAULT_CONFIG):
+    """F_alpha = N_alpha u_alpha for `per_direction_forced_solve`, with
+    u_alpha on its own: a `SynthesizedControl` takes its own
+    chi(t0, s)' v per direction, a `ControlFamily` evaluates member alpha."""
+    def u_value(alpha, s):
+        if isinstance(u, SynthesizedControl):
+            weight = (_T(transition(sys, u.anchor, s, cfg)) @ u.v)[..., None]
+            return (_T(sys.N[alpha - 1](s)) @ weight)[..., 0]
+        return u.members[alpha - 1](s)[..., 0]
+
+    return lambda alpha, s: sys.N[alpha - 1](s) @ u_value(alpha, s)[..., None]

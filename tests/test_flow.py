@@ -10,11 +10,14 @@ from scipy.linalg import expm
 from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        MatrixFamily, fundamental_matrix, solve_adjoint,
                        solve_affine, solve_controlled, solve_homogeneous)
-from mtcontrol.core import PolylineCurve, curve_segment, staircase
-from mtcontrol.flow import transition
+from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve, curve_segment, staircase
+from mtcontrol.flow import _controlled_solve, transition
+from mtcontrol.synth import candidate_control
 from mtcontrol.system import MatrixFunction
 
-from conftest import axis_scaled_system, random_commuting_system, rk4_chi
+from conftest import (axis_scaled_system, per_direction_control_forcing,
+                      per_direction_forced_solve, random_commuting_system,
+                      rk4_chi)
 
 
 def test_diag_flow_closed_form(diag_sys):
@@ -429,3 +432,41 @@ def test_a_malformed_batch_of_points_is_refused(caller, batch, diag_sys):
         call[caller]()
     assert str(exc.value) == (f"expected a batch of finite multitimes of "
                               f"dimension 2, got shape {shape}")
+
+
+def _forced_case(kind, m, seed):
+    """A condition-passing system, a forcing F_a = M_a c that passes the F
+    gate (M_a F_b = M_a M_b c is symmetric when the M_a commute), and
+    generic endpoints inside the domain."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        sys = random_commuting_system(rng, n=3, m=m, k=2)
+        c = rng.standard_normal(sys.n)
+        F = MatrixFamily([MatrixFunction((M(np.zeros(m)) @ c)[:, None], m)
+                          for M in sys.M])
+        u = ControlFamily.from_data(rng.standard_normal((m, sys.k, 1)).tolist(), m)
+    else:
+        sys = axis_scaled_system()
+        c1, c2 = rng.uniform(-2.0, 2.0, size=2).tolist()
+        F = MatrixFamily.from_data([[[f"{c1!r}*t1"], [0]], [[0], [f"{c2!r}*t2"]]], 2)
+        u = ControlFamily.from_data([[["t1*t2"]], [["cos(t1) - t2"]]], 2)
+    t0, t = rng.uniform(-1.0, 2.0, size=(2, sys.m))
+    return sys, F, u, t0, t, rng.standard_normal(sys.n), rng.standard_normal(sys.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1), stairs=st.booleans())
+def test_forced_solves_equal_the_per_direction_formula(kind, m, seed, stairs):
+    sys, F, u, t0, t, x0, v = _forced_case(kind, m, seed)
+    curve = staircase(t0, t) if stairs else curve_segment(t0, t)
+    affine = solve_affine(sys, F, t0, x0, t, curve)
+    expected = per_direction_forced_solve(sys, lambda a, s: F[a - 1](s),
+                                          t0, x0, t, curve)
+    assert np.array_equal(affine, expected)
+    for control in (u, candidate_control(sys, t0, v)):
+        controlled = _controlled_solve(sys, control, t0, x0, t, curve,
+                                       DEFAULT_CONFIG)
+        expected = per_direction_forced_solve(
+            sys, per_direction_control_forcing(sys, control), t0, x0, t, curve)
+        assert np.array_equal(controlled, expected)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mtcontrol import (MatrixFamily, OneFormFamily, PolylineCurve,
-                       curve_segment, integrate_along)
+from mtcontrol import (MatrixFamily, NumericConfig, OneFormFamily, PolylineCurve,
+                       controllability_gramian, curve_segment, integrate_along)
 from mtcontrol.gramian import gramian_integrand
+from mtcontrol.pathint import _gauss_nodes
 
 
 def primitive(P, t0, t):
@@ -14,8 +15,15 @@ def primitive(P, t0, t):
 
 
 def constant_one_form(matrices):
-    mats = [np.asarray(c, dtype=float) for c in matrices]
-    return OneFormFamily([(lambda t, c=c: c) for c in mats], mats[0].shape)
+    mats = np.stack([np.asarray(c, dtype=float) for c in matrices])
+    return OneFormFamily(lambda alphas, t: mats[alphas - 1][:, None],
+                         len(mats), mats.shape[1:])
+
+
+def family_one_form(fam):
+    """The one-form whose P_alpha is the family member A_alpha."""
+    return OneFormFamily(lambda alphas, t: fam(t)[np.subtract(alphas, 1)],
+                         fam.m, fam.shape)
 
 
 def test_constant_integrand_is_exact():
@@ -53,20 +61,20 @@ def test_primitive_constant():
 
 def test_primitive_linear_integrand():
     fam = MatrixFamily.from_data([[["2*t1"]], [["0"]]], 2)
-    P = OneFormFamily(list(fam), fam.shape)
+    P = family_one_form(fam)
     assert primitive(P, (0, 0), (2, 0))[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_primitive_at_base_point_is_zero():
     fam = MatrixFamily.from_data([[["2*t1"]], [["t2"]]], 2)
-    P = OneFormFamily(list(fam), fam.shape)
+    P = family_one_form(fam)
     assert np.array_equal(primitive(P, (1, 1), (1, 1)), np.zeros((1, 1)))
 
 
 def test_primitive_differentiates_back_to_integrand():
     # closed one-form: P1 = t2, P2 = t1 (mixed partials match)
     fam = MatrixFamily.from_data([[["t2"]], [["t1"]]], 2)
-    P = OneFormFamily(list(fam), fam.shape)
+    P = family_one_form(fam)
     t0 = np.array([0.0, 0.0])
     h = 1e-6
     for t in ([0.7, 0.4], [1.3, -0.5]):
@@ -82,7 +90,7 @@ def test_primitive_differentiates_back_to_integrand():
 
 def test_additivity_and_reversal():
     fam = MatrixFamily.from_data([[["t1*t2"]], [["cos(t1)"]]], 2)
-    P = OneFormFamily(list(fam), fam.shape)
+    P = family_one_form(fam)
     a, b, c = np.array([0.0, 0.0]), np.array([1.0, 0.5]), np.array([2.0, -1.0])
     whole = integrate_along(P, PolylineCurve(np.stack([a, b, c])))
     parts = (integrate_along(P, curve_segment(a, b)) +
@@ -92,3 +100,19 @@ def test_additivity_and_reversal():
     backward = integrate_along(P, curve_segment(c, a))
     assert np.allclose(forward, -backward, atol=1e-12)
 
+
+
+def test_order_one_is_the_midpoint_rule(diag_sys):
+    nodes, weights = _gauss_nodes(1)
+    assert nodes.tolist() == [0.5] and weights.tolist() == [1.0]
+    midpoint = NumericConfig(quad_points_per_segment=1)
+    fam = MatrixFamily.from_data([[["2*t1 + 3"]], [["1 - t1"]]], 2)
+    got = integrate_along(family_one_form(fam), curve_segment((0, 0), (2, 1)),
+                          midpoint)
+    # t1 = 2 tau, t2 = tau: integral of (4 tau + 3) 2 + (1 - 2 tau) over [0, 1]
+    assert got[0, 0] == pytest.approx(10.0, abs=1e-13)
+    one = controllability_gramian(diag_sys, (0, 0), (1, 1), midpoint).value
+    two = controllability_gramian(diag_sys, (0, 0), (1, 1),
+                                  NumericConfig(quad_points_per_segment=2)).value
+    assert one[0, 0] == pytest.approx(math.exp(-1), rel=1e-15)
+    assert not np.array_equal(one, two)

@@ -145,3 +145,24 @@ def test_describe_and_sample(diag_sys):
     rows = u.sample([(0.0, 0.0), (1.0, 0.0)])
     assert rows[0]["u"][0] == [1.0]
     assert rows[1]["u"][0][0] == pytest.approx(math.exp(-1))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_constant_round_trip_takes_one_chi_per_node_batch(m, monkeypatch):
+    # one segment: chi(t, s) and chi(t0, s) on the 16 Gauss nodes, for all
+    # directions at once, and chi(t, t0) for the free part
+    import mtcontrol.flow
+    sys, _ = random_passing_system(np.random.default_rng(m), m=m)
+    t0, t = np.zeros(m), np.ones(m)
+    x0 = np.ones(sys.n)
+    result = synthesize_transfer(sys, t0, x0, t, np.zeros(sys.n))
+    calls = []
+    original = mtcontrol.flow.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(mtcontrol.flow, "expm", counting)
+    verify_transfer(sys, result.control, t0, x0, t)
+    assert len(calls) == 2 * 16 + 1
