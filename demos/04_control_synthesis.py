@@ -42,5 +42,5 @@ print(f"\ninfeasible request: feasible={bad.feasible}, "
 # compatibility condition holds.
 u = candidate_control(diag, t0, (1.0, 0.0))
 print(f"\ncandidate control for v=e1, valid={u.valid}:")
-print(f"  u1((0.5, 0)) = {u.value(1, (0.5, 0.0))}  (= e^-0.5)")
-print(f"  u2((0.5, 0)) = {u.value(2, (0.5, 0.0))}")
+print(f"  u1((0.5, 0)) = {u((0.5, 0.0))[0, :, 0]}  (= e^-0.5)")
+print(f"  u2((0.5, 0)) = {u((0.5, 0.0))[1, :, 0]}")

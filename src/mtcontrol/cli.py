@@ -397,17 +397,13 @@ _NON_FINITE = "Out of range float values are not JSON compliant: "
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 
 
-def _not_serializable(o):
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(pad: str):
-    """The C encoder with json.dumps(indent=2)'s separators for the items of
-    a container of scalars that sit at `pad`."""
-    return json.encoder.c_make_encoder(
-        None, _not_serializable, json.encoder.encode_basestring_ascii, None,
-        ": ", ",\n" + pad, False, False, False)
+    """`encode` of a JSONEncoder with json.dumps(indent=2)'s separators for
+    the items of a container of scalars that sit at `pad`.  With no indent
+    it runs the stdlib's C encoder where there is one."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": "), allow_nan=False,
+                            check_circular=False).encode
 
 
 def _json_spelling(tokens: list[str]) -> list[str]:
@@ -463,9 +459,9 @@ def _json(value, pad: str = "") -> str:
              value if isinstance(value, (list, tuple)) else ())
     inner = pad + "  "
     if not any(isinstance(v, _CONTAINERS) for v in items):
-        # a scalar, or a container of scalars: one C-encoder call
+        # a scalar, or a container of scalars: one encoder call
         try:
-            text = "".join(_flat_encoder(inner)(value, 0))
+            text = _flat_encoder(inner)(value)
         except ValueError:  # the C encoder's message does not name the value
             bad = next(x for x in (items or [value])
                        if isinstance(x, float) and not math.isfinite(x))
@@ -543,6 +539,10 @@ def run(argv=None) -> int:
         code = 2
     except (ConfigError, ValueError, ExprDomainError) as exc:
         tree = {"command": args.command, "error": str(exc)}
+        code = 2
+    except MemoryError as exc:  # numpy's message names the size, Python's is empty
+        tree = {"command": args.command,
+                "error": f"out of memory: {exc}" if str(exc) else "out of memory"}
         code = 2
     if args.json:
         try:

@@ -182,7 +182,7 @@ def _forced_solve(sys: LinearSystem, forcing, t0, x0, t,
     def stack(alphas, s):
         return transition(sys, t, s, cfg) @ forcing(s)[alphas - 1]
 
-    forced = integrate_along(OneFormFamily(stack, sys.m, (sys.n, 1)), curve, cfg)
+    forced = integrate_along(OneFormFamily(stack, (sys.n, 1)), curve, cfg)
     return transition(sys, t, t0, cfg) @ x0 + forced[:, 0]
 
 
@@ -204,8 +204,9 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
                      cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Controlled solution with F_alpha = N_alpha u_alpha.
 
-    `u` is a ControlFamily or any object exposing values/derivative; it is
-    rejected when it falls outside the control space.
+    `u` is a family of k x 1 columns, a ControlFamily or a
+    SynthesizedControl (see `check_control_compat`); it is rejected when
+    it falls outside the control space.
     """
     require(check_M_commutation(sys, cfg))
     require(check_control_compat(sys, u, cfg))
@@ -216,5 +217,4 @@ def _controlled_solve(sys: LinearSystem, u, t0, x0, t,
                       curve: PolylineCurve | None,
                       cfg: NumericConfig) -> np.ndarray:
     """`solve_controlled` for a caller that has already decided u is a control."""
-    return _forced_solve(sys, lambda s: sys.N(s) @ u.values(s)[..., None],
-                         t0, x0, t, curve, cfg)
+    return _forced_solve(sys, lambda s: sys.N(s) @ u(s), t0, x0, t, curve, cfg)

@@ -102,7 +102,7 @@ def gramian_integrand(sys: LinearSystem, anchor,
                          for alpha in alphas])
         return half @ _T(half)
 
-    return OneFormFamily(stack, sys.m, (sys.n, sys.n))
+    return OneFormFamily(stack, (sys.n, sys.n))
 
 
 def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,

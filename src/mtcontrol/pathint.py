@@ -7,7 +7,8 @@ at desk scale; raise quad_points_per_segment in NumericConfig if needed.
 Quadrature is batched: the one-form is called once per segment, on all of
 the segment's Gauss nodes as one (Q, m) array of points, and returns the
 values of every advancing direction as one stack, so work that does not
-depend on the direction (such as chi at the nodes) is done once.
+depend on the direction (such as chi at the nodes) is done once, and the
+segment's terms are added in one ordered reduction.
 """
 
 from __future__ import annotations
@@ -23,20 +24,20 @@ __all__ = ["OneFormFamily", "integrate_along"]
 
 
 class OneFormFamily:
-    """m matrix-valued coefficient functions P_alpha: D -> R^{r x c}, as one
-    callable `stack(alphas, points)`.
+    """The matrix-valued coefficient functions P_alpha: D -> R^{r x c} of a
+    one-form, as one callable `stack(alphas, points)`.
 
     `alphas` is an integer array of 1-based directions and `points` a
     (Q, m) batch; the result is the (len(alphas), Q, r, c) stack of
     P_alpha at every point, or (len(alphas), 1, r, c) for values that do
-    not depend on the point.  E.g. the gramian integrand
-    s -> chi(t0,s) N_a(s) N_a(s)' chi(t0,s)' for all requested a at once.
+    not depend on the point, which broadcast over the nodes.  E.g. the
+    gramian integrand s -> chi(t0,s) N_a(s) N_a(s)' chi(t0,s)' for all
+    requested a at once.
     """
 
     def __init__(self, stack: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 m: int, shape: tuple[int, int]):
+                 shape: tuple[int, int]):
         self.stack = stack
-        self.m = m
         self.shape = shape
 
     def __call__(self, alphas, t: np.ndarray) -> np.ndarray:
@@ -60,10 +61,10 @@ def integrate_along(P: OneFormFamily, curve: PolylineCurve,
     """Gauss-Legendre approximation of the curvilinear integral along `curve`.
 
     P is called once per segment that moves, with the directions that
-    advance on it and the (Q, m) batch of the segment's Gauss nodes.
-    Contributions are summed node-major, direction-minor within a segment
-    and in segment order across segments, which keeps the result
-    deterministic.
+    advance on it and the (Q, m) batch of the segment's Gauss nodes.  The
+    segment's (Q, A, r, c) terms w_q delta^a P_a(node_q) are added
+    node-major, direction-minor, strictly left to right, and the segments
+    in order, so the result is deterministic.
     """
     nodes, weights = _gauss_nodes(cfg.quad_points_per_segment)
     total = np.zeros(P.shape)
@@ -73,12 +74,7 @@ def integrate_along(P: OneFormFamily, curve: PolylineCurve,
             continue
         points = (1.0 - nodes)[:, None] * a + nodes[:, None] * b
         advancing = np.flatnonzero(delta)
-        values = np.broadcast_to(P(advancing + 1, points),
-                                 (len(advancing), len(nodes)) + P.shape)
-        steps = delta[advancing]
-        seg = np.zeros(P.shape)
-        for q, w in enumerate(weights):
-            for step, value in zip(steps, values):
-                seg += w * step * value[q]
-        total += seg
+        scales = weights[:, None] * delta[advancing]  # w_q delta^a, (Q, A)
+        terms = scales[..., None, None] * np.swapaxes(P(advancing + 1, points), 0, 1)
+        total += np.add.accumulate(terms.reshape((-1,) + P.shape))[-1]
     return total

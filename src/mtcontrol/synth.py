@@ -31,12 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SynthesizedControl:
-    """The closed-over family u_alpha(s) = N_alpha(s)' chi(t0, s)' v.
-
-    Exposes values/derivative so the control-compatibility check can accept
-    it; the partial derivative uses d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).
-    `valid` records whether the gramian condition held at construction
-    (equivalently, whether the family is guaranteed to be a control).
+    """The closed-over family u_alpha(s) = N_alpha(s)' chi(t0, s)' v of
+    k x 1 columns, taken like a ControlFamily; `derivatives` uses
+    d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).  `valid` records whether the
+    gramian condition held at construction (equivalently, whether the
+    family is guaranteed to be a control).
     """
 
     system: LinearSystem
@@ -45,6 +44,7 @@ class SynthesizedControl:
     valid: bool
     gramian_condition: ConditionReport
     cfg: NumericConfig = field(default=DEFAULT_CONFIG, repr=False)
+    is_constant = False  # a class attribute, not a field
 
     def _weight(self, s) -> np.ndarray:
         """chi(t0, s)' v as an (n, 1) column at one point s (m,), or as
@@ -52,24 +52,22 @@ class SynthesizedControl:
         chi = transition(self.system, self.anchor, s, self.cfg)
         return (_T(chi) @ self.v)[..., None]
 
-    def values(self, s) -> np.ndarray:
-        """Every u_alpha(s), stacked: (m, k) at one point s (m,), (m, P, k)
-        on a batch of points (P, m).  chi(t0, s)' v is taken once for all
-        directions."""
-        return (_T(self.system.N(s)) @ self._weight(s))[..., 0]
+    def __call__(self, s) -> np.ndarray:
+        """Every u_alpha(s) as a k x 1 column, stacked: (m, k, 1) at one
+        point s (m,), (m, P, k, 1) on a batch of points (P, m).
+        chi(t0, s)' v is taken once for all directions."""
+        return _T(self.system.N(s)) @ self._weight(s)
 
-    def value(self, alpha: int, s) -> np.ndarray:
-        """u_alpha(s): k-vector at one point s (m,), (P, k) on a batch."""
-        return self.values(s)[alpha - 1]
-
-    def derivative(self, alpha: int, beta: int, s) -> np.ndarray:
-        """d u_alpha / ds^beta at one point (k,) or on a batch (P, k)."""
+    def derivatives(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """du_a/ds^b on the points T (P, m) for each ordered pair (a, b) of
+        the 0-based index arrays (A, B), as a (len(A), P, k, 1) stack.
+        chi(t0, s)' v is taken once for all pairs."""
         sysm = self.system
-        w = self._weight(s)
-        out = -_T(sysm.N[alpha - 1](s)) @ _T(sysm.M[beta - 1](s)) @ w
+        w = self._weight(T)
+        out = -_T(sysm.N(T)[A]) @ _T(sysm.M(T)[B]) @ w
         if not sysm.N.is_constant:
-            out = out + _T(sysm.N[alpha - 1].diff(beta)(s)) @ w
-        return out[..., 0]
+            out = out + _T(sysm.N.derivatives(T, A, B)) @ w
+        return out
 
     def describe(self) -> str:
         v = ", ".join(f"{x:.12g}" for x in self.v)
@@ -82,7 +80,7 @@ class SynthesizedControl:
         rows = []
         for p in points:
             p = as_point(p, m=self.system.m)
-            rows.append({"t": p.tolist(), "u": self.values(p).tolist()})
+            rows.append({"t": p.tolist(), "u": self(p)[..., 0].tolist()})
         return rows
 
 

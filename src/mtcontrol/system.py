@@ -208,13 +208,20 @@ class MatrixFamily:
     def __getitem__(self, alpha0: int) -> MatrixFunction:
         return self.members[alpha0]
 
+    def derivatives(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """dA_a/dt^b on the points T (P, m) for each ordered pair (a, b) of
+        the 0-based index arrays (A, B), as a (len(A), P, r, c) stack: a
+        different function per pair."""
+        return np.stack([self[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
+
 
 class ControlFamily(MatrixFamily):
     """A control candidate u = (u_alpha): m members, each a k x 1 column.
 
     Entries are constants or expressions; membership in the control space
     is decided by `check_control_compat`.  Black-box callables without
-    derivatives are deliberately not accepted.
+    derivatives are deliberately not accepted.  u(t) is the (m, P, k, 1)
+    stack on a batch of points, as for any family.
     """
 
     def __init__(self, members: Sequence[MatrixFunction]):
@@ -236,19 +243,6 @@ class ControlFamily(MatrixFamily):
     @classmethod
     def zero(cls, m: int, k: int) -> "ControlFamily":
         return cls([MatrixFunction(np.zeros((k, 1)), m) for _ in range(m)])
-
-    def values(self, t) -> np.ndarray:
-        """Every u_alpha(t) as a flat k-vector, stacked: (m, k) at one point
-        of shape (m,), (m, P, k) on a batch of points of shape (P, m)."""
-        return self(t)[..., 0]
-
-    def value(self, alpha: int, t) -> np.ndarray:
-        """u_alpha(t) (alpha is 1-based): (k,) at one point, (P, k) on a batch."""
-        return self.values(t)[alpha - 1]
-
-    def derivative(self, alpha: int, beta: int, t) -> np.ndarray:
-        """d u_alpha / dt^beta at t, as a flat k-vector; (P, k) on a batch."""
-        return self.members[alpha - 1].diff(beta)(t)[..., 0]
 
 
 def _once_per_system(func):
@@ -389,13 +383,6 @@ def _sample(sys: LinearSystem, constant: bool, cfg: NumericConfig
     return (T, *_ordered_pairs(sys.m)[1:])
 
 
-def _derivatives(family: MatrixFamily, T: np.ndarray, A: np.ndarray,
-                 B: np.ndarray) -> np.ndarray:
-    """dF_a/dt^b on the points T for each ordered pair (a, b) of (A, B), as
-    a (2K, P, r, c) stack: a different function per pair."""
-    return np.stack([family[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
-
-
 def _symmetry_report(name: str, X: np.ndarray, T: np.ndarray,
                      cfg: NumericConfig) -> ConditionReport:
     """The report on |X_ab - X_ba| for the (2K, P, r, c) stack X of X_ab on
@@ -423,7 +410,7 @@ def check_M_commutation(sys: LinearSystem,
     M = sys.M(T)
     X = M[A] @ M[B]
     if not sys.M.is_constant:
-        X = X + _derivatives(sys.M, T, A, B)
+        X = X + sys.M.derivatives(T, A, B)
     return _symmetry_report(name, X, T, cfg)
 
 
@@ -438,31 +425,31 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
     T, A, B = _sample(sys, sys.M.is_constant and F.is_constant, cfg)
     X = sys.M(T)[A] @ F(T)[B]
     if not F.is_constant:
-        X = X + _derivatives(F, T, A, B)
+        X = X + F.derivatives(T, A, B)
     return _symmetry_report(name, X, T, cfg)
 
 
 def check_control_compat(sys: LinearSystem, u,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Decides membership of u in the control space: X_ab = M_a N_b u_b
-    + N_a du_a/dt^b + (dN_a/dt^b) u_a symmetric in (a, b).  `u` is a
-    ControlFamily or any object exposing values(T), which maps a (P, m)
-    batch of points to the (m, P, k) stack of every u_alpha, and
-    derivative(alpha, beta, T), which maps it to (P, k).
+    + N_a du_a/dt^b + (dN_a/dt^b) u_a symmetric in (a, b).  `u` is a family
+    of k x 1 columns, as F is for `check_F_compatibility`: u(T) maps a
+    (P, m) batch of points to the (m, P, k, 1) stack of every u_alpha,
+    u.derivatives(T, A, B) gives du_a/dt^b for each ordered pair, and
+    u.is_constant says whether those are all zero.  A ControlFamily and a
+    SynthesizedControl are such families.
     """
     name = "control-compatibility (Eq. 14)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
-    u_constant = getattr(u, "is_constant", False)
-    T, A, B = _sample(sys, sys.is_constant and u_constant, cfg)
+    T, A, B = _sample(sys, sys.is_constant and u.is_constant, cfg)
     N = sys.N(T)
-    U = u.values(T)[..., None]
+    U = u(T)
     X = sys.M(T)[A] @ (N @ U)[B]
-    if not u_constant:
-        X = X + N[A] @ np.stack([u.derivative(a + 1, b + 1, T) for a, b
-                                 in zip(A.tolist(), B.tolist())])[..., None]
+    if not u.is_constant:
+        X = X + N[A] @ u.derivatives(T, A, B)
     if not sys.N.is_constant:
-        X = X + _derivatives(sys.N, T, A, B) @ U[A]
+        X = X + sys.N.derivatives(T, A, B) @ U[A]
     return _symmetry_report(name, X, T, cfg)
 
 
@@ -479,6 +466,6 @@ def check_gramian_compat(sys: LinearSystem,
     Ma, Na, Nb = sys.M(T)[A], N[A], N[B]
     X = Ma @ Nb @ _T(Nb) + (N @ _T(N))[B] @ _T(Ma)
     if not sys.N.is_constant:
-        dN = _derivatives(sys.N, T, A, B)
+        dN = sys.N.derivatives(T, A, B)
         X = X + dN @ _T(Na) + Na @ _T(dN)
     return _symmetry_report(name, X, T, cfg)

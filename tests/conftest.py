@@ -117,32 +117,47 @@ def rk4_chi(sys, curve, cfg):
     return X
 
 
-def per_direction_forced_solve(sys, F_value, t0, x0, t, curve,
-                               cfg=DEFAULT_CONFIG):
-    """chi(t, t0) x0 + the integral of chi(t, s) F_alpha(s) ds^alpha along
-    `curve`, one direction at a time: every direction that advances on a
-    segment takes its own chi(t, s) on the segment's Gauss nodes and its
-    own F_alpha = F_value(alpha, nodes) (P, n, 1); the terms are summed
-    node-major, direction-minor, segment by segment."""
+def term_by_term_integral(value, curve, shape, cfg=DEFAULT_CONFIG):
+    """The Gauss-Legendre curvilinear integral of P_alpha = value(alpha,
+    nodes) along `curve`, one term at a time: on each segment that moves,
+    every advancing direction gives its own (Q, r, c) values on the
+    segment's Gauss nodes ((1, r, c) when they do not depend on the
+    point), and the terms w_q delta^alpha P_alpha(node_q) are added
+    node-major, direction-minor into a segment sum that starts at zero;
+    the segment sums are added in order."""
     x, w = np.polynomial.legendre.leggauss(cfg.quad_points_per_segment)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    t0, t = as_point(t0, m=sys.m), as_point(t, m=sys.m)
-    total = np.zeros((sys.n, 1))
+    total = np.zeros(shape)
     for a, b in zip(curve.waypoints[:-1], curve.waypoints[1:]):
         delta = b - a
         if not np.any(delta):
             continue
         points = (1.0 - nodes)[:, None] * a + nodes[:, None] * b
-        advancing = [alpha for alpha in range(1, sys.m + 1) if delta[alpha - 1] != 0.0]
-        values = [transition(sys, t, points, cfg) @ F_value(alpha, points)
+        advancing = [alpha for alpha in range(1, len(delta) + 1)
+                     if delta[alpha - 1] != 0.0]
+        values = [np.broadcast_to(value(alpha, points), (len(nodes),) + shape)
                   for alpha in advancing]
-        seg = np.zeros((sys.n, 1))
+        seg = np.zeros(shape)
         for q, weight in enumerate(weights):
-            for alpha, value in zip(advancing, values):
-                seg += weight * delta[alpha - 1] * value[q]
+            for alpha, values_alpha in zip(advancing, values):
+                seg += weight * delta[alpha - 1] * values_alpha[q]
         total += seg
+    return total
+
+
+def per_direction_forced_solve(sys, F_value, t0, x0, t, curve,
+                               cfg=DEFAULT_CONFIG):
+    """chi(t, t0) x0 + the integral of chi(t, s) F_alpha(s) ds^alpha along
+    `curve`, one direction at a time: every direction that advances on a
+    segment takes its own chi(t, s) on the segment's Gauss nodes and its
+    own F_alpha = F_value(alpha, nodes) (P, n, 1), summed term by term
+    (`term_by_term_integral`)."""
+    t0, t = as_point(t0, m=sys.m), as_point(t, m=sys.m)
+    forced = term_by_term_integral(
+        lambda alpha, s: transition(sys, t, s, cfg) @ F_value(alpha, s),
+        curve, (sys.n, 1), cfg)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    return transition(sys, t, t0, cfg) @ x0 + total[:, 0]
+    return transition(sys, t, t0, cfg) @ x0 + forced[:, 0]
 
 
 def per_direction_control_forcing(sys, u, cfg=DEFAULT_CONFIG):

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 import mtcontrol.flow
 import mtcontrol.gramian
 import mtcontrol.system
-from mtcontrol.cli import _json, _render, run
+from mtcontrol.cli import _flat_encoder, _json, _render, run
 from mtcontrol.core import DEFAULT_CONFIG
 from mtcontrol.kalman import controllability_matrix, rank_G
 from mtcontrol.system import LinearSystem
@@ -604,6 +604,35 @@ def test_negative_values_after_a_space(capsys, diag_cfg, argv, mode):
     assert spaced[0] == 0 and spaced[2] == ""
 
 
+# sizes that numpy or Python refuses before allocating anything
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("doc, argv", [
+    ({"m": 1, "n": 1, "k": 1, "M": [[["t1"]]], "N": [[[1]]], "domain": [[0, 1]],
+      "numeric": {"ode_steps_per_segment": 10**12}},
+     ["flow", "--t0", "0", "--t", "1"]),
+    ({"m": 1, "n": 1, "k": 1, "M": [[[1]]], "N": [[[1]]],
+      "numeric": {"quad_points_per_segment": 10**12}},
+     ["gramian", "--t0", "0", "--t", "1"]),
+    ({"m": 2, "n": 1, "k": 1, "M": [[["t1"]], [[0]]], "N": [[[1]], [[0]]],
+      "domain": [[0, 1], [0, 1]], "numeric": {"grid_samples_per_axis": 10**6}},
+     ["check"]),
+], ids=["ode_steps", "quad_points", "grid_samples"])
+def test_out_of_memory_is_a_named_error(capsys, tmp_path, doc, argv, json_mode):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = run((["--json"] if json_mode else []) + [argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    if json_mode:
+        tree = json.loads(captured.out, parse_constant=_reject_constant)
+        assert tree["command"] == argv[0] and list(tree) == ["command", "error"]
+        message = tree["error"]
+    else:
+        assert captured.out.startswith(f"command: {argv[0]}\nerror: ")
+        message = captured.out.splitlines()[1][len("error: "):]
+    assert message == "out of memory" or message.startswith("out of memory: ")
+
+
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_underflowed_fundamental_matrix_is_a_named_error(capsys, tmp_path, json_mode):
     # chi = e^-800 underflows to 0.0: finite, but its condition number is
@@ -668,11 +697,14 @@ _DEMO_REFUSED = {("cyclic_three_time", c) for c in ("gramian", "analyze",
                                                     "synthesize")}
 
 
-@pytest.mark.parametrize("command", ["check", "flow", "gramian", "kalman",
-                                     "analyze", "synthesize", "simulate"])
-@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.json")))
-def test_every_subcommand_on_the_demos_emits_strict_json(capsys, tmp_path, demo,
-                                                         command):
+_COMMANDS = ["check", "flow", "gramian", "kalman", "analyze", "synthesize",
+             "simulate"]
+_DEMO_NAMES = sorted(p.stem for p in DEMOS.glob("*.json"))
+
+
+def _demo_argv(demo, command, tmp_path):
+    """`command` on the demo config with a unit step from the origin, a zero
+    control and a first-basis-vector start."""
     path = DEMOS / f"{demo}.json"
     doc = json.loads(path.read_text())
     m, n, k = doc["m"], doc["n"], doc["k"]
@@ -689,7 +721,14 @@ def test_every_subcommand_on_the_demos_emits_strict_json(capsys, tmp_path, demo,
         "synthesize": ["--t0", t0, "--t", t, "--x0", x0, "--y", y],
         "simulate": ["--t0", t0, "--t", t, "--x0", x0, "--control", str(control)],
     }[command]
-    code = run(["--json", command, str(path), *flags])
+    return [command, str(path), *flags]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("demo", _DEMO_NAMES)
+def test_every_subcommand_on_the_demos_emits_strict_json(capsys, tmp_path, demo,
+                                                         command):
+    code = run(["--json", *_demo_argv(demo, command, tmp_path)])
     tree = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == (2 if (demo, command) in _DEMO_REFUSED else 0)
     assert tree["command"] == command
@@ -786,13 +825,21 @@ def test_json_matrix_edge_shapes(a):
     assert json.loads(_json(tree))["G"] == _reference_tree(a)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("where", ["scalar", "list", "matrix", "nested"])
-def test_json_names_the_first_non_finite_value(bad, where):
+def _non_finite_tree(bad, where):
     leaf = {"scalar": bad, "list": [1.0, bad, math.nan],
             "matrix": np.array([[0.5, bad], [math.nan, 1.0]]),
             "nested": [[1, {"x": [bad]}], math.nan]}[where]
-    tree = {"command": "flow", "ok": [1.0, 2.0], "value": leaf, "after": math.nan}
+    return {"command": "flow", "ok": [1.0, 2.0], "value": leaf, "after": math.nan}
+
+
+_NON_FINITE_CASES = [(bad, where) for bad in (math.inf, -math.inf, math.nan)
+                     for where in ("scalar", "list", "matrix", "nested")]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["scalar", "list", "matrix", "nested"])
+def test_json_names_the_first_non_finite_value(bad, where):
+    tree = _non_finite_tree(bad, where)
     message = f"Out of range float values are not JSON compliant: {bad!r}"
     with pytest.raises(ValueError) as stdlib:
         _stdlib(tree)
@@ -800,6 +847,29 @@ def test_json_names_the_first_non_finite_value(bad, where):
     with pytest.raises(ValueError) as ours:
         _json(tree)
     assert str(ours.value) == message
+
+
+def test_json_needs_no_c_accelerator(capsys, monkeypatch, tmp_path):
+    """Without the stdlib's _json accelerator (e.g. on PyPy)
+    json.encoder.c_make_encoder is None; every demo report is the same
+    bytes and every non-finite value the same message."""
+    def written():
+        reports = []
+        for demo in _DEMO_NAMES:
+            for command in _COMMANDS:
+                code = run(["--json", *_demo_argv(demo, command, tmp_path)])
+                reports.append((code, capsys.readouterr().out))
+        messages = []
+        for bad, where in _NON_FINITE_CASES:
+            with pytest.raises(ValueError) as exc:
+                _json(_non_finite_tree(bad, where))
+            messages.append(str(exc.value))
+        return reports, messages
+
+    accelerated = written()
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    _flat_encoder.cache_clear()  # as built where the name is None
+    assert written() == accelerated
 
 
 @settings(max_examples=100, deadline=None)

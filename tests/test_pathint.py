@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcontrol import (MatrixFamily, NumericConfig, OneFormFamily, PolylineCurve,
                        controllability_gramian, curve_segment, integrate_along)
 from mtcontrol.gramian import gramian_integrand
 from mtcontrol.pathint import _gauss_nodes
+
+from conftest import term_by_term_integral
 
 
 def primitive(P, t0, t):
@@ -17,13 +21,13 @@ def primitive(P, t0, t):
 def constant_one_form(matrices):
     mats = np.stack([np.asarray(c, dtype=float) for c in matrices])
     return OneFormFamily(lambda alphas, t: mats[alphas - 1][:, None],
-                         len(mats), mats.shape[1:])
+                         mats.shape[1:])
 
 
 def family_one_form(fam):
     """The one-form whose P_alpha is the family member A_alpha."""
     return OneFormFamily(lambda alphas, t: fam(t)[np.subtract(alphas, 1)],
-                         fam.m, fam.shape)
+                         fam.shape)
 
 
 def test_constant_integrand_is_exact():
@@ -100,6 +104,51 @@ def test_additivity_and_reversal():
     backward = integrate_along(P, curve_segment(c, a))
     assert np.allclose(forward, -backward, atol=1e-12)
 
+
+# signed zeros among the entries, so that whole segments of -0.0 terms occur
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                     st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+@st.composite
+def one_form_cases(draw):
+    """A one-form P_alpha(t) = C_alpha + D_alpha sin(t^1 + ... + t^m) (or
+    C_alpha alone, a stack that does not depend on the point), a polyline
+    whose segments move along a drawn subset of the axes, possibly none
+    (stationary) or one (axis-parallel), and a quadrature order."""
+    m = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    coefficients = st.lists(_ENTRIES, min_size=m * shape[0] * shape[1],
+                            max_size=m * shape[0] * shape[1])
+    C = np.reshape(draw(coefficients), (m,) + shape)
+    D = np.reshape(draw(coefficients), (m,) + shape)
+    pointwise = draw(st.booleans())
+    waypoints = [np.array(draw(st.lists(_ENTRIES, min_size=m, max_size=m)))]
+    for _ in range(draw(st.integers(1, 4))):
+        nxt = waypoints[-1].copy()
+        for axis in draw(st.sets(st.integers(0, m - 1))):
+            nxt[axis] = draw(_ENTRIES)
+        waypoints.append(nxt)
+    order = draw(st.sampled_from([1, 2, 16]))
+    return C, D, pointwise, PolylineCurve(np.stack(waypoints)), order
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_form_cases())
+def test_integrate_along_equals_the_term_by_term_sum_bit_for_bit(case):
+    C, D, pointwise, curve, order = case
+    cfg = NumericConfig(quad_points_per_segment=order)
+
+    def stack(alphas, t):
+        if not pointwise:
+            return C[alphas - 1][:, None]
+        return C[alphas - 1][:, None] + D[alphas - 1][:, None] * np.sin(
+            t.sum(axis=1))[None, :, None, None]
+
+    got = integrate_along(OneFormFamily(stack, C.shape[1:]), curve, cfg)
+    expected = term_by_term_integral(lambda alpha, t: stack(np.array([alpha]), t)[0],
+                                     curve, C.shape[1:], cfg)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_order_one_is_the_midpoint_rule(diag_sys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mtcontrol import (CompatibilityError, candidate_control,
+from mtcontrol import (CompatibilityError, LinearSystem, candidate_control,
                        check_control_compat, solve_homogeneous,
                        synthesize_transfer, verify_transfer)
 from mtcontrol.flow import transition
@@ -16,7 +16,7 @@ def test_zero_candidate_is_always_valid(cyclic_sys, diag_sys):
         u = candidate_control(sys, np.zeros(sys.m), np.zeros(sys.n))
         assert u.valid
         for alpha in range(1, sys.m + 1):
-            assert np.array_equal(u.value(alpha, np.ones(sys.m) * 0.3),
+            assert np.array_equal(u(np.ones(sys.m) * 0.3)[alpha - 1, :, 0],
                                   np.zeros(sys.k))
 
 
@@ -25,22 +25,33 @@ def test_diag_candidate_closed_form(diag_sys):
     assert u.valid
     for s1, s2 in ((0.0, 0.0), (0.5, 2.0), (1.0, -1.0)):
         s = (s1, s2)
-        assert u.value(1, s)[0] == pytest.approx(math.exp(-s1), rel=1e-12)
-        assert u.value(2, s)[0] == 0.0
+        assert u(s)[0, 0, 0] == pytest.approx(math.exp(-s1), rel=1e-12)
+        assert u(s)[1, 0, 0] == 0.0
+
+
+def varying_N_system():
+    """M1 = diag(t1, 0), M2 = diag(0, t2) (they commute) with a time-varying
+    N whose members depend on both variables, so every dN_a/dt^b != 0."""
+    return LinearSystem.from_data(
+        2, 2, 1,
+        [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
+        [[["cos(t2)"], ["t1 * t2"]], [["exp(t1)"], ["sin(t1 + t2)"]]],
+        domain=[[-1, 2], [-1, 2]])
 
 
 def test_candidate_derivative_matches_finite_differences(diag_sys):
-    u = candidate_control(diag_sys, (0, 0), (0.7, -0.4))
     h = 1e-6
-    for alpha in (1, 2):
-        for beta in (1, 2):
-            s = np.array([0.3, 0.9])
+    s = np.array([0.3, 0.9])
+    A, B = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    for sys in (diag_sys, varying_N_system()):
+        u = candidate_control(sys, (0, 0), (0.7, -0.4))
+        derivatives = u.derivatives(s[None], A, B)[:, 0, :, 0]
+        for alpha, beta, derivative in zip(A + 1, B + 1, derivatives):
             sp, sm = s.copy(), s.copy()
             sp[beta - 1] += h
             sm[beta - 1] -= h
-            fd = (u.value(alpha, sp) - u.value(alpha, sm)) / (2 * h)
-            assert np.allclose(u.derivative(alpha, beta, s), fd,
-                               rtol=1e-6, atol=1e-6)
+            fd = (u(sp)[alpha - 1, :, 0] - u(sm)[alpha - 1, :, 0]) / (2 * h)
+            assert np.allclose(derivative, fd, rtol=1e-6, atol=1e-6)
 
 
 def test_cyclic_candidate_flagged_invalid(cyclic_sys):

@@ -516,13 +516,16 @@ def reference_F_compatibility(sys, F, cfg):
 
 
 def reference_control_compat(sys, u, cfg):
-    constant = sys.is_constant and getattr(u, "is_constant", False)
+    constant = sys.is_constant and u.is_constant
+
+    def du(a, b, T):
+        return u.derivatives(T, np.array([a - 1]), np.array([b - 1]))[0]
 
     def sides(a, b, T):
         Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
-        ua, ub = u.value(a, T)[..., None], u.value(b, T)[..., None]
-        lhs = sys.M[a - 1](T) @ (Nb @ ub) + Na @ u.derivative(a, b, T)[..., None]
-        rhs = sys.M[b - 1](T) @ (Na @ ua) + Nb @ u.derivative(b, a, T)[..., None]
+        ua, ub = u(T)[a - 1], u(T)[b - 1]
+        lhs = sys.M[a - 1](T) @ (Nb @ ub) + Na @ du(a, b, T)
+        rhs = sys.M[b - 1](T) @ (Na @ ua) + Nb @ du(b, a, T)
         if not sys.N.is_constant:
             lhs = lhs + sys.N[a - 1].diff(b)(T) @ ua
             rhs = rhs + sys.N[b - 1].diff(a)(T) @ ub
