@@ -30,8 +30,6 @@ import re
 import sys
 
 import numpy as np
-from numpy.lib.recfunctions import (structured_to_unstructured,
-                                    unstructured_to_structured)
 
 from . import flow, gramian, kalman, synth
 from .core import NumericConfig, PolylineCurve, as_point
@@ -231,10 +229,11 @@ def cmd_kalman(args) -> dict:
     return {
         "command": "kalman",
         "G": G.value,
-        # the records {"alpha": a, "exponents": [k_1, ..., k_m]}, one per block
-        "block_index": unstructured_to_structured(
-            G.block_table, np.dtype([("alpha", np.int64),
-                                     ("exponents", np.int64, (system.m,))])),
+        # the records {"alpha": a, "exponents": [k_1, ..., k_m]}, one per block:
+        # a record view of the rows of the contiguous int64 block table
+        "block_index": G.block_table.view(
+            np.dtype([("alpha", np.int64),
+                      ("exponents", np.int64, (system.m,))]))[:, 0],
         "rank": kalman.rank_G(G, cfg),
         "state_dimension": system.n,
     }
@@ -371,8 +370,9 @@ def _fields(table: np.ndarray) -> list[tuple[str, int | None]]:
 
 
 def _table_ints(table: np.ndarray) -> tuple:
-    """The fields of every record of a structured int table, record-major."""
-    return tuple(structured_to_unstructured(table).ravel().tolist())
+    """The fields of every record of a contiguous structured int64 table,
+    record-major: the table read as one flat int64 array."""
+    return tuple(table.view(np.int64).tolist())
 
 
 def _text_table(table: np.ndarray, pad: str) -> str:

@@ -2,6 +2,8 @@
 
 For constant families chi(t, t0) = expm(sum_a M_a (t^a - t0^a)); the
 matrix exponential is scipy's scaling-and-squaring Pade implementation.
+scipy is needed only there: `expm` imports it on its first call, so a
+process that never exponentiates a constant family never loads it.
 For time-varying families chi is integrated with classical RK4 along the
 straight segment from t0 to t, which is a valid canonical path whenever
 the commutation condition holds (the integral is then path independent).
@@ -21,11 +23,11 @@ A chi with non-finite entries (overflow) is a named ValueError.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
                    as_points, curve_segment)
@@ -44,6 +46,17 @@ __all__ = [
 ]
 
 _COND_WARN_THRESHOLD = 1e12
+
+
+@functools.cache
+def _scipy_expm():
+    from scipy.linalg import expm
+    return expm
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm(a), with scipy imported on the first call."""
+    return _scipy_expm()(a)
 
 
 @dataclass(frozen=True)

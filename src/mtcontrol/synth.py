@@ -62,12 +62,18 @@ class SynthesizedControl:
         """du_a/ds^b on the points T (P, m) for each ordered pair (a, b) of
         the 0-based index arrays (A, B), as a (len(A), P, k, 1) stack.
         chi(t0, s)' v is taken once for all pairs."""
+        return self.jet(T, A, B)[1]
+
+    def jet(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
+        """(self(T), self.derivatives(T, A, B)) from one chi(t0, s)' v on
+        the points T (P, m)."""
         sysm = self.system
         w = self._weight(T)
-        out = -_T(sysm.N(T)[A]) @ _T(sysm.M(T)[B]) @ w
+        N = sysm.N(T)
+        out = -_T(N[A]) @ _T(sysm.M(T)[B]) @ w
         if not sysm.N.is_constant:
             out = out + _T(sysm.N.derivatives(T, A, B)) @ w
-        return out
+        return _T(N) @ w, out
 
     def describe(self) -> str:
         v = ", ".join(f"{x:.12g}" for x in self.v)

@@ -214,6 +214,11 @@ class MatrixFamily:
         different function per pair."""
         return np.stack([self[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
 
+    def jet(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
+        """(self(T), self.derivatives(T, A, B)), with None for the
+        derivatives of a constant family."""
+        return self(T), None if self.is_constant else self.derivatives(T, A, B)
+
 
 class ControlFamily(MatrixFamily):
     """A control candidate u = (u_alpha): m members, each a k x 1 column.
@@ -433,21 +438,21 @@ def check_control_compat(sys: LinearSystem, u,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Decides membership of u in the control space: X_ab = M_a N_b u_b
     + N_a du_a/dt^b + (dN_a/dt^b) u_a symmetric in (a, b).  `u` is a family
-    of k x 1 columns, as F is for `check_F_compatibility`: u(T) maps a
-    (P, m) batch of points to the (m, P, k, 1) stack of every u_alpha,
-    u.derivatives(T, A, B) gives du_a/dt^b for each ordered pair, and
-    u.is_constant says whether those are all zero.  A ControlFamily and a
-    SynthesizedControl are such families.
+    of k x 1 columns, as F is for `check_F_compatibility`: u.jet(T, A, B)
+    gives, on a (P, m) batch of points, the (m, P, k, 1) stack of every
+    u_alpha and du_a/dt^b for each ordered pair (None when u.is_constant
+    says those are all zero), from one evaluation of u.  A ControlFamily
+    and a SynthesizedControl are such families.
     """
     name = "control-compatibility (Eq. 14)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, sys.is_constant and u.is_constant, cfg)
     N = sys.N(T)
-    U = u(T)
+    U, dU = u.jet(T, A, B)
     X = sys.M(T)[A] @ (N @ U)[B]
-    if not u.is_constant:
-        X = X + N[A] @ u.derivatives(T, A, B)
+    if dU is not None:
+        X = X + N[A] @ dU
     if not sys.N.is_constant:
         X = X + sys.N.derivatives(T, A, B) @ U[A]
     return _symmetry_report(name, X, T, cfg)

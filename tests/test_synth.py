@@ -8,7 +8,7 @@ from mtcontrol import (CompatibilityError, LinearSystem, candidate_control,
                        synthesize_transfer, verify_transfer)
 from mtcontrol.flow import transition
 
-from conftest import random_passing_system
+from conftest import axis_scaled_system, random_passing_system
 
 
 def test_zero_candidate_is_always_valid(cyclic_sys, diag_sys):
@@ -52,6 +52,41 @@ def test_candidate_derivative_matches_finite_differences(diag_sys):
             sm[beta - 1] -= h
             fd = (u(sp)[alpha - 1, :, 0] - u(sm)[alpha - 1, :, 0]) / (2 * h)
             assert np.allclose(derivative, fd, rtol=1e-6, atol=1e-6)
+
+
+class _TwoChiRoute:
+    """The control check's inputs as u(T) and u.derivatives(T, A, B) give
+    them, each taking chi(t0, s) on the grid itself."""
+
+    is_constant = False
+
+    def __init__(self, u):
+        self.u = u
+
+    def jet(self, T, A, B):
+        return self.u(T), self.u.derivatives(T, A, B)
+
+
+@pytest.mark.parametrize("make", [axis_scaled_system, varying_N_system])
+def test_control_check_takes_chi_once(make, monkeypatch):
+    import mtcontrol.synth
+    sys = make()
+    u = candidate_control(sys, (0.0, 0.0), (0.7, -0.4))
+    reference = check_control_compat(sys, _TwoChiRoute(u))
+    calls = []
+    original = mtcontrol.synth.transition
+
+    def counting(*args):
+        calls.append(np.shape(args[2]))
+        return original(*args)
+
+    monkeypatch.setattr(mtcontrol.synth, "transition", counting)
+    report = check_control_compat(sys, u)
+    assert len(calls) == 1 and len(calls[0]) == 2  # one batch of grid points
+    assert (report.condition_name, report.max_residual, report.passed,
+            report.worst_pair) == (reference.condition_name, reference.max_residual,
+                                   reference.passed, reference.worst_pair)
+    assert np.array_equal(report.worst_point, reference.worst_point)
 
 
 def test_cyclic_candidate_flagged_invalid(cyclic_sys):
