@@ -70,6 +70,10 @@ def _formatted(a: np.ndarray, spell=None) -> list[str]:
     return list(map(dict(zip(distinct, tokens)).__getitem__, bits))
 
 
+# The dimension of each point flag: multitimes take m coordinates, states n.
+_POINT_DIMENSIONS = {"t0": "m", "t": "m", "x0": "n", "y": "n", "phi0": "n"}
+
+
 def _parse_point(text: str, m: int) -> np.ndarray:
     try:
         coords = [float(part) for part in text.split(",")]
@@ -152,9 +156,12 @@ def _refusal(exc: CompatibilityError) -> dict:
 
 
 # --- commands ---------------------------------------------------------------
+#
+# `run` loads the config and parses every point flag given before it calls a
+# command, so each command takes the system, its numeric config, the config
+# document and its points, and a malformed request computes nothing.
 
-def cmd_check(args) -> dict:
-    system, cfg, doc = build_system(load_config(args.config))
+def cmd_check(args, system, cfg, doc) -> dict:
     conditions = [check_M_commutation(system, cfg)]
     u = _load_control(doc["u"], system) if "u" in doc else \
         ControlFamily.zero(system.m, system.k)
@@ -174,10 +181,7 @@ def cmd_check(args) -> dict:
     return tree
 
 
-def cmd_flow(args) -> dict:
-    system, cfg, _ = build_system(load_config(args.config))
-    t0 = _parse_point(args.t0, system.m)
-    t = _parse_point(args.t, system.m)
+def cmd_flow(args, system, cfg, doc, t0, t, x0=None, phi0=None) -> dict:
     fm = flow.fundamental_matrix(system, t, t0, cfg)
     if not np.isfinite(fm.condition_number):
         # the true chi is invertible: an infinite condition number with a
@@ -194,20 +198,15 @@ def cmd_flow(args) -> dict:
         "chi": fm.value,
         "condition_number": float(_fmt(fm.condition_number)),
     }
-    if args.x0 is not None:
-        x0 = _parse_point(args.x0, system.n)
+    if x0 is not None:
         tree["x"] = [float(_fmt(v)) for v in fm.value @ x0]
-    if args.phi0 is not None:
-        phi0 = _parse_point(args.phi0, system.n)
+    if phi0 is not None:
         tree["phi"] = [float(_fmt(v))
                        for v in flow.solve_adjoint(system, t0, phi0, t, cfg)]
     return tree
 
 
-def cmd_gramian(args) -> dict:
-    system, cfg, _ = build_system(load_config(args.config))
-    t0 = _parse_point(args.t0, system.m)
-    t = _parse_point(args.t, system.m)
+def cmd_gramian(args, system, cfg, doc, t0, t) -> dict:
     curve = _parse_path(args.force_path, system.m) if args.force_path else None
     func = (gramian.controllability_gramian if args.kind == "C"
             else gramian.reachability_gramian)
@@ -223,8 +222,7 @@ def cmd_gramian(args) -> dict:
     }
 
 
-def cmd_kalman(args) -> dict:
-    system, cfg, _ = build_system(load_config(args.config))
+def cmd_kalman(args, system, cfg, doc) -> dict:
     G = kalman.controllability_matrix(system, cfg)
     return {
         "command": "kalman",
@@ -239,19 +237,18 @@ def cmd_kalman(args) -> dict:
     }
 
 
-def cmd_analyze(args) -> dict:
-    system, cfg, _ = build_system(load_config(args.config))
-    t0 = _parse_point(args.t0, system.m)
-    t = _parse_point(args.t, system.m)
-    x0 = _parse_point(args.x0, system.n) if args.x0 is not None else np.zeros(system.n)
-    y = _parse_point(args.y, system.n) if args.y is not None else np.zeros(system.n)
+def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
+    # every section below needs the gramian: its gates refuse before any work
+    require(check_M_commutation(system, cfg))
+    require(check_gramian_compat(system, cfg))
+    transfer = x0 is not None and y is not None
+    x0 = np.zeros(system.n) if x0 is None else x0
+    y = np.zeros(system.n) if y is None else y
     tree: dict = {"command": "analyze", "t0": t0.tolist(), "t": t.tolist(),
                   "constant_system": system.is_constant}
     decision = None  # one gramian verdict serves every section below
     if system.is_constant:
         report = kalman.autonomous_analysis(system, t0, x0, t, y, cfg)
-        # without the gramian condition the complete decision below is refused
-        require(report.gramian_condition)
         decision = report.gramian_decision
         tree["autonomous"] = {
             "rank_G": report.rank_G,
@@ -265,7 +262,7 @@ def cmd_analyze(args) -> dict:
             "rank_C": decision.rank,
             "gramian_transfer_feasible": decision.feasible,
         }
-    if args.x0 is not None and args.y is not None:
+    if transfer:
         if decision is None:
             decision = gramian.decide_transfer(system, t0, x0, t, y, cfg)
         tree["transfer"] = {
@@ -287,12 +284,7 @@ def cmd_analyze(args) -> dict:
     return tree
 
 
-def cmd_synthesize(args) -> dict:
-    system, cfg, _ = build_system(load_config(args.config))
-    t0 = _parse_point(args.t0, system.m)
-    t = _parse_point(args.t, system.m)
-    x0 = _parse_point(args.x0, system.n)
-    y = _parse_point(args.y, system.n)
+def cmd_synthesize(args, system, cfg, doc, t0, t, x0, y) -> dict:
     result = synth.synthesize_transfer(system, t0, x0, t, y, cfg)
     tree = {
         "command": "synthesize",
@@ -312,11 +304,7 @@ def cmd_synthesize(args) -> dict:
     return tree
 
 
-def cmd_simulate(args) -> dict:
-    system, cfg, _ = build_system(load_config(args.config))
-    t0 = _parse_point(args.t0, system.m)
-    t = _parse_point(args.t, system.m)
-    x0 = _parse_point(args.x0, system.n)
+def cmd_simulate(args, system, cfg, doc, t0, t, x0) -> dict:
     control_doc = load_config(args.control)
     if isinstance(control_doc, dict) and "u" not in control_doc:
         raise ConfigError("control document is missing required key 'u'")
@@ -532,7 +520,11 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
-        tree = args.func(args)
+        system, cfg, doc = build_system(load_config(args.config))
+        points = {name: _parse_point(text, getattr(system, dim))
+                  for name, dim in _POINT_DIMENSIONS.items()
+                  if (text := getattr(args, name, None)) is not None}
+        tree = args.func(args, system, cfg, doc, **points)
         code = 0
     except CompatibilityError as exc:
         tree = {"command": args.command, **_refusal(exc)}

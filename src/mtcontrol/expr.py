@@ -135,6 +135,9 @@ class Neg(Expr):
     def diff(self, alpha):
         return _neg(self.arg.diff(alpha))
 
+    def is_constant(self):
+        return self.arg.is_constant()
+
     def __str__(self):
         return f"(-{self.arg})"
 
@@ -168,6 +171,9 @@ class BinOp(Expr):
         # (u/v)' = (u'v - uv') / v^2
         num = _binop("-", _binop("*", da, self.right), _binop("*", self.left, db))
         return _binop("/", num, _binop("*", self.right, self.right))
+
+    def is_constant(self):
+        return self.left.is_constant() and self.right.is_constant()
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"

@@ -29,6 +29,9 @@ DIAG = {
     "N": [[[1], [0]], [[0], [1]]],
 }
 
+# M1 M2 - M2 M1 = diag(1, -1): the M-commutation gate refuses this system
+NILPOTENT = dict(DIAG, M=[[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+
 CYCLIC = {
     "m": 3, "n": 3, "k": 1,
     "M": [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]] * 3,
@@ -239,11 +242,12 @@ def test_each_system_condition_is_evaluated_once(capsys, monkeypatch, tmp_path,
     assert sorted(evaluated) == conditions
 
 
-def test_analyze_cyclic_carries_warning(capsys, cyclic_cfg):
+def test_analyze_cyclic_is_refused_by_the_gramian_gate(capsys, cyclic_cfg):
     code, tree = run_json(capsys, ["analyze", cyclic_cfg, "--t0", "0,0,0",
                                    "--t", "1,1,1"])
     assert code == 2  # the gramian gate refuses the complete decision
     assert tree["refused"]
+    assert tree["gate"]["condition"] == "gramian-compatibility (Eq. 17)"
 
 
 def test_synthesize_free_evolution(capsys, diag_cfg):
@@ -290,9 +294,9 @@ def test_simulate_rejects_bad_control(capsys, cyclic_cfg, tmp_path):
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_simulate_refuses_a_non_commuting_system(capsys, tmp_path, json_mode):
-    # M1 M2 - M2 M1 = diag(1, -1); the zero control passes its own condition
+    # the zero control passes its own condition
     path = tmp_path / "nilpotent.json"
-    path.write_text(json.dumps(dict(DIAG, M=[[[0, 1], [0, 0]], [[0, 0], [1, 0]]])))
+    path.write_text(json.dumps(NILPOTENT))
     control = tmp_path / "control.json"
     control.write_text(json.dumps({"u": [[0], [0]]}))
     code = run((["--json"] if json_mode else []) + [
@@ -330,6 +334,17 @@ def test_bad_point_dimension(capsys, diag_cfg):
                                    "--t", "1,0"])
     assert code == 2
     assert "coordinates" in tree["error"]
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_a_malformed_point_is_reported_before_a_refusal(capsys, tmp_path, json_mode):
+    # every point flag is parsed before chi or any gate is computed
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(NILPOTENT))
+    code = run((["--json"] if json_mode else []) + [
+        "flow", str(path), "--t0", "0,0", "--t", "1,1", "--x0", "1,0,0"])
+    _assert_error_report(capsys, code, "flow", json_mode,
+                         "point '1,0,0' has 3 coordinates, expected 2")
 
 
 def test_reports_are_deterministic(capsys, diag_cfg):

@@ -6,7 +6,7 @@ import pytest
 
 from mtcontrol.expr import (MAX_TOKENS, BinOp, Call, ExprDomainError, ExprError,
                             Neg, Num, Var, differentiate, parse)
-from mtcontrol.system import MatrixFunction
+from mtcontrol.system import LinearSystem, MatrixFunction
 
 
 def test_parse_exp_neg_product():
@@ -176,6 +176,25 @@ def test_print_parse_round_trip():
 def test_negative_literal_prints_reparseable():
     e = Neg(Num(2.0))
     assert parse(str(e), 1)((0.0,)) == -2.0
+
+
+@pytest.mark.parametrize("entry, value", [
+    (Neg(Num(1.0)), -1.0),
+    (BinOp("+", Num(1.0), Num(2.0)), 3.0),
+    (BinOp("*", Neg(Num(2.0)), BinOp("-", Num(1.0), Call("exp", Num(0.0)))), -0.0),
+], ids=["neg", "binop", "nested"])
+def test_hand_built_variable_free_tree_is_a_constant_entry(entry, value):
+    # no domain box: a time-varying system would be refused without one
+    system = LinearSystem.from_data(1, 1, 1, [[[entry]]], [[[1]]])
+    assert entry.is_constant() and system.is_constant
+    assert system.M[0]((0.0,)).tobytes() == np.array([[value]]).tobytes()
+
+
+def test_hand_built_constant_singularity_raises_when_the_matrix_is_built():
+    with pytest.raises(ExprDomainError, match="division by zero"):
+        parse("1/0", 1)
+    with pytest.raises(ExprDomainError, match="division by zero"):
+        MatrixFunction([[BinOp("/", Num(1.0), Num(0.0))]], 1)
 
 
 def _pad(size: int) -> str:

@@ -14,6 +14,7 @@ from mtcontrol.cli import run
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(str(p) for p in (ROOT / "demos" / "configs").glob("*.json"))
 DIAGONAL = str(ROOT / "demos" / "configs" / "diagonal_two_time.json")
+CYCLIC = str(ROOT / "demos" / "configs" / "cyclic_three_time.json")
 
 # M1 = diag(t1, 0), M2 = diag(0, t2): chi comes from RK4, never from expm
 TIME_VARYING = {
@@ -80,6 +81,19 @@ def test_calls_without_an_exponential_run_with_scipy_blocked(tmp_path):
     assert loaded == []
     assert results == [_in_process(argv) for argv in calls]
     assert all(code == 0 for code, _ in results)
+
+
+def test_gate_refusals_run_with_scipy_blocked():
+    # the cyclic demo fails the gramian gate, which refuses before any chi
+    points = ["--t0", "0,0,0", "--t", "1,1,1"]
+    calls = [["gramian", CYCLIC, *points], ["analyze", CYCLIC, *points],
+             ["synthesize", CYCLIC, *points, "--x0", "1,0,0", "--y", "0,0,0"]]
+    calls += [["--json"] + argv for argv in calls]
+    stdout = _stdout(_fresh_python(_BLOCK_SCIPY + _RUN_ALL, json.dumps(calls)))
+    results, loaded = map(json.loads, stdout.splitlines())
+    assert loaded == []
+    assert results == [_in_process(argv) for argv in calls]
+    assert all(code == 2 for code, _ in results)
 
 
 def test_blocking_scipy_stops_a_constant_flow():
