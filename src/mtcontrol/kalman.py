@@ -113,12 +113,9 @@ def rank_G(G: ControllabilityMatrix, cfg: NumericConfig = DEFAULT_CONFIG) -> int
 
 @dataclass(frozen=True)
 class AutonomousReport:
-    """Decision report for a constant system.
-
-    The Im(G)-based verdicts are only guaranteed when the gramian
-    compatibility condition holds; when it fails, `warning` is set and the
-    gramian/control-space route is the authoritative one (Im G can
-    overstate what controls can actually achieve).
+    """Decision report for a constant system that passes the gramian
+    compatibility condition, the one under which the Im(G)-based verdicts
+    are guaranteed; `gramian_decision` is the gramian verdict alongside.
     """
 
     rank_G: int
@@ -129,20 +126,22 @@ class AutonomousReport:
     completely_controllable: bool
     completely_reachable: bool
     gramian_condition: ConditionReport
-    gramian_decision: TransferDecision | None  # gramian verdict when computable
-    warning: str | None
+    gramian_decision: TransferDecision
 
 
 def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> AutonomousReport:
     """Full Im(G)-based analysis of a transfer on a constant system,
-    cross-checked against the gramian whenever the latter is well defined."""
+    cross-checked against the gramian.  Refused (CompatibilityError) before
+    G or any chi is computed unless both system gates pass."""
     if not sys.is_constant:
         raise ValueError("autonomous analysis requires a constant system")
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     y = np.asarray(y, dtype=float).reshape(sys.n)
+    require(check_M_commutation(sys, cfg))
+    condition = require(check_gramian_compat(sys, cfg))
 
     G = controllability_matrix(sys, cfg)
     basis = image_basis(G.value, cfg)
@@ -153,19 +152,9 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
     controllable, _ = basis.contains(x0, cfg.residual_rel_tol)
     reachable, _ = basis.contains(y, cfg.residual_rel_tol)
     full = r == sys.n
-
-    condition = check_gramian_compat(sys, cfg)
-    warning, decision = None, None
-    if condition.passed:
-        decision = decide_transfer(sys, t0, x0, t, y, cfg)
-    else:
-        warning = ("gramian compatibility fails (residual "
-                   f"{condition.max_residual:.6g}); the rank-G conclusions may "
-                   "not hold and the control-space/gramian verdict is "
-                   "authoritative")
-
+    decision = decide_transfer(sys, t0, x0, t, y, cfg)
     return AutonomousReport(r, feasible, residual, controllable, reachable,
-                            full, full, condition, decision, warning)
+                            full, full, condition, decision)
 
 
 @dataclass(frozen=True)

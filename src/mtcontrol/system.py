@@ -119,7 +119,7 @@ class MatrixFunction:
         when it is variable-free, else in the list of varying entries."""
         if entry.is_constant():
             value = (entry.value if isinstance(entry, _expr.Num)
-                     else entry(np.zeros(self.m)))
+                     else entry.eval(np.zeros((1, self.m)))[0])
             if not np.isfinite(value):
                 raise ValueError(f"non-finite constant entry at ({i}, {j})")
             self._constant[i, j] = value
@@ -367,8 +367,18 @@ def _T(a: np.ndarray) -> np.ndarray:
 
 def _norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes: of one matrix, or of each
-    matrix in a (P, r, c) stack."""
-    return np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
+    matrix in a (P, r, c) stack.  A finite matrix whose squares overflow
+    is measured again scaled by its largest entry, so its norm is finite."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
+    big = np.isinf(norms)
+    if big.any():
+        big &= np.isfinite(a).all(axis=(-2, -1))
+        norms, b = np.array(norms), a[big]
+        s = np.abs(b).max(axis=(-2, -1), initial=0.0)
+        b = b / s[:, None, None]
+        norms[big] = s * np.sqrt(np.add.reduce(b * b, axis=(-2, -1)))
+    return norms
 
 
 @functools.lru_cache(maxsize=None)

@@ -250,6 +250,28 @@ def test_analyze_cyclic_is_refused_by_the_gramian_gate(capsys, cyclic_cfg):
     assert tree["gate"]["condition"] == "gramian-compatibility (Eq. 17)"
 
 
+# m = 2, n = k = 1, M = 0, N_1 = t2, N_2 = 0: X_12 = 2 t2 and X_21 = 0, so
+# gramian compatibility fails with residual 2 at t2 = 1
+TIME_VARYING = {"m": 2, "n": 1, "k": 1, "M": [[[0]], [[0]]],
+                "N": [[["t2"]], [[0]]], "domain": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("transfer", [[], ["--x0", "1", "--y", "0"]],
+                         ids=["without_transfer", "with_transfer"])
+def test_analyze_time_varying_is_refused_by_the_gramian_gate(capsys, monkeypatch,
+                                                             tmp_path, transfer):
+    def computed(*args, **kwargs):
+        raise AssertionError("chi computed before the gates")
+    monkeypatch.setattr(mtcontrol.gramian, "transition", computed)
+    path = tmp_path / "time_varying.json"
+    path.write_text(json.dumps(TIME_VARYING))
+    code, tree = run_json(capsys, ["analyze", str(path), "--t0", "0,0",
+                                   "--t", "1,1", *transfer])
+    assert code == 2
+    assert tree["gate"]["condition"] == "gramian-compatibility (Eq. 17)"
+    assert tree["gate"]["max_residual"] == 2.0
+
+
 def test_synthesize_free_evolution(capsys, diag_cfg):
     # y = chi(t, t0) x0 = (e, 1): zero control transfers exactly
     code, tree = run_json(capsys, ["synthesize", diag_cfg, "--t0", "0,0",

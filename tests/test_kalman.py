@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mtcontrol import kalman
 from mtcontrol import (CompatibilityError, LinearSystem, autonomous_analysis,
                        compare_rank, controllability_gramian,
                        controllability_matrix, exponent_order, rank_G)
@@ -191,19 +192,38 @@ def test_autonomous_analysis_diag(diag_sys):
     assert report.phase_controllable
     assert report.completely_controllable  # rank G = n = 2
     assert report.gramian_condition.passed
-    assert report.warning is None
     # cross-check carries the stricter gramian verdict for this endpoint pair
     assert report.gramian_decision.rank == 1
     assert report.gramian_decision.feasible
 
 
-def test_autonomous_analysis_cyclic_warns(cyclic_sys):
-    report = autonomous_analysis(cyclic_sys, (0, 0, 0), (1, 0, 0),
-                                 (1, 1, 1), (0, 0, 0))
-    assert report.rank_G == 3
-    assert not report.gramian_condition.passed
-    assert report.warning is not None
-    assert report.gramian_decision is None
+def test_autonomous_analysis_cyclic_is_refused(cyclic_sys):
+    # Im G = R^3 while the gramian condition fails: no rank-G verdict
+    assert rank_G(controllability_matrix(cyclic_sys)) == 3
+    with pytest.raises(CompatibilityError, match=r"gramian-compatibility \(Eq. 17\)"):
+        autonomous_analysis(cyclic_sys, (0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 0, 0))
+
+
+NILPOTENT = LinearSystem.from_data(2, 2, 1,
+                                   [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                                   [[[1], [0]], [[0], [1]]])
+
+
+@pytest.mark.parametrize("system, condition", [
+    ("cyclic", "gramian-compatibility (Eq. 17)"),
+    ("nilpotent", "M-commutation (Eq. 6)"),
+])
+def test_autonomous_analysis_refuses_before_it_computes(system, condition,
+                                                         cyclic_sys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the gates")
+    monkeypatch.setattr(kalman, "controllability_matrix", computed)
+    monkeypatch.setattr(kalman, "transition", computed)
+    sys = cyclic_sys if system == "cyclic" else NILPOTENT
+    origin, ones = np.zeros(sys.m), np.ones(sys.m)
+    with pytest.raises(CompatibilityError) as refusal:
+        autonomous_analysis(sys, origin, np.eye(sys.n)[0], ones, np.zeros(sys.n))
+    assert refusal.value.report.condition_name == condition
 
 
 def test_autonomous_analysis_trivial_transfer(diag_sys):

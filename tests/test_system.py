@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mtcontrol import (CompatibilityError, ConditionReport, ControlFamily,
                        check_gramian_compat, check_M_commutation)
 from mtcontrol.core import NumericConfig
 from mtcontrol import system as system_module
-from mtcontrol.expr import ExprDomainError, Num
+from mtcontrol.expr import BinOp, ExprDomainError, Num
 from mtcontrol.system import MatrixFunction, _norms
 
 
@@ -39,6 +40,19 @@ def test_commutation_fails_on_nilpotent_pair():
     # M1 M2 = diag(1,0), M2 M1 = diag(0,1), difference diag(1,-1), norm sqrt(2)
     assert report.max_residual == pytest.approx(np.sqrt(2.0))
     assert report.worst_pair == (1, 2)
+
+
+def test_commutation_residual_whose_squares_overflow_fails_the_gate():
+    # |M1 M2 - M2 M1| is about 1e160, whose square overflows a double
+    sys = LinearSystem.from_data(
+        2, 2, 1,
+        [[[1e160, 1], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1], [0]], [[0], [1]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_M_commutation(sys)
+    assert report.max_residual == 1e160
+    assert not report.passed
 
 
 def test_commutation_time_varying_pass_and_fail():
@@ -298,7 +312,10 @@ def test_plain_number_matrix_equals_the_expression_path(entries):
     ([[1, -math.inf], [math.nan, 2]], "(0, 1)"),
     ([1.0, 2.0, math.nan], "(2, 0)"),
     ([["1", 2], [math.inf, math.nan]], "(1, 0)"),  # expression path
-], ids=["plain", "plain_first_row", "column", "expression"])
+    ([["t1", "1e200*1e200"]], "(0, 1)"),
+    ([["t1", BinOp("*", Num(1e200), Num(1e200))]], "(0, 1)"),
+], ids=["plain", "plain_first_row", "column", "expression", "parsed_product",
+        "built_product"])
 def test_non_finite_constant_names_the_first_entry_in_row_major_order(entries, where):
     with pytest.raises(ValueError) as exc:
         MatrixFunction(entries, 1)
