@@ -6,8 +6,8 @@ C(t0, t) v = chi(t0, t) y - x0.  Running the controlled solver with that
 family closes the loop.
 """
 
-from mtcontrol import (LinearSystem, candidate_control, synthesize_transfer,
-                       verify_transfer)
+from mtcontrol import (CompatibilityError, LinearSystem, SynthesizedControl,
+                       synthesize_transfer, verify_transfer)
 
 diag = LinearSystem.from_data(
     2, 2, 1,
@@ -37,10 +37,19 @@ bad = synthesize_transfer(diag, t0, (0.0, 1.0), t, y)
 print(f"\ninfeasible request: feasible={bad.feasible}, "
       f"residual={bad.residual:.3f}")
 
-# Candidate controls can be built directly from any weight vector v; they
-# are valid members of the control space whenever the gramian
-# compatibility condition holds.
-u = candidate_control(diag, t0, (1.0, 0.0))
-print(f"\ncandidate control for v=e1, valid={u.valid}:")
+# Candidate controls can be built directly from any weight vector v.  Each
+# is a member of the control space by construction: building one requires
+# M-commutation (Eq. 6) and, for v != 0, gramian compatibility (Eq. 17).
+u = SynthesizedControl(diag, t0, (1.0, 0.0))
+print("\ncandidate control for v=e1:")
 print(f"  u1((0.5, 0)) = {u((0.5, 0.0))[0, :, 0]}  (= e^-0.5)")
 print(f"  u2((0.5, 0)) = {u((0.5, 0.0))[1, :, 0]}")
+
+# On the cyclic counter-example Eq. 17 fails: only the zero control exists.
+M = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+cyclic = LinearSystem.from_data(
+    3, 3, 1, [M, M, M], [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]])
+try:
+    SynthesizedControl(cyclic, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+except CompatibilityError as exc:
+    print(f"\ncyclic system, v = (1, 1, 1): refused, {exc}")

@@ -20,7 +20,7 @@ from .kalman import (AutonomousReport, ControllabilityMatrix, RankComparison,
                      exponent_order, rank_G)
 from .pathint import OneFormFamily, integrate_along
 from .synth import (SynthesisResult, SynthesizedControl, TransferVerification,
-                    candidate_control, synthesize_transfer, verify_transfer)
+                    synthesize_transfer, verify_transfer)
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, MatrixFunction,
                      check_control_compat, check_F_compatibility,

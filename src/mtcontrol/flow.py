@@ -153,8 +153,8 @@ def fundamental_matrix(sys: LinearSystem, t, t0,
     require(check_M_commutation(sys, cfg))
     t = as_point(t, m=sys.m)
     t0 = as_point(t0, m=sys.m)
-    if not sys.M.is_constant and not (sys.contains(t) and sys.contains(t0)):
-        raise ValueError("t and t0 must lie inside the system domain")
+    if not sys.M.is_constant:
+        sys.require_inside([t, t0])
     value = transition(sys, t, t0, cfg)
     cond = float(np.linalg.cond(value))
     if cond > _COND_WARN_THRESHOLD:
@@ -191,6 +191,8 @@ def _forced_solve(sys: LinearSystem, forcing, t0, x0, t,
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if curve is None:
         curve = curve_segment(t0, t)
+    if not sys.is_constant:  # the box is convex: the segments stay inside
+        sys.require_inside(curve.waypoints)
 
     def stack(alphas, s):
         return transition(sys, t, s, cfg) @ forcing(s)[alphas - 1]

@@ -16,12 +16,11 @@ import numpy as np
 from .core import DEFAULT_CONFIG, NumericConfig, as_point
 from .flow import _controlled_solve, transition
 from .gramian import controllability_gramian, _ordering
-from .system import (CompatibilityError, ConditionReport, LinearSystem, _T,
-                     check_gramian_compat, check_M_commutation, require)
+from .system import (LinearSystem, _T, check_gramian_compat,
+                     check_M_commutation, require)
 
 __all__ = [
     "SynthesizedControl",
-    "candidate_control",
     "SynthesisResult",
     "synthesize_transfer",
     "TransferVerification",
@@ -33,18 +32,26 @@ __all__ = [
 class SynthesizedControl:
     """The closed-over family u_alpha(s) = N_alpha(s)' chi(t0, s)' v of
     k x 1 columns, taken like a ControlFamily; `derivatives` uses
-    d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).  `valid` records whether the
-    gramian condition held at construction (equivalently, whether the
-    family is guaranteed to be a control).
+    d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).
+
+    It is a control by construction: building one requires M-commutation
+    (Eq. 6) and, unless v = 0 (the zero control), gramian compatibility
+    (Eq. 17), and raises CompatibilityError otherwise.
     """
 
     system: LinearSystem
     anchor: np.ndarray          # t0
     v: np.ndarray               # gramian preimage, length n
-    valid: bool
-    gramian_condition: ConditionReport
     cfg: NumericConfig = field(default=DEFAULT_CONFIG, repr=False)
     is_constant = False  # a class attribute, not a field
+
+    def __post_init__(self):
+        sys = self.system
+        require(check_M_commutation(sys, self.cfg))
+        object.__setattr__(self, "anchor", as_point(self.anchor, m=sys.m))
+        object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(sys.n))
+        if np.any(self.v):
+            require(check_gramian_compat(sys, self.cfg))
 
     def _weight(self, s) -> np.ndarray:
         """chi(t0, s)' v as an (n, 1) column at one point s (m,), or as
@@ -90,17 +97,6 @@ class SynthesizedControl:
         return rows
 
 
-def candidate_control(sys: LinearSystem, t0, v,
-                      cfg: NumericConfig = DEFAULT_CONFIG) -> SynthesizedControl:
-    """Build u_{alpha,v}; validity is a flag, not an error."""
-    require(check_M_commutation(sys, cfg))
-    t0 = as_point(t0, m=sys.m)
-    v = np.asarray(v, dtype=float).reshape(sys.n)
-    condition = check_gramian_compat(sys, cfg)
-    valid = bool(condition.passed or not np.any(v))  # the zero control always works
-    return SynthesizedControl(sys, t0, v, valid, condition, cfg)
-
-
 @dataclass(frozen=True)
 class SynthesisResult:
     control: SynthesizedControl
@@ -130,7 +126,7 @@ def synthesize_transfer(sys: LinearSystem, t0, x0, t, y,
     v = np.linalg.pinv(g.value, rcond=cfg.rank_rel_tol * max(g.value.shape)) @ w
     residual = float(np.linalg.norm(g.value @ v - w))
     feasible = bool(residual <= cfg.residual_rel_tol * (1.0 + np.linalg.norm(w)))
-    control = candidate_control(sys, t0, v, cfg)
+    control = SynthesizedControl(sys, t0, v, cfg)
     return SynthesisResult(control, feasible, residual, _ordering(t0, t), y)
 
 
@@ -144,9 +140,11 @@ def verify_transfer(sys: LinearSystem, control: SynthesizedControl, t0, x0, t,
                     target=None,
                     cfg: NumericConfig = DEFAULT_CONFIG) -> TransferVerification:
     """Round trip: run the controlled solver and compare with the target.
-    `control.valid` is the gate: a control check would sample chi on a grid."""
-    if not control.valid:
-        raise CompatibilityError(control.gramian_condition)
+    The control was gated when it was built (a control check would sample
+    chi on a grid), so it must have been built for this very system; a
+    control built for another system is a ValueError."""
+    if control.system is not sys:
+        raise ValueError("the control was built for another system")
     endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg)
     error = None
     if target is not None:

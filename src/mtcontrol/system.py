@@ -21,6 +21,8 @@ grid_samples_per_axis^m sample points.
 A check evaluates each family once, as one (m, P, r, c) stack over all
 sample points, and forms X_ab for every ordered pair a != b (never a = b)
 in one batched expression; only a varying family is differentiated.
+X is formed without numpy's overflow warnings: products that overflow give
+a residual that is not finite, and such a residual fails the check.
 """
 
 from __future__ import annotations
@@ -307,10 +309,18 @@ class LinearSystem:
         return self.M.is_constant and self.N.is_constant
 
     def contains(self, t) -> bool:
-        t = as_point(t, m=self.m)
+        """Whether the point t (m,), or every point of a batch (P, m), lies
+        in the domain box; a system without a box contains every point."""
+        t = as_points(t, self.m) if np.ndim(t) == 2 else as_point(t, m=self.m)
         if self.domain is None:
             return True
         return bool(np.all(t >= self.domain[:, 0]) and np.all(t <= self.domain[:, 1]))
+
+    def require_inside(self, points) -> None:
+        """Raise ValueError unless every point of the batch (P, m) lies in
+        the domain box."""
+        if not self.contains(points):
+            raise ValueError("t and t0 must lie inside the system domain")
 
     @_once_per_system
     def grid_points(self, cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -368,9 +378,9 @@ def _T(a: np.ndarray) -> np.ndarray:
 def _norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes: of one matrix, or of each
     matrix in a (P, r, c) stack.  A finite matrix whose squares overflow
-    is measured again scaled by its largest entry, so its norm is finite."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
+    is measured again scaled by its largest entry, so its norm is finite.
+    Called under the checks' errstate, so the overflow does not warn."""
+    norms = np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
     big = np.isinf(norms)
     if big.any():
         big &= np.isfinite(a).all(axis=(-2, -1))
@@ -402,12 +412,14 @@ def _symmetry_report(name: str, X: np.ndarray, T: np.ndarray,
                      cfg: NumericConfig) -> ConditionReport:
     """The report on |X_ab - X_ba| for the (2K, P, r, c) stack X of X_ab on
     the points T, ordered as `_ordered_pairs`.  The scale is the largest
-    |X_ab|; the worst point is the first maximum, point-major, pair-minor."""
+    |X_ab|; the worst point is the first maximum, point-major, pair-minor.
+    A residual that is not finite (X overflowed) fails."""
     K = len(X) // 2
     residuals = _norms(X[:K] - X[K:]).T                    # (P, K)
     worst = int(np.argmax(residuals))
     r = float(residuals.flat[worst])
-    passed = bool(r <= cfg.residual_rel_tol * (1.0 + float(np.max(_norms(X)))))
+    passed = bool(np.isfinite(r) and
+                  r <= cfg.residual_rel_tol * (1.0 + float(np.max(_norms(X)))))
     if r == 0.0:
         return ConditionReport(name, 0.0, passed, None, None)
     pairs = _ordered_pairs(T.shape[1])[0]
@@ -415,6 +427,7 @@ def _symmetry_report(name: str, X: np.ndarray, T: np.ndarray,
 
 
 @_once_per_system
+@np.errstate(over="ignore", invalid="ignore")
 def check_M_commutation(sys: LinearSystem,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """X_ab = M_a M_b + dM_a/dt^b symmetric in (a, b)."""
@@ -429,6 +442,7 @@ def check_M_commutation(sys: LinearSystem,
     return _symmetry_report(name, X, T, cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
                           cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """X_ab = M_a F_b + dF_a/dt^b symmetric in (a, b)."""
@@ -444,6 +458,7 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
     return _symmetry_report(name, X, T, cfg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_control_compat(sys: LinearSystem, u,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Decides membership of u in the control space: X_ab = M_a N_b u_b
@@ -469,6 +484,7 @@ def check_control_compat(sys: LinearSystem, u,
 
 
 @_once_per_system
+@np.errstate(over="ignore", invalid="ignore")
 def check_gramian_compat(sys: LinearSystem,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Path independence of the gramian integrand: X_ab = M_a N_b N_b'

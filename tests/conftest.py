@@ -106,6 +106,18 @@ def axis_scaled_system():
         domain=[[-1, 2], [-1, 2]])
 
 
+def passing_case(kind, m, seed, count):
+    """A condition-passing system and `count` random points inside its
+    domain: `random_passing_system` with m members and points in [-1, 1]^m
+    ("constant"), or `axis_scaled_system` (m = 2, m is ignored) and points
+    anywhere in its box [-1, 2]^2 ("time_varying")."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return random_passing_system(rng, m=m)[0], rng.uniform(-1.0, 1.0, (count, m))
+    sys = axis_scaled_system()
+    return sys, rng.uniform(*sys.domain.T, (count, sys.m))
+
+
 def rk4_chi(sys, curve, cfg):
     """chi along the polyline `curve` by RK4 alone, also for a constant
     system: one propagator of the library's stepper per segment, composed

@@ -576,6 +576,66 @@ def test_overflowed_fundamental_matrix_is_a_named_error(capsys, tmp_path, doc, t
         "fundamental matrix overflowed (non-finite entries) between t0 and t")
 
 
+# M2 M1 = [[0, 0], [1e400, 0]] overflows inside the M-commutation check
+OVERFLOWING = dict(DIAG, M=[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]])
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_a_check_whose_products_overflow_fails(capsys, tmp_path, json_mode):
+    # the residual is inf: check reports the failure, and flow is refused
+    # (in --json mode that inf is the non-finite-number error)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOWING))
+    json_error = "Out of range float values are not JSON compliant: inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("command: check\nconditions:\n  -\n"
+                          "    condition: M-commutation (Eq. 6)\n"
+                          "    pass: False\n    max_residual: inf\n")
+    argv = ["flow", str(path), "--t0", "0,0", "--t", "1e-300,0"]
+    if json_mode:
+        _assert_named_error(capsys, argv, json_mode, json_error)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and "chi" not in captured.out
+    assert "reason: M-commutation (Eq. 6) residual inf\n" in captured.out
+
+
+# M_a = diag(t_a) on the box [0, 1]^2: every route that computes along a
+# path refuses endpoints (and waypoints) that no gate sampled
+BOXED = dict(DIAG, M=[[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
+             domain=[[0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["flow", "--t0", "0,0", "--t", "5,5"],
+    ["gramian", "--t0", "0,0", "--t", "5,5"],
+    ["gramian", "--t0", "0,0", "--t", "5,5", "--kind", "R"],
+    ["gramian", "--t0", "0,0", "--t", "1,1", "--force-path", "0,0;0,3;1,1"],
+    ["analyze", "--t0", "0,0", "--t", "5,5"],
+    ["analyze", "--t0", "5,5", "--t", "1,1", "--x0", "1,0", "--y", "0,0"],
+    ["synthesize", "--t0", "0,0", "--t", "5,5", "--x0", "1,0", "--y", "0,0"],
+    ["simulate", "--t0", "0,0", "--t", "5,5", "--x0", "1,0"],
+], ids=["flow", "gramian", "reachability", "forced_waypoint", "analyze",
+        "analyze_transfer", "synthesize", "simulate"])
+def test_endpoints_outside_the_domain_are_refused(capsys, tmp_path, argv,
+                                                  json_mode):
+    path = tmp_path / "boxed.json"
+    path.write_text(json.dumps(BOXED))
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"u": [[0], [0]]}))
+    extra = ["--control", str(control)] if argv[0] == "simulate" else []
+    _assert_named_error(capsys, [argv[0], str(path), *argv[1:], *extra],
+                        json_mode, "t and t0 must lie inside the system domain")
+
+
 def test_flow_computes_chi_once_for_x(capsys, monkeypatch, diag_cfg):
     import mtcontrol.flow
     calls = []

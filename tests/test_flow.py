@@ -12,12 +12,12 @@ from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
                        solve_affine, solve_controlled, solve_homogeneous)
 from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve, curve_segment, staircase
 from mtcontrol.flow import _controlled_solve, transition
-from mtcontrol.synth import candidate_control
+from mtcontrol.synth import SynthesizedControl
 from mtcontrol.system import MatrixFunction
 
-from conftest import (axis_scaled_system, per_direction_control_forcing,
-                      per_direction_forced_solve, random_commuting_system,
-                      rk4_chi)
+from conftest import (axis_scaled_system, passing_case,
+                      per_direction_control_forcing, per_direction_forced_solve,
+                      random_commuting_system, rk4_chi)
 
 
 def test_diag_flow_closed_form(diag_sys):
@@ -73,6 +73,23 @@ def test_cocycle_inverse_translation_on_random_families():
         # autonomous translation invariance
         assert np.allclose(transition(sys, t1, t0),
                            transition(sys, t1 - t0, np.zeros(m)), atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_chi_composes_and_inverts(kind, m, seed):
+    sys, (t0, s, t) = passing_case(kind, m, seed, 3)
+    norm = np.linalg.norm
+    a, b, c = transition(sys, t, s), transition(sys, s, t0), transition(sys, t, t0)
+    # chi(t, s) chi(s, t0) = chi(t, t0): on the time-varying route the three
+    # fixed-step RK4 segments differ by their truncation error, up to 8.2e-10
+    # relative on the box (1.4e-12 on [-1, 1]^2)
+    tol = 1e-10 if kind == "constant" else 1e-8
+    assert norm(a @ b - c) <= tol * norm(a) * norm(b)
+    # chi(t, t0) chi(t0, t) = I
+    d = transition(sys, t0, t)
+    assert norm(c @ d - np.eye(sys.n)) <= 1e-10 * norm(c) * norm(d)
 
 
 def test_rk4_agrees_with_expm_on_constant_systems():
@@ -440,7 +457,9 @@ def _forced_case(kind, m, seed):
     generic endpoints inside the domain."""
     rng = np.random.default_rng(seed)
     if kind == "constant":
-        sys = random_commuting_system(rng, n=3, m=m, k=2)
+        # identical members: the synthesized control needs Eq. 17
+        sys = random_commuting_system(rng, n=3, m=m, k=2, identical_M=True,
+                                      identical_N=True)
         c = rng.standard_normal(sys.n)
         F = MatrixFamily([MatrixFunction((M(np.zeros(m)) @ c)[:, None], m)
                           for M in sys.M])
@@ -464,7 +483,7 @@ def test_forced_solves_equal_the_per_direction_formula(kind, m, seed, stairs):
     expected = per_direction_forced_solve(sys, lambda a, s: F[a - 1](s),
                                           t0, x0, t, curve)
     assert np.array_equal(affine, expected)
-    for control in (u, candidate_control(sys, t0, v)):
+    for control in (u, SynthesizedControl(sys, t0, v)):
         controlled = _controlled_solve(sys, control, t0, x0, t, curve,
                                        DEFAULT_CONFIG)
         expected = per_direction_forced_solve(

@@ -12,7 +12,7 @@ from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve
 from mtcontrol.flow import transition
 from mtcontrol.gramian import image_basis, numerical_rank
 
-from conftest import axis_scaled_system, random_commuting_system
+from conftest import axis_scaled_system, passing_case, random_commuting_system
 
 
 def test_diag_gramian_closed_form(diag_sys):
@@ -62,11 +62,16 @@ def test_forced_curve_endpoints_must_match(cyclic_sys, diag_sys):
                 build(sys, t0, t, force_curve=wrong)
 
 
-def test_reachability_equals_negated_reverse_controllability(diag_sys):
-    t0, t = (0.0, 0.0), (1.0, 0.0)
-    R = reachability_gramian(diag_sys, t0, t)
-    C_rev = controllability_gramian(diag_sys, t, t0)
-    assert np.linalg.norm(R.value + C_rev.value) <= 1e-9
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_reachability_equals_negated_reverse_controllability(kind, m, seed):
+    # R(t0, t) = -C(t, t0): both are anchored at t, and the segment is run in
+    # opposite directions
+    sys, (t0, t) = passing_case(kind, m, seed, 2)
+    R = reachability_gramian(sys, t0, t).value
+    C_rev = controllability_gramian(sys, t, t0).value
+    assert np.linalg.norm(R + C_rev) <= 1e-12 * (1.0 + np.linalg.norm(C_rev))
 
 
 def test_conjugation_identity(diag_sys):

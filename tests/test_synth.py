@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mtcontrol import (CompatibilityError, LinearSystem, candidate_control,
+from mtcontrol import (CompatibilityError, LinearSystem, SynthesizedControl,
                        check_control_compat, solve_homogeneous,
                        synthesize_transfer, verify_transfer)
 from mtcontrol.flow import transition
@@ -13,16 +14,14 @@ from conftest import axis_scaled_system, random_passing_system
 
 def test_zero_candidate_is_always_valid(cyclic_sys, diag_sys):
     for sys in (diag_sys, cyclic_sys):
-        u = candidate_control(sys, np.zeros(sys.m), np.zeros(sys.n))
-        assert u.valid
+        u = SynthesizedControl(sys, np.zeros(sys.m), np.zeros(sys.n))
         for alpha in range(1, sys.m + 1):
             assert np.array_equal(u(np.ones(sys.m) * 0.3)[alpha - 1, :, 0],
                                   np.zeros(sys.k))
 
 
 def test_diag_candidate_closed_form(diag_sys):
-    u = candidate_control(diag_sys, (0, 0), (1, 0))
-    assert u.valid
+    u = SynthesizedControl(diag_sys, (0, 0), (1, 0))
     for s1, s2 in ((0.0, 0.0), (0.5, 2.0), (1.0, -1.0)):
         s = (s1, s2)
         assert u(s)[0, 0, 0] == pytest.approx(math.exp(-s1), rel=1e-12)
@@ -30,12 +29,16 @@ def test_diag_candidate_closed_form(diag_sys):
 
 
 def varying_N_system():
-    """M1 = diag(t1, 0), M2 = diag(0, t2) (they commute) with a time-varying
-    N whose members depend on both variables, so every dN_a/dt^b != 0."""
+    """M_a = dpsi/dt^a I with psi = t1 t2 (so M-commutation holds) and a
+    time-varying N whose members depend on both variables, so every
+    dN_a/dt^b != 0.  N_a = n_a (1, 2)' with n_a^2 = exp(2 psi) dphi/dt^a,
+    phi = exp(t1) + exp(t2), makes exp(-2 psi) n_a^2 ds^a closed, which is
+    gramian compatibility (Eq. 17)."""
     return LinearSystem.from_data(
         2, 2, 1,
-        [[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
-        [[["cos(t2)"], ["t1 * t2"]], [["exp(t1)"], ["sin(t1 + t2)"]]],
+        [[["t2", 0], [0, "t2"]], [["t1", 0], [0, "t1"]]],
+        [[["exp(t1*t2 + t1/2)"], ["2*exp(t1*t2 + t1/2)"]],
+         [["exp(t1*t2 + t2/2)"], ["2*exp(t1*t2 + t2/2)"]]],
         domain=[[-1, 2], [-1, 2]])
 
 
@@ -44,7 +47,7 @@ def test_candidate_derivative_matches_finite_differences(diag_sys):
     s = np.array([0.3, 0.9])
     A, B = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     for sys in (diag_sys, varying_N_system()):
-        u = candidate_control(sys, (0, 0), (0.7, -0.4))
+        u = SynthesizedControl(sys, (0, 0), (0.7, -0.4))
         derivatives = u.derivatives(s[None], A, B)[:, 0, :, 0]
         for alpha, beta, derivative in zip(A + 1, B + 1, derivatives):
             sp, sm = s.copy(), s.copy()
@@ -71,7 +74,7 @@ class _TwoChiRoute:
 def test_control_check_takes_chi_once(make, monkeypatch):
     import mtcontrol.synth
     sys = make()
-    u = candidate_control(sys, (0.0, 0.0), (0.7, -0.4))
+    u = SynthesizedControl(sys, (0.0, 0.0), (0.7, -0.4))
     reference = check_control_compat(sys, _TwoChiRoute(u))
     calls = []
     original = mtcontrol.synth.transition
@@ -89,10 +92,28 @@ def test_control_check_takes_chi_once(make, monkeypatch):
     assert np.array_equal(report.worst_point, reference.worst_point)
 
 
-def test_cyclic_candidate_flagged_invalid(cyclic_sys):
-    u = candidate_control(cyclic_sys, np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    assert not u.valid
-    assert not u.gramian_condition.passed
+def test_cyclic_candidate_is_refused_at_construction(cyclic_sys):
+    with pytest.raises(CompatibilityError) as refusal:
+        SynthesizedControl(cyclic_sys, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert refusal.value.report.condition_name == "gramian-compatibility (Eq. 17)"
+    assert not refusal.value.report.passed
+
+
+def test_a_synthesized_control_is_gated_when_it_is_built(cyclic_sys):
+    # four fields: no flag can mark a family that is not a control as one
+    assert [f.name for f in dataclasses.fields(SynthesizedControl)] == [
+        "system", "anchor", "v", "cfg"]
+    # Eq. 17 fails on the cyclic system (see the test above), yet the zero
+    # control exists there: its round trip is the free evolution
+    u = SynthesizedControl(cyclic_sys, np.zeros(3), np.zeros(3))
+    x0, t = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    check = verify_transfer(cyclic_sys, u, np.zeros(3), x0, t)
+    assert np.array_equal(check.endpoint, solve_homogeneous(cyclic_sys, np.zeros(3), x0, t))
+    # M1 M2 != M2 M1: not even the zero control is built
+    nilpotent = LinearSystem.from_data(2, 2, 1, [[[0, 1], [0, 0]], [[0, 0], [1, 0]]],
+                                       [[[1], [0]], [[0], [1]]])
+    with pytest.raises(CompatibilityError, match=r"M-commutation \(Eq\. 6\)"):
+        SynthesizedControl(nilpotent, np.zeros(2), np.zeros(2))
 
 
 def test_synthesize_free_evolution_gives_zero_control(diag_sys):
@@ -125,7 +146,7 @@ def test_synthesize_infeasible_target(diag_sys):
 
 
 def test_verify_zero_control_endpoint(diag_sys):
-    u = candidate_control(diag_sys, (0, 0), (0.0, 0.0))
+    u = SynthesizedControl(diag_sys, (0, 0), (0.0, 0.0))
     x0 = (2.0, 3.0)
     check = verify_transfer(diag_sys, u, (0, 0), x0, (1, 1))
     free = solve_homogeneous(diag_sys, (0, 0), x0, (1, 1))
@@ -134,9 +155,15 @@ def test_verify_zero_control_endpoint(diag_sys):
 
 
 def test_verify_rejects_invalid_control(cyclic_sys):
-    u = candidate_control(cyclic_sys, np.zeros(3), np.ones(3))
-    with pytest.raises(CompatibilityError):
-        verify_transfer(cyclic_sys, u, np.zeros(3), np.zeros(3), np.ones(3))
+    # a control outside the control space cannot be built, so verify_transfer
+    # never runs one; the one way left, a control built for another system
+    # (here a copy of the cyclic system), is refused
+    with pytest.raises(CompatibilityError, match=r"gramian-compatibility \(Eq\. 17\)"):
+        SynthesizedControl(cyclic_sys, np.zeros(3), np.ones(3))
+    u = SynthesizedControl(cyclic_sys, np.zeros(3), np.zeros(3))
+    twin = LinearSystem(3, 3, 1, cyclic_sys.M, cyclic_sys.N)
+    with pytest.raises(ValueError, match="another system"):
+        verify_transfer(twin, u, np.zeros(3), np.zeros(3), np.ones(3))
 
 
 def test_endpoint_is_affine_linear_in_v(diag_sys):
@@ -145,7 +172,7 @@ def test_endpoint_is_affine_linear_in_v(diag_sys):
     free = solve_homogeneous(diag_sys, t0, x0, t)
 
     def forced(v):
-        u = candidate_control(diag_sys, t0, v)
+        u = SynthesizedControl(diag_sys, t0, v)
         return verify_transfer(diag_sys, u, t0, x0, t).endpoint - free
 
     v1 = np.array([1.0, -2.0])
@@ -158,7 +185,7 @@ def test_perturbing_v_shifts_endpoint_through_the_gramian(diag_sys):
     x0 = np.array([1.0, 0.0])
     result = synthesize_transfer(diag_sys, t0, x0, t, (0.0, 0.0))
     delta = np.array([0.0, 1.0])
-    u2 = candidate_control(diag_sys, t0, result.control.v + delta)
+    u2 = SynthesizedControl(diag_sys, t0, result.control.v + delta)
     check = verify_transfer(diag_sys, u2, t0, x0, t, target=(0.0, 0.0))
     # endpoint shift = chi(t, t0) C(t0, t) delta; here C delta = 0
     assert check.error <= 1e-8
@@ -185,7 +212,7 @@ def test_round_trip_on_random_passing_systems():
 
 
 def test_describe_and_sample(diag_sys):
-    u = candidate_control(diag_sys, (0, 0), (1.0, 0.0))
+    u = SynthesizedControl(diag_sys, (0, 0), (1.0, 0.0))
     text = u.describe()
     assert "v = (1, 0)" in text
     rows = u.sample([(0.0, 0.0), (1.0, 0.0)])

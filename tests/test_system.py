@@ -55,6 +55,26 @@ def test_commutation_residual_whose_squares_overflow_fails_the_gate():
     assert not report.passed
 
 
+def test_a_residual_that_overflows_fails_every_gate():
+    # M2 M1 = [[0, 0], [1e400, 0]] overflows: residual and scale are both inf,
+    # and inf <= tol * (1 + inf) would pass the gate
+    sys = LinearSystem.from_data(
+        2, 2, 1,
+        [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]],
+        [[[1], [0]], [[0], [1]]])
+    F = MatrixFamily.from_data([[[1e200], [0]], [[0], [1e200]]], 2)
+    u = ControlFamily.from_data([[[1e200]], [[1e200]]], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [check_M_commutation(sys), check_F_compatibility(sys, F),
+                   check_control_compat(sys, u)]
+    for report in reports:
+        assert not math.isfinite(report.max_residual)
+        assert not report.passed
+    with pytest.raises(CompatibilityError, match="M-commutation"):
+        system_module.require(reports[0])
+
+
 def test_commutation_time_varying_pass_and_fail():
     domain = [[0, 1], [0, 1]]
     # M1 = t2 * I, M2 = t1 * I: dM1/dt2 = I = dM2/dt1 and scalars commute
@@ -192,6 +212,11 @@ def test_contains_and_grid(diag_sys):
                        domain=np.array([[0.0, 1.0], [0.0, 2.0]]))
     assert sys.contains((0.5, 1.0))
     assert not sys.contains((1.5, 1.0))
+    assert sys.contains([[0.0, 0.0], [1.0, 2.0]])
+    assert not sys.contains([[0.0, 0.0], [1.0, 2.5]])
+    sys.require_inside([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="must lie inside the system domain"):
+        sys.require_inside([[0.0, 0.0], [0.5, 1.0], [1.0, -0.1]])
     grid = sys.grid_points()
     assert grid.shape == (25, 2)
     assert grid.min(axis=0).tolist() == [0.0, 0.0]
@@ -603,14 +628,17 @@ def check_case(draw):
     sys = LinearSystem.from_data(m, n, k, M, N, domain=box if varying else
                                  draw(st.sampled_from([None, box])))
     kind = draw(st.sampled_from(["zero", "family", "synthesized"]))
+    u = None
     if kind == "zero":
         u = ControlFamily.zero(m, k)
-    elif kind == "family":
-        u = ControlFamily.from_data(family(k, 1), m)
-    else:
+    elif kind == "synthesized":
         v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
-        u = SynthesizedControl(sys, np.zeros(m), v, True,
-                               check_gramian_compat(sys, cfg), cfg)
+        try:
+            u = SynthesizedControl(sys, np.zeros(m), v, cfg)
+        except CompatibilityError:  # no such control: draw a family instead
+            pass
+    if u is None:
+        u = ControlFamily.from_data(family(k, 1), m)
     return sys, MatrixFamily.from_data(F, m), u, cfg
 
 
