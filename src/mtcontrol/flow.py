@@ -153,8 +153,7 @@ def fundamental_matrix(sys: LinearSystem, t, t0,
     require(check_M_commutation(sys, cfg))
     t = as_point(t, m=sys.m)
     t0 = as_point(t0, m=sys.m)
-    if not sys.M.is_constant:
-        sys.require_inside([t, t0])
+    sys.require_inside([t, t0], sys.M)
     value = transition(sys, t, t0, cfg)
     cond = float(np.linalg.cond(value))
     if cond > _COND_WARN_THRESHOLD:
@@ -177,22 +176,24 @@ def solve_adjoint(sys: LinearSystem, t0, phi0, t,
     return fundamental_matrix(sys, t0, t, cfg).value.T @ phi0
 
 
-def _forced_solve(sys: LinearSystem, forcing, t0, x0, t,
+def _forced_solve(sys: LinearSystem, forcing, families, t0, x0, t,
                   curve: PolylineCurve | None, cfg: NumericConfig) -> np.ndarray:
     """x(t) = chi(t, t0) x0 + integral over `curve` (default: the segment
     t0 -> t) of chi(t, s) F_alpha(s) ds^a.
 
     forcing(s) gives the (m, P, n, 1) stack of every F_alpha on a batch of
-    points s (P, m).  The integrand takes one `transition` per segment, on
-    the segment's Gauss nodes, and applies that chi to the forcing of every
+    points s (P, m); `families` are those the caller's gates decided it
+    from, and the curve must stay in the domain box when one of them
+    varies.  The integrand takes one `transition` per segment, on the
+    segment's Gauss nodes, and applies that chi to the forcing of every
     advancing direction: chi(t, s) does not depend on alpha."""
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     if curve is None:
         curve = curve_segment(t0, t)
-    if not sys.is_constant:  # the box is convex: the segments stay inside
-        sys.require_inside(curve.waypoints)
+    # the box is convex: segments between waypoints inside it stay inside
+    sys.require_inside(curve.waypoints, sys.M, *families)
 
     def stack(alphas, s):
         return transition(sys, t, s, cfg) @ forcing(s)[alphas - 1]
@@ -211,7 +212,7 @@ def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,
     """
     require(check_M_commutation(sys, cfg))
     require(check_F_compatibility(sys, F, cfg))
-    return _forced_solve(sys, F, t0, x0, t, curve, cfg)
+    return _forced_solve(sys, F, [F], t0, x0, t, curve, cfg)
 
 
 def solve_controlled(sys: LinearSystem, u, t0, x0, t,
@@ -229,7 +230,12 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
 
 
 def _controlled_solve(sys: LinearSystem, u, t0, x0, t,
-                      curve: PolylineCurve | None,
-                      cfg: NumericConfig) -> np.ndarray:
-    """`solve_controlled` for a caller that has already decided u is a control."""
-    return _forced_solve(sys, lambda s: sys.N(s) @ u(s), t0, x0, t, curve, cfg)
+                      curve: PolylineCurve | None, cfg: NumericConfig,
+                      families=None) -> np.ndarray:
+    """`solve_controlled` for a caller that has already decided u is a
+    control, from `families` (default: N and u, as `check_control_compat`
+    does besides M)."""
+    if families is None:
+        families = [sys.N, u]
+    return _forced_solve(sys, lambda s: sys.N(s) @ u(s), families, t0, x0, t,
+                         curve, cfg)

@@ -124,8 +124,8 @@ def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,
         curve = force_curve
         if not (np.array_equal(curve.start, t0) and np.array_equal(curve.end, t)):
             raise ValueError("forced curve must run from t0 to t")
-    if not sys.is_constant:  # the box is convex: the segments stay inside
-        sys.require_inside(curve.waypoints)
+    # the box is convex: segments between waypoints inside it stay inside
+    sys.require_inside(curve.waypoints, sys.M, sys.N)
     anchor = t0 if kind == "controllability" else t
     value = integrate_along(gramian_integrand(sys, anchor, cfg), curve, cfg)
     return Gramian(value, t0, t, kind, path_dependent=force_curve is not None)

@@ -145,7 +145,8 @@ def verify_transfer(sys: LinearSystem, control: SynthesizedControl, t0, x0, t,
     control built for another system is a ValueError."""
     if control.system is not sys:
         raise ValueError("the control was built for another system")
-    endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg)
+    # its construction gates decided it from M and N alone
+    endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg, [sys.N])
     error = None
     if target is not None:
         target = np.asarray(target, dtype=float).reshape(sys.n)

@@ -316,10 +316,12 @@ class LinearSystem:
             return True
         return bool(np.all(t >= self.domain[:, 0]) and np.all(t <= self.domain[:, 1]))
 
-    def require_inside(self, points) -> None:
+    def require_inside(self, points, *families) -> None:
         """Raise ValueError unless every point of the batch (P, m) lies in
-        the domain box."""
-        if not self.contains(points):
+        the domain box, when any of `families` varies.  Those are the
+        families a route evaluates: a gate decides a varying family on the
+        box alone (see `_sample`), while a constant one holds everywhere."""
+        if any(not f.is_constant for f in families) and not self.contains(points):
             raise ValueError("t and t0 must lie inside the system domain")
 
     @_once_per_system
@@ -400,10 +402,12 @@ def _ordered_pairs(m: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarra
     return pairs, A, B
 
 
-def _sample(sys: LinearSystem, constant: bool, cfg: NumericConfig
+def _sample(sys: LinearSystem, cfg: NumericConfig, *families
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A check's read-only (P, m) sample points (a kept report holds a view),
-    the origin or else the grid, and the indices (A, B) of `_ordered_pairs`."""
+    the origin when all of the checked `families` are constant or else the
+    grid, and the indices (A, B) of `_ordered_pairs`."""
+    constant = all(f.is_constant for f in families)
     T = np.broadcast_to(0.0, (1, sys.m)) if constant else sys.grid_points(cfg)
     return (T, *_ordered_pairs(sys.m)[1:])
 
@@ -434,7 +438,7 @@ def check_M_commutation(sys: LinearSystem,
     name = "M-commutation (Eq. 6)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
-    T, A, B = _sample(sys, sys.M.is_constant, cfg)
+    T, A, B = _sample(sys, cfg, sys.M)
     M = sys.M(T)
     X = M[A] @ M[B]
     if not sys.M.is_constant:
@@ -451,7 +455,7 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
     name = "F-compatibility (Eq. 7)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
-    T, A, B = _sample(sys, sys.M.is_constant and F.is_constant, cfg)
+    T, A, B = _sample(sys, cfg, sys.M, F)
     X = sys.M(T)[A] @ F(T)[B]
     if not F.is_constant:
         X = X + F.derivatives(T, A, B)
@@ -472,7 +476,7 @@ def check_control_compat(sys: LinearSystem, u,
     name = "control-compatibility (Eq. 14)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
-    T, A, B = _sample(sys, sys.is_constant and u.is_constant, cfg)
+    T, A, B = _sample(sys, cfg, sys.M, sys.N, u)
     N = sys.N(T)
     U, dU = u.jet(T, A, B)
     X = sys.M(T)[A] @ (N @ U)[B]
@@ -492,7 +496,7 @@ def check_gramian_compat(sys: LinearSystem,
     name = "gramian-compatibility (Eq. 17)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
-    T, A, B = _sample(sys, sys.is_constant, cfg)
+    T, A, B = _sample(sys, cfg, sys.M, sys.N)
     N = sys.N(T)
     Ma, Na, Nb = sys.M(T)[A], N[A], N[B]
     X = Ma @ Nb @ _T(Nb) + (N @ _T(N))[B] @ _T(Ma)

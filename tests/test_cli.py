@@ -636,6 +636,26 @@ def test_endpoints_outside_the_domain_are_refused(capsys, tmp_path, argv,
                         json_mode, "t and t0 must lie inside the system domain")
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_a_varying_control_is_refused_outside_the_domain(capsys, tmp_path,
+                                                         json_mode):
+    # the system is constant, but check_control_compat samples a varying u on
+    # the box alone, so simulate refuses endpoints outside it; a constant u
+    # holds everywhere and computes there
+    path = tmp_path / "boxed.json"
+    path.write_text(json.dumps(dict(DIAG, domain=[[0, 1], [0, 1]])))
+    varying, constant = tmp_path / "varying.json", tmp_path / "constant.json"
+    varying.write_text(json.dumps({"u": [[["t1"]], [["t2"]]]}))
+    constant.write_text(json.dumps({"u": [[[1]], [[1]]]}))
+    argv = ["simulate", str(path), "--t0", "0,0", "--x0", "1,0", "--control"]
+    _assert_named_error(capsys, [*argv, str(varying), "--t", "5,5"], json_mode,
+                        "t and t0 must lie inside the system domain")
+    mode = ["--json"] if json_mode else []
+    assert run([*mode, *argv, str(varying), "--t", "1,1"]) == 0
+    assert run([*mode, *argv, str(constant), "--t", "5,5"]) == 0
+    capsys.readouterr()
+
+
 def test_flow_computes_chi_once_for_x(capsys, monkeypatch, diag_cfg):
     import mtcontrol.flow
     calls = []

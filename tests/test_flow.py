@@ -451,15 +451,15 @@ def test_a_malformed_batch_of_points_is_refused(caller, batch, diag_sys):
                               f"dimension 2, got shape {shape}")
 
 
-def _forced_case(kind, m, seed):
-    """A condition-passing system, a forcing F_a = M_a c that passes the F
-    gate (M_a F_b = M_a M_b c is symmetric when the M_a commute), and
-    generic endpoints inside the domain."""
+def _forced_case(kind, m, seed, identical):
+    """A system that passes M-commutation, a forcing F_a = M_a c that
+    passes the F gate (M_a F_b = M_a M_b c is symmetric when the M_a
+    commute), and generic endpoints inside the domain.  A constant system
+    has identical members, and so passes Eq. 17, only when `identical`."""
     rng = np.random.default_rng(seed)
     if kind == "constant":
-        # identical members: the synthesized control needs Eq. 17
-        sys = random_commuting_system(rng, n=3, m=m, k=2, identical_M=True,
-                                      identical_N=True)
+        sys = random_commuting_system(rng, n=3, m=m, k=2, identical_M=identical,
+                                      identical_N=identical)
         c = rng.standard_normal(sys.n)
         F = MatrixFamily([MatrixFunction((M(np.zeros(m)) @ c)[:, None], m)
                           for M in sys.M])
@@ -475,15 +475,22 @@ def _forced_case(kind, m, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(2, 3),
-       seed=st.integers(0, 2**32 - 1), stairs=st.booleans())
-def test_forced_solves_equal_the_per_direction_formula(kind, m, seed, stairs):
-    sys, F, u, t0, t, x0, v = _forced_case(kind, m, seed)
+       seed=st.integers(0, 2**32 - 1), stairs=st.booleans(),
+       identical=st.booleans())
+def test_forced_solves_equal_the_per_direction_formula(kind, m, seed, stairs,
+                                                       identical):
+    sys, F, u, t0, t, x0, v = _forced_case(kind, m, seed, identical)
     curve = staircase(t0, t) if stairs else curve_segment(t0, t)
     affine = solve_affine(sys, F, t0, x0, t, curve)
     expected = per_direction_forced_solve(sys, lambda a, s: F[a - 1](s),
                                           t0, x0, t, curve)
     assert np.array_equal(affine, expected)
-    for control in (u, SynthesizedControl(sys, t0, v)):
+    controls = [u]
+    try:
+        controls.append(SynthesizedControl(sys, t0, v))
+    except CompatibilityError:  # distinct members fail Eq. 17: no such control
+        assert kind == "constant" and not identical
+    for control in controls:
         controlled = _controlled_solve(sys, control, t0, x0, t, curve,
                                        DEFAULT_CONFIG)
         expected = per_direction_forced_solve(

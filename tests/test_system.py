@@ -64,10 +64,15 @@ def test_a_residual_that_overflows_fails_every_gate():
         [[[1], [0]], [[0], [1]]])
     F = MatrixFamily.from_data([[[1e200], [0]], [[0], [1e200]]], 2)
     u = ControlFamily.from_data([[[1e200]], [[1e200]]], 2)
+    # commuting M_a, but N_b N_b' = diag(0, 1e400) overflows
+    wide = LinearSystem.from_data(
+        2, 2, 1,
+        [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        [[[1e200], [0]], [[0], [1e200]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = [check_M_commutation(sys), check_F_compatibility(sys, F),
-                   check_control_compat(sys, u)]
+                   check_control_compat(sys, u), check_gramian_compat(wide)]
     for report in reports:
         assert not math.isfinite(report.max_residual)
         assert not report.passed
@@ -214,9 +219,12 @@ def test_contains_and_grid(diag_sys):
     assert not sys.contains((1.5, 1.0))
     assert sys.contains([[0.0, 0.0], [1.0, 2.0]])
     assert not sys.contains([[0.0, 0.0], [1.0, 2.5]])
-    sys.require_inside([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
+    varying = MatrixFamily.from_data([[["t1"]], [["t2"]]], 2)
+    outside = [[0.0, 0.0], [0.5, 1.0], [1.0, -0.1]]
+    sys.require_inside([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]], varying)
+    sys.require_inside(outside, sys.M, sys.N)  # constant: they hold everywhere
     with pytest.raises(ValueError, match="must lie inside the system domain"):
-        sys.require_inside([[0.0, 0.0], [0.5, 1.0], [1.0, -0.1]])
+        sys.require_inside(outside, sys.M, varying)
     grid = sys.grid_points()
     assert grid.shape == (25, 2)
     assert grid.min(axis=0).tolist() == [0.0, 0.0]
