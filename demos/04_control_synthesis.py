@@ -18,7 +18,7 @@ t0, t = (0.0, 0.0), (1.0, 0.0)
 x0, y = (1.0, 0.0), (0.0, 0.0)
 
 result = synthesize_transfer(diag, t0, x0, t, y)
-print(f"feasible: {result.feasible}")
+print(f"feasible: {result.decision.feasible}")
 print(f"v = {result.control.v}")
 print(result.control.describe())
 
@@ -34,8 +34,8 @@ for row in result.control.sample([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]):
 # An infeasible request is reported, not silently approximated: steering
 # the second state component is impossible along t2 = 0.
 bad = synthesize_transfer(diag, t0, (0.0, 1.0), t, y)
-print(f"\ninfeasible request: feasible={bad.feasible}, "
-      f"residual={bad.residual:.3f}")
+print(f"\ninfeasible request: feasible={bad.decision.feasible}, "
+      f"residual={bad.decision.residual:.3f}")
 
 # Candidate controls can be built directly from any weight vector v.  Each
 # is a member of the control space by construction: building one requires

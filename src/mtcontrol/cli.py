@@ -137,10 +137,12 @@ def _load_control(data, system: LinearSystem) -> ControlFamily:
 
 
 def _condition_tree(report: ConditionReport) -> dict:
+    # a residual that is not finite is its _fmt string, "inf" or "nan", in JSON
+    r = report.max_residual
     return {
         "condition": report.condition_name,
         "pass": report.passed,
-        "max_residual": float(_fmt(report.max_residual)),
+        "max_residual": float(_fmt(r)) if math.isfinite(r) else _fmt(r),
         "worst_point": None if report.worst_point is None
         else [float(_fmt(x)) for x in report.worst_point],
         "worst_pair": None if report.worst_pair is None else list(report.worst_pair),
@@ -257,7 +259,7 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
             "completely_controllable": report.completely_controllable,
             "completely_reachable": report.completely_reachable,
             "gramian_condition": _condition_tree(report.gramian_condition),
-            "rank_C": decision.rank,
+            "rank_C": decision.basis.rank,
             "gramian_transfer_feasible": decision.feasible,
         }
     if transfer:
@@ -267,10 +269,10 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
             "feasible": decision.feasible,
             "residual": float(_fmt(decision.residual)),
             "ordering": decision.ordering,
-            "within_subspace_guarantee": decision.ordered_weakly,
-            "rank_C": decision.rank,
+            "within_subspace_guarantee": decision.basis.ordered,
+            "rank_C": decision.basis.rank,
         }
-    rank = (decision.rank if decision is not None
+    rank = (decision.basis.rank if decision is not None
             else gramian.controllability_space(system, t0, t, cfg).rank)
     tree["complete"] = {
         "completely_controllable": rank == system.n,
@@ -284,15 +286,16 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
 
 def cmd_synthesize(args, system, cfg, doc, t0, t, x0, y) -> dict:
     result = synth.synthesize_transfer(system, t0, x0, t, y, cfg)
+    decision = result.decision
     tree = {
         "command": "synthesize",
-        "feasible": result.feasible,
-        "residual": float(_fmt(result.residual)),
-        "ordering": result.ordering,
+        "feasible": decision.feasible,
+        "residual": float(_fmt(decision.residual)),
+        "ordering": decision.ordering,
         "v": [float(_fmt(v)) for v in result.control.v],
         "control": result.control.describe(),
     }
-    if result.feasible:
+    if decision.feasible:
         verification = synth.verify_transfer(system, result.control, t0, x0, t,
                                              target=y, cfg=cfg)
         tree["verification"] = {

@@ -48,11 +48,13 @@ class Gramian:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a column space, with the SVD rank decision."""
+    """Im a from one thin SVD a = U diag(s) V' and `_rank`'s rank r: U[:, :r]
+    spans it, and V'[:r] is kept for `preimage`."""
 
-    columns: np.ndarray            # n x r, orthonormal
+    columns: np.ndarray            # n x r: U[:, :r], orthonormal
     rank: int
     singular_values: np.ndarray    # descending
+    rows: np.ndarray               # r x cols: V'[:r], orthonormal rows
     ordered: bool = True           # endpoint pair satisfied the ordering hypothesis
 
     def contains(self, w: np.ndarray, rel_tol: float) -> tuple[bool, float]:
@@ -63,6 +65,13 @@ class SubspaceBasis:
         else:
             residual = float(np.linalg.norm(w - self.columns @ (self.columns.T @ w)))
         return bool(residual <= rel_tol * (1.0 + np.linalg.norm(w))), residual
+
+    def preimage(self, w: np.ndarray) -> np.ndarray:
+        """a^+ w with a^+ = V[:, :r] diag(1/s[:r]) U[:, :r]', the
+        pseudoinverse at `_rank`'s threshold: the minimum-norm v with a v
+        the projection of w onto Im a, so a v = w when w lies in it."""
+        s = self.singular_values[:self.rank]
+        return (self.rows.T @ ((1.0 / s)[:, None] * self.columns.T)) @ w
 
 
 def _rank(s: np.ndarray, shape: tuple[int, ...], cfg: NumericConfig) -> int:
@@ -80,9 +89,9 @@ def numerical_rank(a: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG) -> int:
 def image_basis(a: np.ndarray, cfg: NumericConfig = DEFAULT_CONFIG,
                 ordered: bool = True) -> SubspaceBasis:
     """Orthonormal basis of Im a from one thin SVD."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     r = _rank(s, a.shape, cfg)
-    return SubspaceBasis(u[:, :r], r, s, ordered)
+    return SubspaceBasis(u[:, :r], r, s, vt[:r], ordered)
 
 
 def gramian_integrand(sys: LinearSystem, anchor,
@@ -173,18 +182,21 @@ def controllability_space(sys: LinearSystem, t0, t,
 
 @dataclass(frozen=True)
 class TransferDecision:
+    """The one transfer verdict: feasible iff w lies in Im C(t0, t) (`basis`,
+    with its rank and `ordered` flag); `residual` is the distance from w to
+    Im C."""
     feasible: bool
     residual: float
     ordering: str          # forward / backward / pseudo (strict comparisons)
-    ordered_weakly: bool   # inside the guarantee of the subspace identification
-    rank: int
+    w: np.ndarray          # chi(t0, t) y - x0
+    basis: SubspaceBasis
 
 
 def decide_transfer(sys: LinearSystem, t0, x0, t, y,
                     cfg: NumericConfig = DEFAULT_CONFIG) -> TransferDecision:
     """Can some control steer (t0, x0) to (t, y)?
 
-    Projects w = x0 - chi(t0, t) y onto Im C(t0, t); feasible iff the
+    Projects w = chi(t0, t) y - x0 onto Im C(t0, t); feasible iff the
     projection residual is below residual_rel_tol * (1 + |w|).
     """
     t0 = as_point(t0, m=sys.m)
@@ -192,10 +204,9 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     y = np.asarray(y, dtype=float).reshape(sys.n)
     basis = controllability_space(sys, t0, t, cfg)
-    w = x0 - transition(sys, t0, t, cfg) @ y
+    w = transition(sys, t0, t, cfg) @ y - x0
     feasible, residual = basis.contains(w, cfg.residual_rel_tol)
-    return TransferDecision(feasible, residual, _ordering(t0, t),
-                            basis.ordered, basis.rank)
+    return TransferDecision(feasible, residual, _ordering(t0, t), w, basis)
 
 
 @dataclass(frozen=True)

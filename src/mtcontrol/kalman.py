@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_CONFIG, NumericConfig, as_point
-from .flow import transition
+# unused here (the gramian decision carries w), but bench/tracing.py wraps
+# and restores this module's `transition` binding, so it stays
+from .flow import transition  # noqa: F401
 from .gramian import (TransferDecision, controllability_space, decide_transfer,
                       image_basis, numerical_rank)
 from .system import (ConditionReport, LinearSystem, check_gramian_compat,
@@ -145,15 +147,12 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
 
     G = controllability_matrix(sys, cfg)
     basis = image_basis(G.value, cfg)
-    r = basis.rank
-
-    w = x0 - transition(sys, t0, t, cfg) @ y
-    feasible, residual = basis.contains(w, cfg.residual_rel_tol)
+    decision = decide_transfer(sys, t0, x0, t, y, cfg)
+    feasible, residual = basis.contains(decision.w, cfg.residual_rel_tol)
     controllable, _ = basis.contains(x0, cfg.residual_rel_tol)
     reachable, _ = basis.contains(y, cfg.residual_rel_tol)
-    full = r == sys.n
-    decision = decide_transfer(sys, t0, x0, t, y, cfg)
-    return AutonomousReport(r, feasible, residual, controllable, reachable,
+    full = basis.rank == sys.n
+    return AutonomousReport(basis.rank, feasible, residual, controllable, reachable,
                             full, full, condition, decision)
 
 

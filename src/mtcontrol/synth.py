@@ -3,8 +3,8 @@
 The candidate family is u_alpha(s) = N_alpha(s)' chi(t0, s)' v; whenever
 the gramian compatibility condition holds, every such family lies in the
 control space, and choosing v as the minimum-norm solution of
-C(t0, t) v = chi(t0, t) y - x0 realizes the transfer (t0, x0) -> (t, y)
-whenever it is realizable at all.
+C(t0, t) v = w, w = chi(t0, t) y - x0, realizes the transfer
+(t0, x0) -> (t, y) whenever `decide_transfer` finds it feasible.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DEFAULT_CONFIG, NumericConfig, as_point
 from .flow import _controlled_solve, transition
-from .gramian import controllability_gramian, _ordering
+from .gramian import TransferDecision, decide_transfer
 from .system import (LinearSystem, _T, check_gramian_compat,
                      check_M_commutation, require)
 
@@ -100,34 +100,23 @@ class SynthesizedControl:
 @dataclass(frozen=True)
 class SynthesisResult:
     control: SynthesizedControl
-    feasible: bool
-    residual: float
-    ordering: str   # forward / backward / pseudo
-    target: np.ndarray
+    decision: TransferDecision
 
 
 def synthesize_transfer(sys: LinearSystem, t0, x0, t, y,
                         cfg: NumericConfig = DEFAULT_CONFIG) -> SynthesisResult:
     """Minimum-norm synthesis of a control transferring (t0, x0) to (t, y).
 
-    Solves C(t0, t) v = chi(t0, t) y - x0 by SVD pseudoinverse; the
-    transfer is feasible iff the gramian equation is solvable, i.e. the
-    defect |C v - w| stays below tolerance.  For unordered endpoint pairs
+    The verdict is `decide_transfer`'s, the one `analyze` reports: feasible
+    iff w = chi(t0, t) y - x0 lies in Im C(t0, t).  The control takes
+    v = C^+ w from that decision's basis (`SubspaceBasis.preimage`), so
+    C v = w when the transfer is feasible.  For unordered endpoint pairs
     the same formula applies but is outside the Im C = V guarantee; the
-    ordering is reported so callers can flag it.
+    decision's ordering says so.
     """
-    t0 = as_point(t0, m=sys.m)
-    t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    y = np.asarray(y, dtype=float).reshape(sys.n)
-
-    g = controllability_gramian(sys, t0, t, cfg)  # gates on the conditions
-    w = transition(sys, t0, t, cfg) @ y - x0
-    v = np.linalg.pinv(g.value, rcond=cfg.rank_rel_tol * max(g.value.shape)) @ w
-    residual = float(np.linalg.norm(g.value @ v - w))
-    feasible = bool(residual <= cfg.residual_rel_tol * (1.0 + np.linalg.norm(w)))
-    control = SynthesizedControl(sys, t0, v, cfg)
-    return SynthesisResult(control, feasible, residual, _ordering(t0, t), y)
+    d = decide_transfer(sys, t0, x0, t, y, cfg)
+    control = SynthesizedControl(sys, t0, d.basis.preimage(d.w), cfg)
+    return SynthesisResult(control, d)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ def test_criterion_7_synthesis_round_trip():
             w = C @ rng.standard_normal(4)
             y = np.linalg.solve(transition(sys, t0, t), x0 - w)
             result = synthesize_transfer(sys, t0, x0, t, y)
-            assert result.feasible
+            assert result.decision.feasible
             check = verify_transfer(sys, result.control, t0, x0, t, target=y)
             assert check.error <= 1e-7 * (1 + np.linalg.norm(y))
             assert check_control_compat(sys, result.control).passed

@@ -15,10 +15,10 @@ from hypothesis.extra.numpy import arrays
 import mtcontrol.flow
 import mtcontrol.gramian
 import mtcontrol.system
-from mtcontrol.cli import _flat_encoder, _json, _render, run
+from mtcontrol.cli import _condition_tree, _flat_encoder, _json, _render, run
 from mtcontrol.core import DEFAULT_CONFIG
 from mtcontrol.kalman import controllability_matrix, rank_G
-from mtcontrol.system import LinearSystem
+from mtcontrol.system import ConditionReport, LinearSystem
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 DEMO_DIAG = str(DEMOS / "diagonal_two_time.json")
@@ -208,6 +208,31 @@ def test_analyze_builds_the_gramian_once(capsys, monkeypatch, transfer):
     assert code == 0
     assert tree["complete"]["rank_C"] == 2
     assert len(builds) == 1
+
+
+def test_analyze_takes_chi_t0_t_once(capsys, monkeypatch):
+    # 16 Gauss nodes in each of m = 2 directions for the gramian, and one
+    # chi(t0, t) for w, which the Im G test reads from the gramian decision
+    calls = []
+    original = mtcontrol.flow.expm
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(mtcontrol.flow, "expm", counting)
+    code, tree = run_json(capsys, ["analyze", DEMO_DIAG, "--t0", "0,0", "--t", "1,1",
+                                   "--x0", "1,0", "--y", "0,0"])
+    assert code == 0 and tree["transfer"]["feasible"]
+    assert len(calls) == 33
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, "inf"), (math.nan, "nan")])
+def test_a_non_finite_gate_residual_is_written_as_a_string(value, text):
+    report = ConditionReport("M-commutation (Eq. 6)", value, False, None, None)
+    tree = {"gate": _condition_tree(report)}
+    assert json.loads(_json(tree))["gate"]["max_residual"] == text
+    assert _render(tree)[3] == f"  max_residual: {text}"
 
 
 GRAMIAN_GATES = ["M-commutation (Eq. 6)", "gramian-compatibility (Eq. 17)"]
@@ -583,10 +608,9 @@ OVERFLOWING = dict(DIAG, M=[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]])
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_a_check_whose_products_overflow_fails(capsys, tmp_path, json_mode):
     # the residual is inf: check reports the failure, and flow is refused
-    # (in --json mode that inf is the non-finite-number error)
+    # (in --json mode with the residual written as the string "inf")
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(OVERFLOWING))
-    json_error = "Out of range float values are not JSON compliant: inf"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run(["check", str(path)])
@@ -597,7 +621,15 @@ def test_a_check_whose_products_overflow_fails(capsys, tmp_path, json_mode):
                           "    pass: False\n    max_residual: inf\n")
     argv = ["flow", str(path), "--t0", "0,0", "--t", "1e-300,0"]
     if json_mode:
-        _assert_named_error(capsys, argv, json_mode, json_error)
+        code, tree = run_json(capsys, ["check", str(path)])
+        assert code == 0 and tree["all_pass"] is False
+        assert len(tree["conditions"]) == 4
+        assert tree["conditions"][0]["pass"] is False
+        assert tree["conditions"][0]["max_residual"] == "inf"
+        code, tree = run_json(capsys, argv)
+        assert code == 2 and tree["refused"] is True
+        assert tree["gate"]["max_residual"] == "inf"
+        assert tree["reason"] == "M-commutation (Eq. 6) residual inf"
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")

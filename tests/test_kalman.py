@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mtcontrol import kalman
+from mtcontrol import gramian, kalman
 from mtcontrol import (CompatibilityError, LinearSystem, autonomous_analysis,
                        compare_rank, controllability_gramian,
                        controllability_matrix, exponent_order, rank_G)
@@ -193,7 +193,7 @@ def test_autonomous_analysis_diag(diag_sys):
     assert report.completely_controllable  # rank G = n = 2
     assert report.gramian_condition.passed
     # cross-check carries the stricter gramian verdict for this endpoint pair
-    assert report.gramian_decision.rank == 1
+    assert report.gramian_decision.basis.rank == 1
     assert report.gramian_decision.feasible
 
 
@@ -219,6 +219,7 @@ def test_autonomous_analysis_refuses_before_it_computes(system, condition,
         raise AssertionError("computed before the gates")
     monkeypatch.setattr(kalman, "controllability_matrix", computed)
     monkeypatch.setattr(kalman, "transition", computed)
+    monkeypatch.setattr(gramian, "transition", computed)
     sys = cyclic_sys if system == "cyclic" else NILPOTENT
     origin, ones = np.zeros(sys.m), np.ones(sys.m)
     with pytest.raises(CompatibilityError) as refusal:

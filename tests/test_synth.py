@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcontrol import (CompatibilityError, LinearSystem, SynthesizedControl,
-                       check_control_compat, solve_homogeneous,
-                       synthesize_transfer, verify_transfer)
+                       check_control_compat, controllability_gramian,
+                       decide_transfer, solve_homogeneous, synthesize_transfer,
+                       verify_transfer)
+from mtcontrol.core import DEFAULT_CONFIG
 from mtcontrol.flow import transition
 
-from conftest import axis_scaled_system, random_passing_system
+from conftest import axis_scaled_system, passing_case, random_passing_system
 
 
 def test_zero_candidate_is_always_valid(cyclic_sys, diag_sys):
@@ -121,7 +125,7 @@ def test_synthesize_free_evolution_gives_zero_control(diag_sys):
     x0 = np.array([0.4, -1.2])
     y = transition(diag_sys, t, t0) @ x0
     result = synthesize_transfer(diag_sys, t0, x0, t, y)
-    assert result.feasible
+    assert result.decision.feasible
     assert np.allclose(result.control.v, 0.0, atol=1e-12)
     check = verify_transfer(diag_sys, result.control, t0, x0, t, target=y)
     assert check.error <= 1e-10
@@ -129,11 +133,11 @@ def test_synthesize_free_evolution_gives_zero_control(diag_sys):
 
 def test_synthesize_diag_example(diag_sys):
     result = synthesize_transfer(diag_sys, (0, 0), (1, 0), (1, 0), (0, 0))
-    assert result.feasible
+    assert result.decision.feasible
     expected_v = -2.0 / (1.0 - math.exp(-2))
     assert result.control.v[0] == pytest.approx(expected_v, rel=1e-9)
     assert result.control.v[1] == pytest.approx(0.0, abs=1e-12)
-    assert result.ordering == "pseudo"
+    assert result.decision.ordering == "pseudo"
     check = verify_transfer(diag_sys, result.control, (0, 0), (1, 0), (1, 0),
                             target=(0, 0))
     assert check.error <= 1e-8
@@ -141,8 +145,41 @@ def test_synthesize_diag_example(diag_sys):
 
 def test_synthesize_infeasible_target(diag_sys):
     result = synthesize_transfer(diag_sys, (0, 0), (0, 1), (1, 0), (0, 0))
-    assert not result.feasible
-    assert result.residual == pytest.approx(1.0, rel=1e-9)
+    assert not result.decision.feasible
+    assert result.decision.residual == pytest.approx(1.0, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1), inside=st.booleans(), frozen=st.booleans())
+def test_synthesize_and_decide_transfer_are_one_decision(kind, m, seed, inside,
+                                                         frozen):
+    # random endpoints give every ordering, pseudo-ordered pairs included;
+    # the constant draws have rank C = 2..4 of n = 4, and a frozen axis makes
+    # the time-varying C rank 1
+    sys, (t0, t) = passing_case(kind, m, seed, 2)
+    if frozen:
+        t[0] = t0[0]
+    rng = np.random.default_rng([seed, 1])
+    x0, y = rng.standard_normal((2, sys.n))
+    C = controllability_gramian(sys, t0, t).value
+    if inside:  # chi(t0, t) y - x0 = C z lies in Im C
+        y = transition(sys, t, t0) @ (x0 + C @ rng.standard_normal(sys.n))
+    d = decide_transfer(sys, t0, x0, t, y)
+    result = synthesize_transfer(sys, t0, x0, t, y)
+    s = result.decision
+    assert (s.feasible, s.residual, s.ordering) == (d.feasible, d.residual, d.ordering)
+    assert d.feasible or not inside
+    v = result.control.v
+    assert np.array_equal(v, d.basis.preimage(d.w))
+    # v is the minimum-norm least-squares solution of C v = w: it lies in
+    # Im C = Im C', and |C v - w|, the part of w outside Im C, is the
+    # residual to within the verdict's tolerance (at most 5.5e-10 of
+    # 1 + |w| in 4,800 draws, where C reaches 1e7)
+    tol = DEFAULT_CONFIG.residual_rel_tol
+    assert d.basis.contains(v, tol)[0]
+    norm = np.linalg.norm
+    assert abs(norm(C @ v - d.w) - d.residual) <= tol * (1.0 + norm(d.w))
 
 
 def test_verify_zero_control_endpoint(diag_sys):
@@ -204,7 +241,7 @@ def test_round_trip_on_random_passing_systems():
         w = C @ rng.standard_normal(4)
         y = np.linalg.solve(transition(sys, t0, t), x0 - w)
         result = synthesize_transfer(sys, t0, x0, t, y)
-        assert result.feasible
+        assert result.decision.feasible
         check = verify_transfer(sys, result.control, t0, x0, t, target=y)
         assert check.error <= 1e-7 * (1 + np.linalg.norm(y))
         # candidate controls are accepted by the membership check
