@@ -165,7 +165,7 @@ def _record() -> dict:
                           "stdout": out})
             return code, out
 
-        count, problems = preflight.run(recorded, ROOT, tmp)
+        _, problems = preflight.run(recorded, ROOT, tmp)
         if problems:
             raise SystemExit("pre-flight problems:\n" + "\n".join(problems))
     return {"configs": configs, "calls": calls}
