@@ -31,7 +31,7 @@ def as_point(coords, m: int | None = None) -> np.ndarray:
     t = np.atleast_1d(np.asarray(coords, dtype=float))
     if t.ndim != 1 or t.size < 1:
         raise ValueError(f"multitime must be a 1-D sequence, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError(f"multitime coordinates must be finite, got {t}")
     if m is not None and t.size != m:
         raise ValueError(f"expected multitime of dimension {m}, got {t.size}")
@@ -46,7 +46,7 @@ def as_points(coords, m: int) -> np.ndarray:
     `m`, or holds a non-finite coordinate.
     """
     points = np.asarray(coords, dtype=float)
-    if points.ndim != 2 or points.shape[1] != m or not np.all(np.isfinite(points)):
+    if points.ndim != 2 or points.shape[1] != m or not np.isfinite(points).all():
         raise ValueError(f"expected a batch of finite multitimes of "
                          f"dimension {m}, got shape {points.shape}")
     return points

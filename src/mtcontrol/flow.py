@@ -10,14 +10,14 @@ the commutation condition holds (the integral is then path independent).
 
 `transition` takes one start point t0 or a (P, m) batch of them; the
 quadrature integrands pass all Gauss nodes of a segment as one batch.  Both
-routes start from one stack of generators A = sum_a delta^a M_a (the
-one-form pulled back to each segment, `_generators`): a constant family
-takes one expm of A per start point, a time-varying one takes A at the RK4
-stage points of all P segments.  RK4 is linear in X, so each step is a
-fixed matrix R_j applied to X: all step propagators are built at once with
-batched matmuls, and their ordered product R_{S-1}...R_0 is taken pairwise
-in log2(S) levels (an associative reduction, cf. Blelloch, "Prefix sums and
-their applications", 1990).
+routes start from generators A = sum_a delta^a M_a (the one-form pulled
+back to each segment): a constant family forms A from its own (m, n, n)
+array and takes one expm of A per start point, a time-varying one takes A
+at the RK4 stage points of all P segments (`_generators`).  RK4 is linear
+in X, so each step is a fixed matrix R_j applied to X: all step
+propagators are built at once with batched matmuls, and their ordered
+product R_{S-1}...R_0 is taken pairwise in log2(S) levels (an associative
+reduction, cf. Blelloch, "Prefix sums and their applications", 1990).
 A chi with non-finite entries (overflow) is a named ValueError.
 """
 
@@ -80,7 +80,7 @@ def _generators(sys: LinearSystem, starts: np.ndarray, end,
     A = np.zeros((len(starts), len(fractions), sys.n, sys.n))
     for alpha in range(sys.m):
         rows = delta[:, alpha] != 0.0
-        if np.any(rows):
+        if rows.any():
             M = sys.M[alpha](points[rows].reshape(-1, sys.m))
             A[rows] += delta[rows, alpha, None, None, None] * M.reshape(
                 -1, len(fractions), sys.n, sys.n)
@@ -119,24 +119,32 @@ def transition(sys: LinearSystem, t, t0,
 
     `t0` is one start point (m,), giving (n, n), or a batch of start points
     (P, m), giving (P, n, n); each matrix of a batch equals the one-point
-    result bit for bit.  Both routes start from one generator stack.
+    result bit for bit.  A constant family's generator is the sum of the
+    terms delta^a M_a of its array, added into zeros in direction order.
     Raises ValueError when chi overflows (non-finite entries).
     """
     t = as_point(t, m=sys.m)
     batch = np.ndim(t0) == 2
     starts = as_points(t0, sys.m) if batch else as_point(t0, m=sys.m)[None]
-    chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
-    moving = np.any(starts != t, axis=1)
+    moving = (starts != t).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         if sys.M.is_constant:
-            A = _generators(sys, starts[moving], t, np.zeros(1))[:, 0]
+            # a sum started at +0.0 never holds -0.0, so the zero term of a
+            # direction with delta^a = 0 changes no entry: A equals the sum
+            # that skips it, as `_generators` does, bit for bit
+            A = np.zeros((len(starts), sys.n, sys.n))
+            for term in ((t - starts)[:, :, None, None] * sys.M.value).swapaxes(0, 1):
+                A += term
             # one expm per start while bench/test_bench.py pins 16 * m expm
             # calls per constant gramian; one batched call once it counts matrices
-            for p, generator in zip(np.flatnonzero(moving), A):
-                chi[p] = expm(generator)
-        elif np.any(moving):
-            chi[moving] = _rk4(sys, starts[moving], t, cfg)
-    if not np.all(np.isfinite(chi)):
+            chi = np.array([expm(a) if move else np.eye(sys.n)
+                            for a, move in zip(A, moving.tolist())]
+                           ).reshape(A.shape)
+        else:
+            chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
+            if moving.any():
+                chi[moving] = _rk4(sys, starts[moving], t, cfg)
+    if not np.isfinite(chi).all():
         raise ValueError("fundamental matrix overflowed (non-finite entries) "
                          "between t0 and t")
     return chi if batch else chi[0]

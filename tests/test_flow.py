@@ -367,6 +367,43 @@ def test_constant_transition_equals_the_per_direction_loop(m, n, P, seed, data):
     assert np.array_equal(np.signbit(single), np.signbit(reference[0]))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_constant_transition_keeps_the_signs_of_the_loops_zeros(m):
+    # delta M has -0.0 above the diagonal, and expm's triangular branch
+    # carries the sign of a zero into chi: the generator must be a sum
+    # started at +0.0, as the loop's is (M_2 = -M_1 does not move)
+    M1 = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
+    M = [M1.tolist(), (-M1).tolist()][:m]
+    sys = LinearSystem.from_data(m, 3, 1, M, [[[1], [0], [0]]] * m)
+    t, starts = np.zeros(m), np.array([[4.0] + [0.0] * (m - 1)])
+    reference = _looped_constant_transition(sys, t, starts)
+    chi = transition(sys, t, starts)
+    assert np.array_equal(chi, reference)
+    assert np.array_equal(np.signbit(chi), np.signbit(reference))
+    assert np.signbit(expm(-4.0 * M1)[0, 1]) != np.signbit(reference[0, 0, 1])
+
+
+def test_constant_transition_evaluates_no_member_of_M(monkeypatch):
+    # the generators come from the family's own (m, n, n) array
+    rng = np.random.default_rng(11)
+    sys = random_commuting_system(rng, n=3, m=3, k=1)
+    members = sys.M.members
+    calls = []
+    original = MatrixFunction.__call__
+
+    def counting(self, t):
+        if any(self is M for M in members):
+            calls.append(np.shape(t))
+        return original(self, t)
+
+    monkeypatch.setattr(MatrixFunction, "__call__", counting)
+    t = np.array([0.5, -0.2, 0.9])
+    single = transition(sys, t, np.zeros(3))
+    batch = transition(sys, t, rng.uniform(-1.0, 1.0, (5, 3)))
+    assert calls == []
+    assert single.shape == (3, 3) and batch.shape == (5, 3, 3)
+
+
 def test_rk4_chi_composes_the_batched_stepper_over_segments():
     sys = _nilpotent_system()
     t0, t = np.array([0.0, 0.0]), np.array([1.5, 1.0])
