@@ -57,14 +57,16 @@ class SubspaceBasis:
     rows: np.ndarray               # r x cols: V'[:r], orthonormal rows
     ordered: bool = True           # endpoint pair satisfied the ordering hypothesis
 
-    def contains(self, w: np.ndarray, rel_tol: float) -> tuple[bool, float]:
-        """Membership of w via projection residual, relative to 1 + |w|."""
+    def contains(self, w: np.ndarray, rel_tol: float,
+                 scale: float) -> tuple[bool, float]:
+        """Membership of w: its projection residual is at most rel_tol * scale,
+        where scale is the size of the terms that w was formed from."""
         w = np.asarray(w, dtype=float)
         if self.rank == 0:
             residual = float(np.linalg.norm(w))
         else:
             residual = float(np.linalg.norm(w - self.columns @ (self.columns.T @ w)))
-        return bool(residual <= rel_tol * (1.0 + np.linalg.norm(w))), residual
+        return bool(residual <= rel_tol * scale), residual
 
     def preimage(self, w: np.ndarray) -> np.ndarray:
         """a^+ w with a^+ = V[:, :r] diag(1/s[:r]) U[:, :r]', the
@@ -184,11 +186,12 @@ def controllability_space(sys: LinearSystem, t0, t,
 class TransferDecision:
     """The one transfer verdict: feasible iff w lies in Im C(t0, t) (`basis`,
     with its rank and `ordered` flag); `residual` is the distance from w to
-    Im C."""
+    Im C, and `scale` the size of the terms w is formed from."""
     feasible: bool
     residual: float
     ordering: str          # forward / backward / pseudo (strict comparisons)
     w: np.ndarray          # chi(t0, t) y - x0
+    scale: float           # |chi(t0, t)|_2 |y| + |x0|
     basis: SubspaceBasis
 
 
@@ -197,16 +200,20 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     """Can some control steer (t0, x0) to (t, y)?
 
     Projects w = chi(t0, t) y - x0 onto Im C(t0, t); feasible iff the
-    projection residual is below residual_rel_tol * (1 + |w|).
+    projection residual is at most residual_rel_tol times the size of the
+    terms, |chi(t0, t)|_2 |y| + |x0|: a w that is round-off of them passes,
+    and a transfer of any size is judged alike.
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     y = np.asarray(y, dtype=float).reshape(sys.n)
     basis = controllability_space(sys, t0, t, cfg)
-    w = transition(sys, t0, t, cfg) @ y - x0
-    feasible, residual = basis.contains(w, cfg.residual_rel_tol)
-    return TransferDecision(feasible, residual, _ordering(t0, t), w, basis)
+    chi = transition(sys, t0, t, cfg)
+    w = chi @ y - x0
+    scale = float(np.linalg.norm(chi, 2) * np.linalg.norm(y) + np.linalg.norm(x0))
+    feasible, residual = basis.contains(w, cfg.residual_rel_tol, scale)
+    return TransferDecision(feasible, residual, _ordering(t0, t), w, scale, basis)
 
 
 @dataclass(frozen=True)

@@ -148,9 +148,10 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
     G = controllability_matrix(sys, cfg)
     basis = image_basis(G.value, cfg)
     decision = decide_transfer(sys, t0, x0, t, y, cfg)
-    feasible, residual = basis.contains(decision.w, cfg.residual_rel_tol)
-    controllable, _ = basis.contains(x0, cfg.residual_rel_tol)
-    reachable, _ = basis.contains(y, cfg.residual_rel_tol)
+    tol = cfg.residual_rel_tol
+    feasible, residual = basis.contains(decision.w, tol, decision.scale)
+    controllable, _ = basis.contains(x0, tol, np.linalg.norm(x0))
+    reachable, _ = basis.contains(y, tol, np.linalg.norm(y))
     full = basis.rank == sys.n
     return AutonomousReport(basis.rank, feasible, residual, controllable, reachable,
                             full, full, condition, decision)

@@ -317,6 +317,21 @@ def test_synthesize_diag_example(capsys, diag_cfg):
     assert tree["verification"]["error"] <= 1e-8
 
 
+def test_a_tiny_x0_orthogonal_to_im_G_is_neither_feasible_nor_controllable(capsys, tmp_path):
+    # x0 = (0, 1e-9) is orthogonal to Im C = Im G = span(e1)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "k": 1, "M": [[[1, 0], [0, 2]]],
+                                "N": [[[1], [0]]]}))
+    transfer = [str(path), "--t0", "0", "--t", "1", "--x0", "0,1e-9", "--y", "0,0"]
+    code, tree = run_json(capsys, ["synthesize", *transfer])
+    assert code == 0 and tree["feasible"] is False
+    code, tree = run_json(capsys, ["analyze", *transfer])
+    assert code == 0
+    assert tree["autonomous"]["phase_controllable"] is False
+    assert tree["autonomous"]["transfer_feasible"] is False
+    assert tree["transfer"]["feasible"] is False
+
+
 def test_simulate_command(capsys, diag_cfg, tmp_path):
     control = tmp_path / "control.json"
     control.write_text(json.dumps({"u": [["1"], ["0"]]}))

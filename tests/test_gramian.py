@@ -259,14 +259,57 @@ def test_image_basis_rank_and_span(case):
     q = basis.columns
     assert q.shape == (a.shape[0], r)
     assert np.allclose(q.T @ q, np.eye(r), atol=1e-12)
-    for col in a.T:
-        inside, _ = basis.contains(col, DEFAULT_CONFIG.residual_rel_tol)
+    for col in a.T:  # each formed from a, so judged against its size
+        inside, _ = basis.contains(col, DEFAULT_CONFIG.residual_rel_tol,
+                                   np.linalg.norm(a))
         assert inside
     # preimage is the pseudoinverse at the rank threshold
     assert basis.rows.shape == (r, a.shape[1])
     w = np.arange(1.0, a.shape[0] + 1)
     pinv = np.linalg.pinv(a, rcond=DEFAULT_CONFIG.rank_rel_tol * max(a.shape))
     assert np.allclose(basis.preimage(w), pinv @ w, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(low_rank_matrices(), st.floats(-12.0, 0.0), st.integers(0, 2**32 - 1))
+def test_membership_is_unchanged_when_w_and_its_scale_are_scaled(case, gap, seed):
+    # w off Im a by a relative 10^gap, around the 1e-8 threshold too; powers
+    # of two from 2^-40 (about 1e-12) to 2^40 (about 1e12) scale w exactly
+    a, r = case
+    basis = image_basis(a)
+    rng = np.random.default_rng(seed)
+    w = a @ rng.standard_normal(a.shape[1]) + 10.0 ** gap * rng.standard_normal(a.shape[0])
+    scale = float(np.linalg.norm(w))
+    tol = DEFAULT_CONFIG.residual_rel_tol
+    inside, residual = basis.contains(w, tol, scale)
+    for k in range(-40, 41):
+        s = 2.0 ** k
+        assert basis.contains(s * w, tol, s * scale) == (inside, s * residual)
+
+
+def test_a_tiny_x0_orthogonal_to_im_C_is_not_feasible():
+    # x0 = (0, 1e-9) is orthogonal to Im C = span(e1): w = -x0 lies off it by
+    # all of its size, at any size
+    sys = LinearSystem.from_data(1, 2, 1, [[[1, 0], [0, 2]]], [[[1], [0]]])
+    for size in (1e-9, 1e-6, 1.0, 1e6):
+        d = decide_transfer(sys, (0,), (0, size), (1,), (0, 0))
+        assert not d.feasible
+        assert d.residual == pytest.approx(size, rel=1e-12) and d.scale == size
+    assert decide_transfer(sys, (0,), (1e-9, 0), (1,), (0, 0)).feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), size=st.floats(-6.0, 6.0))
+def test_free_evolution_is_feasible_at_any_size(kind, m, seed, size):
+    # y = chi(t, t0) x0 with |x0| = 10^size: w is round-off of its terms
+    sys, (t0, t) = passing_case(kind, m, seed, 2)
+    x0 = np.random.default_rng([seed, 2]).standard_normal(sys.n)
+    x0 *= 10.0 ** size / np.linalg.norm(x0)
+    y = transition(sys, t, t0) @ x0
+    d = decide_transfer(sys, t0, x0, t, y)
+    assert d.feasible
+    assert d.residual <= DEFAULT_CONFIG.residual_rel_tol * d.scale
 
 
 @pytest.mark.parametrize("build", [controllability_gramian, reachability_gramian])

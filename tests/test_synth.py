@@ -177,8 +177,8 @@ def test_synthesize_and_decide_transfer_are_one_decision(kind, m, seed, inside,
     # residual to within the verdict's tolerance (at most 5.5e-10 of
     # 1 + |w| in 4,800 draws, where C reaches 1e7)
     tol = DEFAULT_CONFIG.residual_rel_tol
-    assert d.basis.contains(v, tol)[0]
     norm = np.linalg.norm
+    assert d.basis.contains(v, tol, norm(v))[0]
     assert abs(norm(C @ v - d.w) - d.residual) <= tol * (1.0 + norm(d.w))
 
 
