@@ -60,13 +60,14 @@ class SubspaceBasis:
     def contains(self, w: np.ndarray, rel_tol: float,
                  scale: float) -> tuple[bool, float]:
         """Membership of w: its projection residual is at most rel_tol * scale,
-        where scale is the size of the terms that w was formed from."""
+        where scale is the size of the terms that w was formed from.  A scale
+        that is not finite bounds nothing, so w is then not a member."""
         w = np.asarray(w, dtype=float)
         if self.rank == 0:
             residual = float(np.linalg.norm(w))
         else:
             residual = float(np.linalg.norm(w - self.columns @ (self.columns.T @ w)))
-        return bool(residual <= rel_tol * scale), residual
+        return bool(np.isfinite(scale) and residual <= rel_tol * scale), residual
 
     def preimage(self, w: np.ndarray) -> np.ndarray:
         """a^+ w with a^+ = V[:, :r] diag(1/s[:r]) U[:, :r]', the
@@ -191,7 +192,7 @@ class TransferDecision:
     residual: float
     ordering: str          # forward / backward / pseudo (strict comparisons)
     w: np.ndarray          # chi(t0, t) y - x0
-    scale: float           # |chi(t0, t)|_2 |y| + |x0|
+    scale: float           # | |chi(t0, t)| |y| | + |x0|
     basis: SubspaceBasis
 
 
@@ -201,8 +202,12 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
 
     Projects w = chi(t0, t) y - x0 onto Im C(t0, t); feasible iff the
     projection residual is at most residual_rel_tol times the size of the
-    terms, |chi(t0, t)|_2 |y| + |x0|: a w that is round-off of them passes,
-    and a transfer of any size is judged alike.
+    terms, | |chi(t0, t)| |y| | + |x0| with |.| taken entrywise inside: a w
+    that is round-off of them passes (the componentwise bound on a product's
+    round-off, Higham, "Accuracy and Stability of Numerical Algorithms",
+    ch. 3), and a transfer of any size is judged alike.  The entrywise
+    product does not grow along a direction of y that chi does not stretch,
+    where the norm product |chi|_2 |y| would.
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
@@ -211,7 +216,7 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     basis = controllability_space(sys, t0, t, cfg)
     chi = transition(sys, t0, t, cfg)
     w = chi @ y - x0
-    scale = float(np.linalg.norm(chi, 2) * np.linalg.norm(y) + np.linalg.norm(x0))
+    scale = float(np.linalg.norm(np.abs(chi) @ np.abs(y)) + np.linalg.norm(x0))
     feasible, residual = basis.contains(w, cfg.residual_rel_tol, scale)
     return TransferDecision(feasible, residual, _ordering(t0, t), w, scale, basis)
 

@@ -332,6 +332,22 @@ def test_a_tiny_x0_orthogonal_to_im_G_is_neither_feasible_nor_controllable(capsy
     assert tree["transfer"]["feasible"] is False
 
 
+def test_a_target_along_a_direction_chi_does_not_stretch_is_not_feasible(capsys, tmp_path):
+    # chi(0, 1) = diag(e^20, 1); w = (0, 1) is off Im C = Im G = span(e1) by
+    # 1, and x2 never moves, so neither command may pass it
+    path = tmp_path / "stretch.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "k": 1, "M": [[[-20, 0], [0, 0]]],
+                                "N": [[[1], [0]]]}))
+    transfer = [str(path), "--t0", "0", "--t", "1", "--x0", "0,0", "--y", "0,1"]
+    code, tree = run_json(capsys, ["synthesize", *transfer])
+    assert code == 0 and tree["feasible"] is False
+    code, tree = run_json(capsys, ["analyze", *transfer])
+    assert code == 0
+    assert tree["autonomous"]["transfer_feasible"] is False
+    assert tree["autonomous"]["phase_reachable"] is False
+    assert tree["transfer"]["feasible"] is False
+
+
 def test_simulate_command(capsys, diag_cfg, tmp_path):
     control = tmp_path / "control.json"
     control.write_text(json.dumps({"u": [["1"], ["0"]]}))

@@ -259,9 +259,9 @@ def test_image_basis_rank_and_span(case):
     q = basis.columns
     assert q.shape == (a.shape[0], r)
     assert np.allclose(q.T @ q, np.eye(r), atol=1e-12)
-    for col in a.T:  # each formed from a, so judged against its size
+    for col in a.T:
         inside, _ = basis.contains(col, DEFAULT_CONFIG.residual_rel_tol,
-                                   np.linalg.norm(a))
+                                   np.linalg.norm(col))
         assert inside
     # preimage is the pseudoinverse at the rank threshold
     assert basis.rows.shape == (r, a.shape[1])
@@ -296,6 +296,25 @@ def test_a_tiny_x0_orthogonal_to_im_C_is_not_feasible():
         assert not d.feasible
         assert d.residual == pytest.approx(size, rel=1e-12) and d.scale == size
     assert decide_transfer(sys, (0,), (1e-9, 0), (1,), (0, 0)).feasible
+
+
+def test_a_y_along_a_direction_chi_does_not_stretch_is_judged_by_its_own_size():
+    # chi(0, 1) = diag(e^20, 1) and w = (0, 1) lies off Im C = span(e1) by 1:
+    # |chi|_2 |y| = 4.85e8 would pass it; the entrywise |chi| |y| is 1
+    sys = LinearSystem.from_data(1, 2, 1, [[[-20, 0], [0, 0]]], [[[1], [0]]])
+    d = decide_transfer(sys, (0,), (0, 0), (1,), (0, 1))
+    assert not d.feasible
+    assert d.residual == pytest.approx(1.0, rel=1e-12) and d.scale == pytest.approx(1.0)
+    assert decide_transfer(sys, (0,), (0, 0), (1,), (1, 0)).feasible
+
+
+def test_a_scale_that_is_not_finite_admits_nothing():
+    basis = image_basis(np.eye(2)[:, :1])
+    tol = DEFAULT_CONFIG.residual_rel_tol
+    w = np.array([1.0, 1.0])
+    for scale in (np.inf, np.nan):
+        assert basis.contains(w, tol, scale) == (False, 1.0)
+        assert not basis.contains(np.array([1.0, 0.0]), tol, scale)[0]
 
 
 @settings(max_examples=40, deadline=None)
