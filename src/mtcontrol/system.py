@@ -182,7 +182,7 @@ class MatrixFamily:
 
     Whether it is constant is decided once, when it is built; a constant
     family keeps its members' values as one read-only (m, r, c) array,
-    `value` (None when a member varies), which evaluation returns."""
+    `value` (None when a member varies)."""
 
     def __init__(self, members: Sequence[MatrixFunction]):
         members = list(members)
@@ -209,13 +209,8 @@ class MatrixFamily:
 
     def __call__(self, t) -> np.ndarray:
         """Every member at t, stacked: (m, r, c) at one point of shape (m,),
-        (m, P, r, c) on a batch of points of shape (P, m).  A constant
-        family gives `value`, broadcast over a batch: read-only, no copy."""
-        if self.value is None:
-            return np.stack([a(t) for a in self.members])
-        if np.ndim(t) == 2:
-            return np.broadcast_to(self.value[:, None], (self.m, len(t), *self.shape))
-        return self.value
+        (m, P, r, c) on a batch of points of shape (P, m)."""
+        return np.stack([a(t) for a in self.members])
 
     def __getitem__(self, alpha0: int) -> MatrixFunction:
         return self.members[alpha0]
@@ -271,15 +266,6 @@ def _once_per_system(func):
             sys._memo[key] = func(sys, cfg)
         return sys._memo[key]
     return once
-
-
-@functools.lru_cache(maxsize=16)
-def _lattice(m: int, n: int) -> np.ndarray:
-    """The flat indices into an (n, m) array of axes that give the n^m
-    points of their tensor grid, first axis slowest, as a (n^m, m) array."""
-    lattice = np.indices((n,) * m).reshape(m, -1).T * m + np.arange(m)
-    lattice.setflags(write=False)
-    return lattice
 
 
 class LinearSystem:
@@ -355,17 +341,10 @@ class LinearSystem:
             box = np.tile([-1.0, 1.0], (self.m, 1))
         else:
             box = self.domain
-        n = cfg.grid_samples_per_axis
-        lo, hi = box.T
-        delta = hi - lo
-        k = np.arange(n, dtype=float)[:, None]
-        if n == 1:
-            axes = k * delta + lo
-        else:  # np.linspace's arithmetic, with its branch for a step of 0
-            step = delta / (n - 1)
-            axes = np.where(step == 0.0, k / (n - 1) * delta, k * step) + lo
-            axes[-1] = hi
-        grid = axes.take(_lattice(self.m, n))
+        axes = [np.linspace(lo, hi, cfg.grid_samples_per_axis)
+                for lo, hi in box]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        grid = np.stack([g.ravel() for g in mesh], axis=-1)
         grid.setflags(write=False)
         return grid
 
