@@ -354,9 +354,9 @@ class ConditionReport:
     """Outcome of one compatibility check.
 
     `max_residual` is the Frobenius norm of the worst violation over the
-    sample set; `passed` compares it against residual_rel_tol * (1 + scale)
-    where scale is the largest norm among the compared sides, so zero
-    systems pass and large systems are not penalized.
+    sample set; `passed` compares it against residual_rel_tol times the
+    largest sum of the norms of the terms that form the compared sides, so
+    zero systems pass and the verdict does not depend on the units of t.
     """
 
     condition_name: str
@@ -417,18 +417,23 @@ def _sample(sys: LinearSystem, cfg: NumericConfig, *families
     return (T, *_ordered_pairs(sys.m)[1:])
 
 
-def _symmetry_report(name: str, X: np.ndarray, T: np.ndarray,
-                     cfg: NumericConfig) -> ConditionReport:
+def _symmetry_report(name: str, X: np.ndarray, terms: np.ndarray,
+                     T: np.ndarray, cfg: NumericConfig) -> ConditionReport:
     """The report on |X_ab - X_ba| for the (2K, P, r, c) stack X of X_ab on
-    the points T, ordered as `_ordered_pairs`.  The scale is the largest
-    |X_ab|; the worst point is the first maximum, point-major, pair-minor.
-    A residual that is not finite (X overflowed) fails."""
+    the points T, ordered as `_ordered_pairs`.  `terms` (2K, P) is the sum
+    of the norms of the terms that form each X_ab, the size of its
+    round-off: the worst residual passes when it is at most residual_rel_tol
+    times the largest, and with no floor, so a verdict does not change with
+    the units of t.  A scale that is not finite bounds nothing and admits
+    only a zero residual; a residual that is not finite (X overflowed)
+    fails.  The worst point is the first maximum, point-major, pair-minor."""
     K = len(X) // 2
     residuals = _norms(X[:K] - X[K:]).T                    # (P, K)
     worst = int(np.argmax(residuals))
     r = float(residuals.flat[worst])
-    passed = bool(np.isfinite(r) and
-                  r <= cfg.residual_rel_tol * (1.0 + float(np.max(_norms(X)))))
+    scale = float(np.max(terms))
+    passed = bool(r == 0.0 or (np.isfinite(scale) and
+                               r <= cfg.residual_rel_tol * scale))
     if r == 0.0:
         return ConditionReport(name, 0.0, passed, None, None)
     pairs = _ordered_pairs(T.shape[1])[0]
@@ -446,9 +451,13 @@ def check_M_commutation(sys: LinearSystem,
     T, A, B = _sample(sys, cfg, sys.M)
     M = sys.M(T)
     X = M[A] @ M[B]
+    nM = _norms(M)
+    terms = nM[A] * nM[B]
     if not sys.M.is_constant:
-        X = X + sys.M.derivatives(T, A, B)
-    return _symmetry_report(name, X, T, cfg)
+        dM = sys.M.derivatives(T, A, B)
+        X = X + dM
+        terms = terms + _norms(dM)
+    return _symmetry_report(name, X, terms, T, cfg)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -461,10 +470,14 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M, F)
-    X = sys.M(T)[A] @ F(T)[B]
+    M, Fv = sys.M(T), F(T)
+    X = M[A] @ Fv[B]
+    terms = _norms(M)[A] * _norms(Fv)[B]
     if not F.is_constant:
-        X = X + F.derivatives(T, A, B)
-    return _symmetry_report(name, X, T, cfg)
+        dF = F.derivatives(T, A, B)
+        X = X + dF
+        terms = terms + _norms(dF)
+    return _symmetry_report(name, X, terms, T, cfg)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -482,14 +495,19 @@ def check_control_compat(sys: LinearSystem, u,
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M, sys.N, u)
-    N = sys.N(T)
+    M, N = sys.M(T), sys.N(T)
     U, dU = u.jet(T, A, B)
-    X = sys.M(T)[A] @ (N @ U)[B]
+    X = M[A] @ (N @ U)[B]
+    nN, nU = _norms(N), _norms(U)
+    terms = _norms(M)[A] * nN[B] * nU[B]
     if dU is not None:
         X = X + N[A] @ dU
+        terms = terms + nN[A] * _norms(dU)
     if not sys.N.is_constant:
-        X = X + sys.N.derivatives(T, A, B) @ U[A]
-    return _symmetry_report(name, X, T, cfg)
+        dN = sys.N.derivatives(T, A, B)
+        X = X + dN @ U[A]
+        terms = terms + _norms(dN) * nU[A]
+    return _symmetry_report(name, X, terms, T, cfg)
 
 
 @_once_per_system
@@ -502,10 +520,13 @@ def check_gramian_compat(sys: LinearSystem,
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M, sys.N)
-    N = sys.N(T)
-    Ma, Na, Nb = sys.M(T)[A], N[A], N[B]
+    M, N = sys.M(T), sys.N(T)
+    Ma, Na, Nb = M[A], N[A], N[B]
     X = Ma @ Nb @ _T(Nb) + (N @ _T(N))[B] @ _T(Ma)
+    nN = _norms(N)
+    terms = 2.0 * _norms(M)[A] * nN[B] ** 2
     if not sys.N.is_constant:
         dN = sys.N.derivatives(T, A, B)
         X = X + dN @ _T(Na) + Na @ _T(dN)
-    return _symmetry_report(name, X, T, cfg)
+        terms = terms + 2.0 * _norms(dN) * nN[A]
+    return _symmetry_report(name, X, terms, T, cfg)

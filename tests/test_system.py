@@ -80,6 +80,88 @@ def test_a_residual_that_overflows_fails_every_gate():
         system_module.require(reports[0])
 
 
+@pytest.mark.parametrize("M, residual", [
+    # the nilpotent pair with t in units of 1e5: the commutator is 1e-10 of
+    # sqrt(2), and a floor of 1 in the scale passed it
+    ([[[0, 1e-5], [0, 0]], [[0, 0], [1e-5, 0]]], 1e-10 * math.sqrt(2.0)),
+    # M1 M2 = [[0, 1], [0, 0]], M2 M1 = 0 and |M1| |M2| = 1e400 overflows:
+    # a scale that is not finite admits only a zero residual
+    ([[[1e200, 0], [0, 0]], [[0, 1e-200], [0, 1e200]]], 1.0),
+], ids=["small_units", "infinite_scale"])
+def test_commutation_is_judged_against_the_norms_of_its_terms(M, residual):
+    sys = LinearSystem.from_data(2, 2, 1, M, [[[1], [0]], [[0], [1]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_M_commutation(sys)
+    assert report.max_residual == pytest.approx(residual, rel=1e-15)
+    assert not report.passed
+
+
+def _scaled_case(case, k):
+    """The system, forcing, control and settings of `case` with time in
+    units of 2^-k: t -> s t with s = 2^k turns M_a(t), N_a(t) and F_a(t)
+    into M_a(t/s)/s and so on, and u_a(t) into u_a(t/s).  A number entry
+    is divided by s (u: by 1), a term t<b>*c by s^2 (u: by s), the box is
+    multiplied by s: an exact rescaling in binary."""
+    M, N, F, u, box, cfg = case
+    s = 2.0 ** k
+
+    def scaled(family, power):
+        def entry(e):
+            if isinstance(e, str):
+                variable, c = e.split("*")
+                return f"{variable}*{float(c) / s ** (power + 1)!r}"
+            return e / s ** power
+        return [[[entry(e) for e in row] for row in member] for member in family]
+
+    m, n, width = len(M), len(M[0]), len(N[0][0])
+    system = LinearSystem.from_data(m, n, width, scaled(M, 1), scaled(N, 1),
+                                    domain=None if box is None else s * np.array(box))
+    return (system, MatrixFamily.from_data(scaled(F, 1), m),
+            ControlFamily.from_data(scaled(u, 0), m), cfg)
+
+
+@st.composite
+def gate_case(draw):
+    """System, forcing, control, box and settings for m = 2 or 3: entries
+    are small numbers or terms t<b>*c, and the members of every family are
+    drawn apart or shared across alpha, so that each gate both fails and
+    holds."""
+    m, n, k = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    varying = draw(st.booleans())
+    number = st.one_of(st.integers(-3, 3), st.floats(-2.0, 2.0, width=32))
+    shared = draw(st.booleans())
+
+    def entry():
+        if varying and draw(st.booleans()):
+            return f"t{draw(st.integers(1, m))}*{draw(st.floats(-2.0, 2.0, width=32))!r}"
+        return draw(number)
+
+    def family(rows, cols):
+        members = [[[entry() for _ in range(cols)] for _ in range(rows)]
+                   for _ in range(m)]
+        return [members[0]] * m if shared else members
+
+    box = [[-1.0, 2.0]] * m if varying else None
+    return family(n, n), family(n, k), family(n, 1), family(k, 1), box, \
+        NumericConfig(grid_samples_per_axis=3)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gate_case(), st.integers(-40, 40))
+def test_gate_verdicts_do_not_depend_on_the_unit_of_time(case, k):
+    # t -> 2^k t divides M_a, N_a and F_a by 2^k, and M_a M_b, each term of
+    # the other gates and each derivative by 4^k or 8^k, exactly in binary:
+    # the residuals and the scales they are judged against move together
+    def verdicts(system, F, u, cfg):
+        return [check_M_commutation(system, cfg).passed,
+                check_F_compatibility(system, F, cfg).passed,
+                check_control_compat(system, u, cfg).passed,
+                check_gramian_compat(system, cfg).passed]
+
+    assert verdicts(*_scaled_case(case, k)) == verdicts(*_scaled_case(case, 0))
+
+
 def test_commutation_time_varying_pass_and_fail():
     domain = [[0, 1], [0, 1]]
     # M1 = t2 * I, M2 = t1 * I: dM1/dt2 = I = dM2/dt1 and scalars commute
@@ -529,8 +611,9 @@ def test_one_singular_point_anywhere_in_a_batch_raises(case):
 # --- the per-pair formulas as the reference for the batched checks ----------
 
 def _reference_pair_check(name, sys, sides_fn, constant, cfg):
-    """Evaluate sides_fn(alpha, beta, T) -> (lhs, rhs) for all pairs
-    alpha < beta, one pair at a time, and reduce |lhs - rhs| to a report."""
+    """Evaluate sides_fn(alpha, beta, T) -> (lhs, rhs, lhs_terms, rhs_terms)
+    for all pairs alpha < beta, one pair at a time, and reduce |lhs - rhs|
+    to a report, judged against the largest sum of term norms."""
     pairs = list(itertools.combinations(range(1, sys.m + 1), 2))
     if not pairs:
         return ConditionReport(name, 0.0, True, None, None)
@@ -539,12 +622,14 @@ def _reference_pair_check(name, sys, sides_fn, constant, cfg):
     residuals = np.empty((len(points), len(pairs)))
     scale = 0.0
     for p, (a, b) in enumerate(pairs):
-        lhs, rhs = sides_fn(a, b, T)
+        lhs, rhs, lhs_terms, rhs_terms = sides_fn(a, b, T)
         residuals[:, p] = _norms(lhs - rhs)
-        scale = np.maximum(scale, np.maximum(_norms(lhs), _norms(rhs)))
+        scale = np.maximum(scale, np.maximum(lhs_terms, rhs_terms))
     worst = int(np.argmax(residuals))
     r = float(residuals.flat[worst])
-    passed = bool(r <= cfg.residual_rel_tol * (1.0 + float(np.max(scale))))
+    scale = float(np.max(scale))
+    passed = bool(r == 0.0 or (math.isfinite(scale) and
+                               r <= cfg.residual_rel_tol * scale))
     if r == 0.0:
         return ConditionReport(name, 0.0, passed, None, None)
     return ConditionReport(name, r, passed, points[worst // len(pairs)],
@@ -557,10 +642,12 @@ def reference_M_commutation(sys, cfg):
     def sides(a, b, T):
         Ma, Mb = sys.M[a - 1](T), sys.M[b - 1](T)
         lhs, rhs = Ma @ Mb, Mb @ Ma
+        lhs_terms = rhs_terms = _norms(Ma) * _norms(Mb)
         if not constant:
-            lhs = lhs + sys.M[a - 1].diff(b)(T)
-            rhs = rhs + sys.M[b - 1].diff(a)(T)
-        return lhs, rhs
+            dMa, dMb = sys.M[a - 1].diff(b)(T), sys.M[b - 1].diff(a)(T)
+            lhs, rhs = lhs + dMa, rhs + dMb
+            lhs_terms, rhs_terms = lhs_terms + _norms(dMa), rhs_terms + _norms(dMb)
+        return lhs, rhs, lhs_terms, rhs_terms
 
     return _reference_pair_check("M-commutation (Eq. 6)", sys, sides, constant, cfg)
 
@@ -569,12 +656,14 @@ def reference_F_compatibility(sys, F, cfg):
     constant = sys.M.is_constant and F.is_constant
 
     def sides(a, b, T):
-        lhs = sys.M[a - 1](T) @ F[b - 1](T)
-        rhs = sys.M[b - 1](T) @ F[a - 1](T)
+        Ma, Mb, Fa, Fb = sys.M[a - 1](T), sys.M[b - 1](T), F[a - 1](T), F[b - 1](T)
+        lhs, rhs = Ma @ Fb, Mb @ Fa
+        lhs_terms, rhs_terms = _norms(Ma) * _norms(Fb), _norms(Mb) * _norms(Fa)
         if not constant:
-            lhs = lhs + F[a - 1].diff(b)(T)
-            rhs = rhs + F[b - 1].diff(a)(T)
-        return lhs, rhs
+            dFa, dFb = F[a - 1].diff(b)(T), F[b - 1].diff(a)(T)
+            lhs, rhs = lhs + dFa, rhs + dFb
+            lhs_terms, rhs_terms = lhs_terms + _norms(dFa), rhs_terms + _norms(dFb)
+        return lhs, rhs, lhs_terms, rhs_terms
 
     return _reference_pair_check("F-compatibility (Eq. 7)", sys, sides, constant, cfg)
 
@@ -586,14 +675,19 @@ def reference_control_compat(sys, u, cfg):
         return u.derivatives(T, np.array([a - 1]), np.array([b - 1]))[0]
 
     def sides(a, b, T):
-        Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
+        Ma, Mb, Na, Nb = sys.M[a - 1](T), sys.M[b - 1](T), sys.N[a - 1](T), sys.N[b - 1](T)
         ua, ub = u(T)[a - 1], u(T)[b - 1]
-        lhs = sys.M[a - 1](T) @ (Nb @ ub) + Na @ du(a, b, T)
-        rhs = sys.M[b - 1](T) @ (Na @ ua) + Nb @ du(b, a, T)
+        dua, dub = du(a, b, T), du(b, a, T)
+        lhs = Ma @ (Nb @ ub) + Na @ dua
+        rhs = Mb @ (Na @ ua) + Nb @ dub
+        lhs_terms = _norms(Ma) * _norms(Nb) * _norms(ub) + _norms(Na) * _norms(dua)
+        rhs_terms = _norms(Mb) * _norms(Na) * _norms(ua) + _norms(Nb) * _norms(dub)
         if not sys.N.is_constant:
-            lhs = lhs + sys.N[a - 1].diff(b)(T) @ ua
-            rhs = rhs + sys.N[b - 1].diff(a)(T) @ ub
-        return lhs, rhs
+            dNa, dNb = sys.N[a - 1].diff(b)(T), sys.N[b - 1].diff(a)(T)
+            lhs, rhs = lhs + dNa @ ua, rhs + dNb @ ub
+            lhs_terms = lhs_terms + _norms(dNa) * _norms(ua)
+            rhs_terms = rhs_terms + _norms(dNb) * _norms(ub)
+        return lhs, rhs, lhs_terms, rhs_terms
 
     return _reference_pair_check("control-compatibility (Eq. 14)", sys, sides,
                                  constant, cfg)
@@ -607,12 +701,16 @@ def reference_gramian_compat(sys, cfg):
         Na, Nb = sys.N[a - 1](T), sys.N[b - 1](T)
         lhs = Ma @ Nb @ Nb.swapaxes(-1, -2) + Nb @ Nb.swapaxes(-1, -2) @ Ma.swapaxes(-1, -2)
         rhs = Mb @ Na @ Na.swapaxes(-1, -2) + Na @ Na.swapaxes(-1, -2) @ Mb.swapaxes(-1, -2)
+        lhs_terms = 2.0 * _norms(Ma) * _norms(Nb) ** 2
+        rhs_terms = 2.0 * _norms(Mb) * _norms(Na) ** 2
         if not sys.N.is_constant:
             dNa = sys.N[a - 1].diff(b)(T)
             dNb = sys.N[b - 1].diff(a)(T)
             lhs = lhs + dNa @ Na.swapaxes(-1, -2) + Na @ dNa.swapaxes(-1, -2)
             rhs = rhs + dNb @ Nb.swapaxes(-1, -2) + Nb @ dNb.swapaxes(-1, -2)
-        return lhs, rhs
+            lhs_terms = lhs_terms + 2.0 * _norms(dNa) * _norms(Na)
+            rhs_terms = rhs_terms + 2.0 * _norms(dNb) * _norms(Nb)
+        return lhs, rhs, lhs_terms, rhs_terms
 
     return _reference_pair_check("gramian-compatibility (Eq. 17)", sys, sides,
                                  constant, cfg)
