@@ -207,7 +207,8 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     round-off, Higham, "Accuracy and Stability of Numerical Algorithms",
     ch. 3), and a transfer of any size is judged alike.  The entrywise
     product does not grow along a direction of y that chi does not stretch,
-    where the norm product |chi|_2 |y| would.
+    where the norm product |chi|_2 |y| would.  A w that overflows
+    (non-finite entries) is a ValueError.
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
@@ -215,8 +216,12 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     y = np.asarray(y, dtype=float).reshape(sys.n)
     basis = controllability_space(sys, t0, t, cfg)
     chi = transition(sys, t0, t, cfg)
-    w = chi @ y - x0
-    scale = float(np.linalg.norm(np.abs(chi) @ np.abs(y)) + np.linalg.norm(x0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = chi @ y - x0
+        scale = float(np.linalg.norm(np.abs(chi) @ np.abs(y)) + np.linalg.norm(x0))
+    if not np.isfinite(w).all():
+        raise ValueError("transfer offset w = chi(t0, t) y - x0 overflowed "
+                         "(non-finite entries)")
     feasible, residual = basis.contains(w, cfg.residual_rel_tol, scale)
     return TransferDecision(feasible, residual, _ordering(t0, t), w, scale, basis)
 

@@ -391,6 +391,28 @@ def test_simulate_refuses_a_non_commuting_system(capsys, tmp_path, json_mode):
         assert "reason: M-commutation (Eq. 6) residual 1.41421356237\n" in out
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_flow_refuses_a_non_commuting_system_in_any_units(capsys, tmp_path,
+                                                           json_mode):
+    # the nilpotent pair with t in units of 1e5: chi along the segment to
+    # (1e5, 1e5) would be [[1.543, 1.175], [1.175, 1.543]], along the two
+    # staircases [[1, 1], [1, 2]] and [[2, 1], [1, 1]]
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(dict(NILPOTENT, M=[[[0, 1e-5], [0, 0]],
+                                                  [[0, 0], [1e-5, 0]]])))
+    code = run((["--json"] if json_mode else []) + [
+        "flow", str(path), "--t0", "0,0", "--t", "1e5,1e5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    if json_mode:
+        tree = json.loads(captured.out)
+        assert tree["refused"] and "chi" not in tree
+        assert tree["gate"]["condition"] == "M-commutation (Eq. 6)"
+    else:
+        assert "chi" not in captured.out
+        assert "reason: M-commutation (Eq. 6) residual 1.41421356237e-10\n" in captured.out
+
+
 def test_invalid_json_reports_position(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"m": 2,,}')
@@ -630,6 +652,21 @@ def test_overflowed_fundamental_matrix_is_a_named_error(capsys, tmp_path, doc, t
     _assert_named_error(
         capsys, ["flow", str(path), "--t0", "0", "--t", t], json_mode,
         "fundamental matrix overflowed (non-finite entries) between t0 and t")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["synthesize", "analyze"])
+def test_an_overflowed_transfer_offset_is_a_named_error(capsys, tmp_path, command,
+                                                        json_mode):
+    # chi(1, 0) = diag(e, e^2) is finite, but w = chi(1, 0) y with
+    # y = (0, 1e308) is not
+    path = tmp_path / "offset.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "k": 1, "M": [[[1, 0], [0, 2]]],
+                                "N": [[[1], [0]]]}))
+    _assert_named_error(
+        capsys, [command, str(path), "--t0", "1", "--t", "0", "--x0", "0,0",
+                 "--y", "0,1e308"], json_mode,
+        "transfer offset w = chi(t0, t) y - x0 overflowed (non-finite entries)")
 
 
 # M2 M1 = [[0, 0], [1e400, 0]] overflows inside the M-commutation check
