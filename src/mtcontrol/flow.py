@@ -19,6 +19,11 @@ propagators are built at once with batched matmuls, and their ordered
 product R_{S-1}...R_0 is taken pairwise in log2(S) levels (an associative
 reduction, cf. Blelloch, "Prefix sums and their applications", 1990).
 A chi with non-finite entries (overflow) is a named ValueError.
+
+On a constant system the endpoint under a synthesized control comes from
+one exponential of the 2n x 2n generator of plant and control together
+(`_steered_endpoint`); every other forced solution integrates along the
+path (`_forced_solve`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
                    as_points, curve_segment)
 from .pathint import OneFormFamily, integrate_along
-from .system import (LinearSystem, MatrixFamily, check_control_compat,
+from .system import (LinearSystem, MatrixFamily, _T, check_control_compat,
                      check_F_compatibility, check_M_commutation, require)
 
 __all__ = [
@@ -129,12 +134,7 @@ def transition(sys: LinearSystem, t, t0,
     moving = (starts != t).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         if sys.M.is_constant:
-            # a sum started at +0.0 never holds -0.0, so the zero term of a
-            # direction with delta^a = 0 changes no entry: A equals the sum
-            # that skips it, as `_generators` does, bit for bit
-            A = np.zeros((len(starts), sys.n, sys.n))
-            for term in ((t - starts)[:, :, None, None] * sys.M.value).swapaxes(0, 1):
-                A += term
+            A = _weighted_sum(t - starts, sys.M.value)
             # one expm per start while bench/test_bench.py pins 16 * m expm
             # calls per constant gramian; one batched call once it counts matrices
             chi = np.array([expm(a) if move else np.eye(sys.n)
@@ -144,10 +144,55 @@ def transition(sys: LinearSystem, t, t0,
             chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
             if moving.any():
                 chi[moving] = _rk4(sys, starts[moving], t, cfg)
+    _require_finite(chi)
+    return chi if batch else chi[0]
+
+
+def _weighted_sum(delta: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_a delta^a stack[a] over the last axis (m) of delta, added into
+    zeros in direction order.  A sum started at +0.0 never holds -0.0, so
+    the zero term of a direction with delta^a = 0 changes no entry: the sum
+    equals the one that skips it, as `_generators` does, bit for bit."""
+    terms = delta[..., None, None] * stack
+    out = np.zeros(terms.shape[:-3] + terms.shape[-2:])
+    for a in range(len(stack)):
+        out += terms[..., a, :, :]
+    return out
+
+
+def _require_finite(chi: np.ndarray) -> None:
     if not np.isfinite(chi).all():
         raise ValueError("fundamental matrix overflowed (non-finite entries) "
                          "between t0 and t")
-    return chi if batch else chi[0]
+
+
+def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
+                      t0, x0, t, cfg: NumericConfig) -> np.ndarray:
+    """x(t) from (t0, x0) under the control u_a(s) = N_a' chi(anchor, s)' v
+    of a constant system (`sys.is_constant`), without quadrature.
+
+    Along the segment s = t0 + tau delta, delta = t - t0, the control is
+    the output of the exosystem z(tau) = chi(anchor, s)' v, dz/dtau = -A' z,
+    so plant and control form one constant system with generator
+    H = [[A, Q], [0, -A']], A = sum_a delta^a M_a, Q = sum_a delta^a N_a N_a'
+    (Van Loan, "Computing integrals involving the matrix exponential",
+    IEEE TAC 23(3), 1978).  The endpoint is chi(t, t0) x0 from `transition`,
+    so v = 0 gives the free evolution bit for bit, plus the (1, 2) block of
+    expm(H) applied to z(0) = chi(anchor, t0)' v.  An endpoint that
+    overflows is `transition`'s ValueError.
+    """
+    t0 = as_point(t0, m=sys.m)
+    t = as_point(t, m=sys.m)
+    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    z0 = _T(transition(sys, anchor, t0, cfg)) @ v
+    delta = t - t0
+    A = _weighted_sum(delta, sys.M.value)
+    Q = _weighted_sum(delta, sys.N.value @ _T(sys.N.value))
+    H = np.block([[A, Q], [np.zeros_like(A), -A.T]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        endpoint = transition(sys, t, t0, cfg) @ x0 + expm(H)[:sys.n, sys.n:] @ z0
+    _require_finite(endpoint)
+    return endpoint
 
 
 def fundamental_matrix(sys: LinearSystem, t, t0,

@@ -5,6 +5,14 @@ the gramian compatibility condition holds, every such family lies in the
 control space, and choosing v as the minimum-norm solution of
 C(t0, t) v = w, w = chi(t0, t) y - x0, realizes the transfer
 (t0, x0) -> (t, y) whenever `decide_transfer` finds it feasible.
+
+`verify_transfer` checks a control by the endpoint it reaches.  On a
+constant system that endpoint comes without quadrature: the control is
+the output of the linear exosystem z = chi(t0, s)' v, so plant and
+control form one constant system of size 2n, and one exponential of its
+generator (Van Loan, 1978) gives the forced part, independent of the
+gramian's 16-node quadrature.  A time-varying system runs the controlled
+solver.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_CONFIG, NumericConfig, as_point
-from .flow import _controlled_solve, transition
+from .flow import _controlled_solve, _steered_endpoint, transition
 from .gramian import TransferDecision, decide_transfer
 from .system import (LinearSystem, _T, check_gramian_compat,
                      check_M_commutation, require)
@@ -128,14 +136,20 @@ class TransferVerification:
 def verify_transfer(sys: LinearSystem, control: SynthesizedControl, t0, x0, t,
                     target=None,
                     cfg: NumericConfig = DEFAULT_CONFIG) -> TransferVerification:
-    """Round trip: run the controlled solver and compare with the target.
+    """Round trip: the endpoint the control reaches from (t0, x0), compared
+    with the target.  On a constant system (`sys.is_constant`) the endpoint
+    comes from one block exponential of plant and control together
+    (`flow._steered_endpoint`), independent of the gramian's quadrature;
+    a time-varying one runs the controlled solver on the segment t0 -> t.
     The control was gated when it was built (a control check would sample
     chi on a grid), so it must have been built for this very system; a
     control built for another system is a ValueError."""
     if control.system is not sys:
         raise ValueError("the control was built for another system")
-    # its construction gates decided it from M and N alone
-    endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg, [sys.N])
+    if sys.is_constant:
+        endpoint = _steered_endpoint(sys, control.anchor, control.v, t0, x0, t, cfg)
+    else:  # its construction gates decided it from M and N alone
+        endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg, [sys.N])
     error = None
     if target is not None:
         target = np.asarray(target, dtype=float).reshape(sys.n)
