@@ -11,9 +11,8 @@ import math
 import numpy as np
 
 from mtcontrol import (CompatibilityError, LinearSystem, PolylineCurve,
-                       compare_rank, controllability_gramian,
-                       controllability_matrix, controllability_space,
-                       decide_transfer, rank_G)
+                       controllability_gramian, controllability_matrix,
+                       controllability_space, decide_transfer, rank_G)
 
 diag = LinearSystem.from_data(
     2, 2, 1,
@@ -26,13 +25,14 @@ print(np.array_str(C.value, precision=10))
 print(f"closed form (1 - e^-2)/2 = {(1 - math.exp(-2)) / 2:.10f}\n")
 
 G = controllability_matrix(diag)
+rank_g = rank_G(G)
 print(f"G = {G.value.astype(int).tolist()}")
-print(f"rank G = {rank_G(G)}")
+print(f"rank G = {rank_g}")
 
 for endpoint in ((1.0, 0.0), (1.0, 1.0)):
-    cmp = compare_rank(diag, (0, 0), endpoint)
-    print(f"t = {endpoint}: rank C = {cmp.rank_C}, rank G = {cmp.rank_G}, "
-          f"equal = {cmp.equal}")
+    rank_c = controllability_space(diag, (0, 0), endpoint).rank
+    print(f"t = {endpoint}: rank C = {rank_c}, rank G = {rank_g}, "
+          f"equal = {rank_c == rank_g}")
 
 basis = controllability_space(diag, (0, 0), (1, 0))
 print(f"\ncontrollability space along t2=0: rank {basis.rank}, "

@@ -11,13 +11,12 @@ from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
 from .expr import Expr, ExprDomainError, ExprError, differentiate, parse
 from .flow import (FundamentalMatrix, fundamental_matrix, solve_adjoint,
                    solve_affine, solve_controlled, solve_homogeneous, transition)
-from .gramian import (CompleteDecision, Gramian, SubspaceBasis, TransferDecision,
+from .gramian import (Gramian, SubspaceBasis, TransferDecision,
                       controllability_gramian, controllability_space,
                       decide_complete, decide_transfer, gramian_integrand,
                       image_basis, numerical_rank, reachability_gramian)
-from .kalman import (AutonomousReport, ControllabilityMatrix, RankComparison,
-                     autonomous_analysis, compare_rank, controllability_matrix,
-                     exponent_order, rank_G)
+from .kalman import (AutonomousReport, ControllabilityMatrix, autonomous_analysis,
+                     controllability_matrix, rank_G)
 from .pathint import OneFormFamily, integrate_along
 from .synth import (SynthesisResult, SynthesizedControl, TransferVerification,
                     synthesize_transfer, verify_transfer)

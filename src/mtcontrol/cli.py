@@ -251,13 +251,13 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
         report = kalman.autonomous_analysis(system, t0, x0, t, y, cfg)
         decision = report.gramian_decision
         tree["autonomous"] = {
-            "rank_G": report.rank_G,
+            "rank_G": report.image_G.rank,
             "transfer_feasible": report.transfer_feasible,
             "transfer_residual": float(_fmt(report.transfer_residual)),
             "phase_controllable": report.phase_controllable,
             "phase_reachable": report.phase_reachable,
-            "completely_controllable": report.completely_controllable,
-            "completely_reachable": report.completely_reachable,
+            "completely_controllable": report.image_G.full,
+            "completely_reachable": report.image_G.full,
             "gramian_condition": _condition_tree(report.gramian_condition),
             "rank_C": decision.basis.rank,
             "gramian_transfer_feasible": decision.feasible,
@@ -272,12 +272,12 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
             "within_subspace_guarantee": decision.basis.ordered,
             "rank_C": decision.basis.rank,
         }
-    rank = (decision.basis.rank if decision is not None
-            else gramian.controllability_space(system, t0, t, cfg).rank)
+    image_C = (decision.basis if decision is not None
+               else gramian.controllability_space(system, t0, t, cfg))
     tree["complete"] = {
-        "completely_controllable": rank == system.n,
-        "completely_reachable": rank == system.n,
-        "rank_C": rank,
+        "completely_controllable": image_C.full,
+        "completely_reachable": image_C.full,
+        "rank_C": image_C.rank,
     }
     if not np.all(t0 < t):
         tree["complete"]["note"] = "endpoint pair is not strictly ordered"

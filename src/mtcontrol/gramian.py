@@ -32,7 +32,6 @@ __all__ = [
     "controllability_space",
     "TransferDecision",
     "decide_transfer",
-    "CompleteDecision",
     "decide_complete",
 ]
 
@@ -56,6 +55,12 @@ class SubspaceBasis:
     singular_values: np.ndarray    # descending
     rows: np.ndarray               # r x cols: V'[:r], orthonormal rows
     ordered: bool = True           # endpoint pair satisfied the ordering hypothesis
+
+    @property
+    def full(self) -> bool:
+        """Im a is the whole space: the rank equals the dimension n.  A
+        Python bool, which the --json writer takes and a numpy bool is not."""
+        return bool(self.rank == len(self.columns))
 
     def contains(self, w: np.ndarray, rel_tol: float,
                  scale: float) -> tuple[bool, float]:
@@ -139,7 +144,10 @@ def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,
     # the box is convex: segments between waypoints inside it stay inside
     sys.require_inside(curve.waypoints, sys.M, sys.N)
     anchor = t0 if kind == "controllability" else t
-    value = integrate_along(gramian_integrand(sys, anchor, cfg), curve, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integrate_along(gramian_integrand(sys, anchor, cfg), curve, cfg)
+    if not np.isfinite(value).all():
+        raise ValueError("gramian overflowed (non-finite entries) between t0 and t")
     return Gramian(value, t0, t, kind, path_dependent=force_curve is not None)
 
 
@@ -226,23 +234,12 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     return TransferDecision(feasible, residual, _ordering(t0, t), w, scale, basis)
 
 
-@dataclass(frozen=True)
-class CompleteDecision:
-    completely_controllable: bool
-    completely_reachable: bool
-    rank: int
-
-
 def decide_complete(sys: LinearSystem, t0, t,
-                    cfg: NumericConfig = DEFAULT_CONFIG) -> CompleteDecision:
-    """Complete controllability/reachability from t0 to t (t0 < t required).
-
-    Both flags coincide and equal rank C(t0, t) == n.
-    """
+                    cfg: NumericConfig = DEFAULT_CONFIG) -> SubspaceBasis:
+    """Im C(t0, t) for t0 < t (required): the system is completely
+    controllable, and completely reachable, from t0 to t iff it is `full`."""
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
     if not np.all(t0 < t):
         raise ValueError("decide_complete requires t0 < t componentwise")
-    r = controllability_space(sys, t0, t, cfg).rank
-    full = r == sys.n
-    return CompleteDecision(full, full, r)
+    return controllability_space(sys, t0, t, cfg)

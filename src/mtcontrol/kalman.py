@@ -20,20 +20,17 @@ from .core import DEFAULT_CONFIG, NumericConfig, as_point
 # unused here (the gramian decision carries w), but bench/tracing.py wraps
 # and restores this module's `transition` binding, so it stays
 from .flow import transition  # noqa: F401
-from .gramian import (TransferDecision, controllability_space, decide_transfer,
+from .gramian import (SubspaceBasis, TransferDecision, decide_transfer,
                       image_basis, numerical_rank)
 from .system import (ConditionReport, LinearSystem, check_gramian_compat,
                      check_M_commutation, require)
 
 __all__ = [
-    "exponent_order",
     "ControllabilityMatrix",
     "controllability_matrix",
     "rank_G",
     "AutonomousReport",
     "autonomous_analysis",
-    "RankComparison",
-    "compare_rank",
 ]
 
 
@@ -46,12 +43,6 @@ def _exponent_array(m: int, n: int) -> np.ndarray:
     # lexsort's last key is the primary one: the sum ascending, then k_1,
     # k_2, ... each descending.
     return ks[np.lexsort(np.vstack([-ks[:, ::-1].T, ks.sum(axis=1)]))]
-
-
-def exponent_order(m: int, n: int) -> list[tuple[int, ...]]:
-    """All n^m exponent tuples (k_1..k_m), 0 <= k_i <= n-1, in block order:
-    ascending total sum, ties broken by lexicographically decreasing tuple."""
-    return list(map(tuple, _exponent_array(m, n).tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,16 +59,11 @@ class ControllabilityMatrix:
         return np.hstack([np.repeat(np.arange(1, m + 1), len(ks))[:, None],
                           np.tile(ks, (m, 1))])
 
-    @property
-    def block_index(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(alpha, exponents) per block of G, left to right."""
-        return [(a, tuple(ks)) for a, *ks in self.block_table.tolist()]
-
 
 def controllability_matrix(sys: LinearSystem,
                            cfg: NumericConfig = DEFAULT_CONFIG
                            ) -> ControllabilityMatrix:
-    """Assemble G for a constant, commuting system.
+    """Assemble G for a constant, commuting system from the family values.
 
     The n^m products are formed with m - 1 broadcast matmuls over the
     stacked powers, in the left-to-right order of the block formula.
@@ -87,8 +73,7 @@ def controllability_matrix(sys: LinearSystem,
     require(check_M_commutation(sys, cfg))
 
     m, n = sys.m, sys.n
-    origin = np.zeros(m)
-    M, N = sys.M(origin), sys.N(origin)                         # (m, n, n), (m, n, k)
+    M, N = sys.M.value, sys.N.value                             # (m, n, n), (m, n, k)
 
     ks = _exponent_array(m, n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -120,13 +105,11 @@ class AutonomousReport:
     are guaranteed; `gramian_decision` is the gramian verdict alongside.
     """
 
-    rank_G: int
+    image_G: SubspaceBasis     # Im(G): `full` iff completely controllable
     transfer_feasible: bool
     transfer_residual: float
     phase_controllable: bool   # x0 in Im(G)
     phase_reachable: bool      # y in Im(G)
-    completely_controllable: bool
-    completely_reachable: bool
     gramian_condition: ConditionReport
     gramian_decision: TransferDecision
 
@@ -152,23 +135,5 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
     feasible, residual = basis.contains(decision.w, tol, decision.scale)
     controllable, _ = basis.contains(x0, tol, np.linalg.norm(x0))
     reachable, _ = basis.contains(y, tol, np.linalg.norm(y))
-    full = basis.rank == sys.n
-    return AutonomousReport(basis.rank, feasible, residual, controllable, reachable,
-                            full, full, condition, decision)
-
-
-@dataclass(frozen=True)
-class RankComparison:
-    rank_G: int
-    rank_C: int
-    equal: bool
-
-
-def compare_rank(sys: LinearSystem, t0, t,
-                 cfg: NumericConfig = DEFAULT_CONFIG) -> RankComparison:
-    """rank C(t0, t) versus rank G; equality holds when t0 < t componentwise,
-    the inequality rank C <= rank G always."""
-    G = controllability_matrix(sys, cfg)
-    rg = rank_G(G, cfg)
-    rc = controllability_space(sys, t0, t, cfg).rank
-    return RankComparison(rg, rc, rg == rc)
+    return AutonomousReport(basis, feasible, residual, controllable, reachable,
+                            condition, decision)

@@ -669,6 +669,21 @@ def test_an_overflowed_transfer_offset_is_a_named_error(capsys, tmp_path, comman
         "transfer offset w = chi(t0, t) y - x0 overflowed (non-finite entries)")
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["gramian", "analyze", "synthesize"])
+def test_an_overflowed_gramian_is_a_named_error(capsys, tmp_path, command,
+                                                json_mode):
+    # chi(0, s) = e^{400 s} is finite, but C = int_0^1 e^{800 s} ds is not;
+    # unchecked, its inf reads as rank 0 and an infeasible transfer
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "k": 1, "M": [[[-400]]],
+                                "N": [[[1]]]}))
+    transfer = [] if command == "gramian" else ["--x0", "1", "--y", "0"]
+    _assert_named_error(
+        capsys, [command, str(path), "--t0", "0", "--t", "1"] + transfer,
+        json_mode, "gramian overflowed (non-finite entries) between t0 and t")
+
+
 # M2 M1 = [[0, 0], [1e400, 0]] overflows inside the M-commutation check
 OVERFLOWING = dict(DIAG, M=[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]])
 

@@ -12,7 +12,8 @@ from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve
 from mtcontrol.flow import transition
 from mtcontrol.gramian import image_basis, numerical_rank
 
-from conftest import axis_scaled_system, passing_case, random_commuting_system
+from conftest import (axis_scaled_system, passing_case, random_commuting_system,
+                      random_passing_system)
 
 
 def test_diag_gramian_closed_form(diag_sys):
@@ -62,6 +63,17 @@ def test_forced_curve_endpoints_must_match(cyclic_sys, diag_sys):
                 build(sys, t0, t, force_curve=wrong)
 
 
+@pytest.mark.parametrize("build, M", [(controllability_gramian, -400),
+                                      (reachability_gramian, 400)])
+def test_an_overflowing_gramian_is_a_named_error(build, M):
+    # chi(0, s) = e^{400 s} (C) and chi(1, s) = e^{400 (1 - s)} (R) are
+    # finite on [0, 1], but the integral of their squares is not
+    sys = LinearSystem.from_data(1, 1, 1, [[[M]]], [[[1]]])
+    with pytest.raises(ValueError, match=r"^gramian overflowed \(non-finite "
+                                         r"entries\) between t0 and t$"):
+        build(sys, (0,), (1,))
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["constant", "time_varying"]), m=st.integers(2, 4),
        seed=st.integers(0, 2**32 - 1))
@@ -85,6 +97,32 @@ def test_gramian_is_symmetric_psd_for_ordered_endpoints(kind, m, seed):
     scale = np.linalg.norm(C, 2)
     assert np.linalg.norm(C - C.T) <= 1e-14 * scale
     assert np.linalg.eigvalsh(C).min() >= -1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_constant_gramian_satisfies_the_lyapunov_law(m, n, seed):
+    # A C + C A' = Q - chi Q chi' with chi = chi(t0, t), A = sum delta^a M_a
+    # and Q = sum delta^a N_a N_a': d/dtau of chi(t0, s) Q chi(t0, s)' along
+    # the segment, integrated.  Relative to the norms of the terms the
+    # residual is at most 1.3e-13 on these 100 draws (|A|_2 up to 11.4; about
+    # 0.5 s).  Beyond them it grows with the 16-node rule's error (ROADMAP
+    # item 14): 2 of 600 such draws, at |A|_2 = 19.7, reached 1.2e-10.  With
+    # 8 nodes the property fails at 3.6e-10, with a transposed chi in the
+    # integrand at 1.8e-2.
+    rng = np.random.default_rng(seed)
+    sys, _ = random_passing_system(rng, m=m, n=n)
+    t0, t = rng.uniform(-1.0, 1.0, (2, m))
+    C = controllability_gramian(sys, t0, t).value
+    chi = transition(sys, t0, t)
+    A = np.tensordot(t - t0, sys.M.value, 1)
+    N = sys.N.value
+    Q = np.tensordot(t - t0, N @ N.transpose(0, 2, 1), 1)
+    P = chi @ Q @ chi.T
+    residual = A @ C + C @ A.T - (Q - P)
+    scale = (2 * np.linalg.norm(A, 2) * np.linalg.norm(C, 2)
+             + np.linalg.norm(Q, 2) + np.linalg.norm(P, 2))
+    assert np.linalg.norm(residual) <= 1e-11 * scale
 
 
 def test_conjugation_identity(diag_sys):
@@ -190,19 +228,18 @@ def test_decide_transfer_orderings(diag_sys):
 
 def test_decide_complete_examples(diag_sys):
     # with both coordinates strictly advanced, both inputs act: full rank
-    report = decide_complete(diag_sys, (0, 0), (1, 1))
-    assert report.completely_controllable
-    assert report.completely_reachable == report.completely_controllable
-    assert report.rank == 2
+    image = decide_complete(diag_sys, (0, 0), (1, 1))
+    assert image.full is True
+    assert image.rank == 2
 
 
 def test_decide_complete_classical_controllable_pair():
     sys = LinearSystem.from_data(1, 3, 1,
                                  [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]],
                                  [[[0], [0], [1]]])
-    report = decide_complete(sys, (0,), (1,))
-    assert report.completely_controllable
-    assert report.rank == 3
+    image = decide_complete(sys, (0,), (1,))
+    assert image.full is True
+    assert image.rank == 3
 
 
 def test_decide_complete_zero_N_is_rank_zero():
@@ -210,9 +247,9 @@ def test_decide_complete_zero_N_is_rank_zero():
         2, 2, 1,
         [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
         [[[0], [0]], [[0], [0]]])
-    report = decide_complete(sys, (0, 0), (1, 1))
-    assert not report.completely_controllable
-    assert report.rank == 0
+    image = decide_complete(sys, (0, 0), (1, 1))
+    assert image.full is False
+    assert image.rank == 0
 
 
 def test_decide_complete_requires_strict_ordering(diag_sys):

@@ -8,33 +8,37 @@ from hypothesis.extra.numpy import arrays
 
 from mtcontrol import gramian, kalman
 from mtcontrol import (CompatibilityError, LinearSystem, autonomous_analysis,
-                       compare_rank, controllability_gramian,
-                       controllability_matrix, exponent_order, rank_G)
+                       controllability_gramian, controllability_matrix,
+                       controllability_space, rank_G)
 from mtcontrol.gramian import numerical_rank
+from mtcontrol.kalman import _exponent_array
 
 from conftest import random_commuting_system
 
 
-def test_exponent_order_m2_n2():
-    assert exponent_order(2, 2) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+def test_exponent_array_m2_n2():
+    assert _exponent_array(2, 2).tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
 
 
-def test_exponent_order_m1_n3():
-    assert exponent_order(1, 3) == [(0,), (1,), (2,)]
+def test_exponent_array_m1_n3():
+    assert _exponent_array(1, 3).tolist() == [[0], [1], [2]]
 
 
-def test_exponent_order_m2_n3():
-    assert exponent_order(2, 3) == [
-        (0, 0),
-        (1, 0), (0, 1),
-        (2, 0), (1, 1), (0, 2),
-        (2, 1), (1, 2),
-        (2, 2)]
+def test_exponent_array_m2_n3():
+    assert _exponent_array(2, 3).tolist() == [
+        [0, 0],
+        [1, 0], [0, 1],
+        [2, 0], [1, 1], [0, 2],
+        [2, 1], [1, 2],
+        [2, 2]]
 
 
-def test_exponent_order_is_total_permutation():
+def test_exponent_array_is_total_permutation():
     for m, n in itertools.product(range(1, 6), range(1, 7)):
-        order = exponent_order(m, n)
+        ks = _exponent_array(m, n)
+        assert ks.shape == (n ** m, m)
+        assert np.issubdtype(ks.dtype, np.integer)
+        order = list(map(tuple, ks.tolist()))
         assert len(order) == n ** m
         assert len(set(order)) == n ** m
         assert set(order) == set(itertools.product(range(n), repeat=m))
@@ -46,12 +50,11 @@ def test_exponent_order_is_total_permutation():
         reference = sorted(itertools.product(range(n), repeat=m),
                            key=lambda ks: (sum(ks), tuple(-k for k in ks)))
         assert order == reference
-        assert all(type(k) is int for ks in order for k in ks)
 
 
-def test_exponent_order_validates_inputs():
+def test_exponent_array_validates_inputs():
     with pytest.raises(ValueError):
-        exponent_order(0, 2)
+        _exponent_array(0, 2)
 
 
 def _per_tuple_G(sys):
@@ -69,7 +72,7 @@ def _per_tuple_G(sys):
         powers.append(p)
     order = sorted(itertools.product(range(sys.n), repeat=sys.m),
                    key=lambda ks: (sum(ks), tuple(-k for k in ks)))
-    blocks, index = [], []
+    blocks, table = [], []
     for alpha in range(1, sys.m + 1):
         for ks in order:
             prod = np.eye(sys.n)
@@ -77,8 +80,8 @@ def _per_tuple_G(sys):
                 if k:
                     prod = prod @ powers[a][k]
             blocks.append(prod @ N[alpha - 1])
-            index.append((alpha, ks))
-    return np.hstack(blocks), index
+            table.append([alpha, *ks])
+    return np.hstack(blocks), table
 
 
 @st.composite
@@ -106,12 +109,11 @@ def commuting_families(draw):
 @given(commuting_families())
 def test_controllability_matrix_matches_per_tuple_products(sys):
     G = controllability_matrix(sys)
-    value, index = _per_tuple_G(sys)
+    value, table = _per_tuple_G(sys)
     assert G.value.shape == (sys.n, sys.m * sys.n ** sys.m * sys.k)
     assert G.value.tobytes() == value.tobytes()  # signed zeros included
-    assert G.block_index == index
-    assert all(type(a) is int and all(type(k) is int for k in ks)
-               for a, ks in G.block_index)
+    assert G.block_table.tolist() == table
+    assert np.issubdtype(G.block_table.dtype, np.integer)
 
 
 @pytest.mark.parametrize("m, n, k", [(1, 1, 1), (1, 4, 2), (3, 1, 2), (4, 5, 3)])
@@ -125,12 +127,12 @@ def test_controllability_matrix_matches_per_tuple_products_at_the_edges(m, n, k,
             m, n, k, [sys.M[a](np.zeros(m)).tolist() for a in range(m)],
             np.zeros((m, n, k)).tolist())
     G = controllability_matrix(sys)
-    value, index = _per_tuple_G(sys)
+    value, table = _per_tuple_G(sys)
     assert G.value.tobytes() == value.tobytes()
     assert G.value.flags.c_contiguous
-    assert G.block_index == index
-    assert G.block_index[0] == (1, (0,) * m)
-    assert G.block_index[-1] == (m, (n - 1,) * m)
+    assert G.block_table.tolist() == table
+    assert G.block_table[0].tolist() == [1] + [0] * m
+    assert G.block_table[-1].tolist() == [m] + [n - 1] * m
 
 
 def test_controllability_matrix_diag(diag_sys):
@@ -140,8 +142,8 @@ def test_controllability_matrix_diag(diag_sys):
         [0, 0, 0, 0, 1, 0, 0, 0],
     ], dtype=float)
     assert np.array_equal(G.value, expected)
-    assert G.block_index[0] == (1, (0, 0))
-    assert G.block_index[4] == (2, (0, 0))
+    assert G.block_table[0].tolist() == [1, 0, 0]
+    assert G.block_table[4].tolist() == [2, 0, 0]
     assert rank_G(G) == 2
 
 
@@ -187,10 +189,10 @@ def test_rank_G_zero_N(diag_sys):
 
 def test_autonomous_analysis_diag(diag_sys):
     report = autonomous_analysis(diag_sys, (0, 0), (1, 0), (1, 0), (0, 0))
-    assert report.rank_G == 2
+    assert report.image_G.rank == 2
     assert report.transfer_feasible
     assert report.phase_controllable
-    assert report.completely_controllable  # rank G = n = 2
+    assert report.image_G.full is True  # rank G = n = 2
     assert report.gramian_condition.passed
     # cross-check carries the stricter gramian verdict for this endpoint pair
     assert report.gramian_decision.basis.rank == 1
@@ -240,25 +242,22 @@ def test_autonomous_analysis_rejects_time_varying():
         autonomous_analysis(sys, (0, 0), (1,), (1, 1), (0,))
 
 
-def test_compare_rank_diag_strict_gap(diag_sys):
-    report = compare_rank(diag_sys, (0, 0), (1, 0))
-    assert report.rank_G == 2
-    assert report.rank_C == 1
-    assert not report.equal
+def test_rank_C_below_rank_G_on_the_diag_axis(diag_sys):
+    assert rank_G(controllability_matrix(diag_sys)) == 2
+    assert controllability_space(diag_sys, (0, 0), (1, 0)).rank == 1
 
 
-def test_compare_rank_diag_ordered_equality(diag_sys):
-    report = compare_rank(diag_sys, (0, 0), (1, 1))
-    assert report.rank_C == report.rank_G == 2
-    assert report.equal
+def test_rank_C_equals_rank_G_on_the_diag_ordered_pair(diag_sys):
+    assert controllability_space(diag_sys, (0, 0), (1, 1)).rank == 2
+    assert rank_G(controllability_matrix(diag_sys)) == 2
 
 
-def test_compare_rank_classical_single_time():
+def test_rank_C_equals_rank_G_classical_single_time():
     rng = np.random.default_rng(15)
     for _ in range(5):
         sys = random_commuting_system(rng, n=3, m=1, k=1)
-        report = compare_rank(sys, (0,), (1,))
-        assert report.rank_C == report.rank_G
+        assert (controllability_space(sys, (0,), (1,)).rank
+                == rank_G(controllability_matrix(sys)))
 
 
 def test_rank_inequality_on_random_family():
