@@ -23,7 +23,6 @@ at a sample point) and gate refusals.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import re
@@ -184,6 +183,7 @@ def cmd_check(args, system, cfg, doc) -> dict:
     return tree
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a named error
 def cmd_flow(args, system, cfg, doc, t0, t, x0=None, phi0=None) -> dict:
     fm = flow.fundamental_matrix(system, t, t0, cfg)
     if not np.isfinite(fm.condition_number):
@@ -202,7 +202,7 @@ def cmd_flow(args, system, cfg, doc, t0, t, x0=None, phi0=None) -> dict:
         "condition_number": float(_fmt(fm.condition_number)),
     }
     if x0 is not None:
-        tree["x"] = [float(_fmt(v)) for v in fm.value @ x0]
+        tree["x"] = [float(_fmt(v)) for v in flow._finite_solution(fm.value @ x0)]
     if phi0 is not None:
         tree["phi"] = [float(_fmt(v))
                        for v in flow.solve_adjoint(system, t0, phi0, t, cfg)]
@@ -375,24 +375,8 @@ def _text_table(table: np.ndarray, pad: str) -> str:
 
 # --- JSON -------------------------------------------------------------------
 #
-# `_json` writes a report exactly as json.dumps(report, indent=2,
-# allow_nan=False) would, with each 2-D float array written as the list of
-# its rows rounded to `_FMT` and each structured int array as the list of
-# its records.  On CPython the stdlib runs its pure-Python
-# encoder whenever `indent` is set; here only containers that hold
-# containers recurse in Python.
-
-_NON_FINITE = "Out of range float values are not JSON compliant: "
-_CONTAINERS = (dict, list, tuple, np.ndarray)
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(pad: str):
-    """`encode` of a JSONEncoder with json.dumps(indent=2)'s separators for
-    the items of a container of scalars that sit at `pad`.  With no indent
-    it runs the stdlib's C encoder where there is one."""
-    return json.JSONEncoder(separators=(",\n" + pad, ": "), allow_nan=False,
-                            check_circular=False).encode
+# The stdlib's encoder walks each report; only the arrays, which hold nearly
+# all of its bytes, are written in bulk.
 
 
 def _json_spelling(tokens: list[str]) -> list[str]:
@@ -404,15 +388,12 @@ def _json_spelling(tokens: list[str]) -> list[str]:
 
 
 def _json_matrix(a: np.ndarray, pad: str) -> str:
-    """A 2-D float array as the list of its rows, each entry rounded to
+    """A finite 2-D float array as the list of its rows, each entry rounded to
     `_FMT`: `_formatted` gives the tokens and one `%` call fills the layout."""
     rows, cols = a.shape
     if not rows:
         return "[]"
     inner, entry = pad + "  ", pad + "    "
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise ValueError(_NON_FINITE + repr(float(a.flat[np.argmin(finite)])))
     tokens = _formatted(a, _json_spelling)
     row = ("[\n" + entry + (",\n" + entry).join(["%s"] * cols) + "\n" + inner + "]"
            if cols else "[]")
@@ -435,35 +416,35 @@ def _json_table(table: np.ndarray, pad: str) -> str:
             + pad + "]") % _table_ints(table)
 
 
-def _json(value, pad: str = "") -> str:
-    """`value` as json.dumps(value, indent=2, allow_nan=False) writes it
-    when its first line starts at `pad`, for string keys; a 2-D float array
-    is written as the list of its rows, each entry rounded to `_FMT`, and a
-    structured int array as the list of its records.  The
-    first non-finite float in document order raises the stdlib's
-    ValueError."""
-    if isinstance(value, np.ndarray):
-        return (_json_table if value.dtype.names else _json_matrix)(value, pad)
-    items = (value.values() if isinstance(value, dict) else
-             value if isinstance(value, (list, tuple)) else ())
-    inner = pad + "  "
-    if not any(isinstance(v, _CONTAINERS) for v in items):
-        # a scalar, or a container of scalars: one encoder call
-        try:
-            text = _flat_encoder(inner)(value)
-        except ValueError:  # the C encoder's message does not name the value
-            bad = next(x for x in (items or [value])
-                       if isinstance(x, float) and not math.isfinite(x))
-            raise ValueError(_NON_FINITE + float.__repr__(bad)) from None
-        if not items:
-            return text
-        return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
-    if isinstance(value, dict):
-        parts = [json.encoder.encode_basestring_ascii(k) + ": " + _json(v, inner)
-                 for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    parts = [_json(v, inner) for v in value]
-    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+def _json(value) -> str:
+    """`value` as json.dumps(value, indent=2, allow_nan=False) writes it,
+    with each 2-D float array as the list of its rows rounded to `_FMT` and
+    each structured int array as the list of its records; the first
+    non-finite float in document order raises the stdlib's ValueError.
+    `iterencode`, the stdlib's incremental pure-Python walk, calls `hook` at
+    each array in document order and writes the `null` it returns as the
+    next chunk; each such stand-in then becomes its array, at its line's indent."""
+    chunks: list[str] = []
+    arrays: dict[int, np.ndarray] = {}
+
+    def hook(a: np.ndarray):
+        if not a.dtype.names and not (finite := np.isfinite(a)).all():
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             + repr(float(a.flat[np.argmin(finite)])))
+        arrays[len(chunks)] = a
+        return None
+
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, check_circular=False,
+                               default=hook)
+    for chunk in encoder.iterencode(value):
+        chunks.append(chunk)
+    for i, a in arrays.items():
+        j = i - 1  # the last newline before the stand-in starts its line
+        while j >= 0 and "\n" not in chunks[j]:
+            j -= 1
+        pad = chunks[j].rpartition("\n")[2] if j >= 0 else ""
+        chunks[i] = (_json_table if a.dtype.names else _json_matrix)(a, pad)
+    return "".join(chunks)
 
 
 def build_parser() -> argparse.ArgumentParser:

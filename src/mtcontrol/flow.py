@@ -18,7 +18,8 @@ in X, so each step is a fixed matrix R_j applied to X: all step
 propagators are built at once with batched matmuls, and their ordered
 product R_{S-1}...R_0 is taken pairwise in log2(S) levels (an associative
 reduction, cf. Blelloch, "Prefix sums and their applications", 1990).
-A chi with non-finite entries (overflow) is a named ValueError.
+A chi or a solution with non-finite entries (overflow) is a named
+ValueError, computed with numpy's overflow warnings off.
 
 On a constant system the endpoint under a synthesized control comes from
 one exponential of the 2n x 2n generator of plant and control together
@@ -66,11 +67,9 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FundamentalMatrix:
-    """chi(t, t0) together with its endpoints and condition number."""
+    """chi(t, t0) together with its condition number."""
 
     value: np.ndarray
-    start: np.ndarray  # t0
-    end: np.ndarray    # t
     condition_number: float
 
 
@@ -166,6 +165,13 @@ def _require_finite(chi: np.ndarray) -> None:
                          "between t0 and t")
 
 
+def _finite_solution(x: np.ndarray) -> np.ndarray:
+    """x, a solution at t; one that overflowed is a ValueError."""
+    if not np.isfinite(x).all():
+        raise ValueError("solution overflowed (non-finite entries) at t")
+    return x
+
+
 def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
                       t0, x0, t, cfg: NumericConfig) -> np.ndarray:
     """x(t) from (t0, x0) under the control u_a(s) = N_a' chi(anchor, s)' v
@@ -179,7 +185,7 @@ def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
     IEEE TAC 23(3), 1978).  The endpoint is chi(t, t0) x0 from `transition`,
     so v = 0 gives the free evolution bit for bit, plus the (1, 2) block of
     expm(H) applied to z(0) = chi(anchor, t0)' v.  An endpoint that
-    overflows is `transition`'s ValueError.
+    overflows is `_finite_solution`'s ValueError.
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
@@ -191,8 +197,7 @@ def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
     H = np.block([[A, Q], [np.zeros_like(A), -A.T]])
     with np.errstate(over="ignore", invalid="ignore"):
         endpoint = transition(sys, t, t0, cfg) @ x0 + expm(H)[:sys.n, sys.n:] @ z0
-    _require_finite(endpoint)
-    return endpoint
+    return _finite_solution(endpoint)
 
 
 def fundamental_matrix(sys: LinearSystem, t, t0,
@@ -212,23 +217,26 @@ def fundamental_matrix(sys: LinearSystem, t, t0,
     if cond > _COND_WARN_THRESHOLD:
         warnings.warn(f"fundamental matrix is ill-conditioned (cond = {cond:.3e})",
                       RuntimeWarning, stacklevel=2)
-    return FundamentalMatrix(value, t0, t, cond)
+    return FundamentalMatrix(value, cond)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_homogeneous(sys: LinearSystem, t0, x0, t,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """x(t) = chi(t, t0) x0."""
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    return fundamental_matrix(sys, t, t0, cfg).value @ x0
+    return _finite_solution(fundamental_matrix(sys, t, t0, cfg).value @ x0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_adjoint(sys: LinearSystem, t0, phi0, t,
                   cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Adjoint flow phi(t) = chi(t0, t)^T phi0."""
     phi0 = np.asarray(phi0, dtype=float).reshape(sys.n)
-    return fundamental_matrix(sys, t0, t, cfg).value.T @ phi0
+    return _finite_solution(fundamental_matrix(sys, t0, t, cfg).value.T @ phi0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forced_solve(sys: LinearSystem, forcing, families, t0, x0, t,
                   curve: PolylineCurve | None, cfg: NumericConfig) -> np.ndarray:
     """x(t) = chi(t, t0) x0 + integral over `curve` (default: the segment
@@ -252,7 +260,7 @@ def _forced_solve(sys: LinearSystem, forcing, families, t0, x0, t,
         return transition(sys, t, s, cfg) @ forcing(s)[alphas - 1]
 
     forced = integrate_along(OneFormFamily(stack, (sys.n, 1)), curve, cfg)
-    return transition(sys, t, t0, cfg) @ x0 + forced[:, 0]
+    return _finite_solution(transition(sys, t, t0, cfg) @ x0 + forced[:, 0])
 
 
 def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,

@@ -39,10 +39,18 @@ __all__ = [
 @dataclass(frozen=True)
 class Gramian:
     value: np.ndarray
-    start: np.ndarray          # t0
-    end: np.ndarray            # t
     kind: str                  # "controllability" or "reachability"
     path_dependent: bool = False  # True only for forced-curve computations
+
+
+def _norm(v: np.ndarray) -> float:
+    """`np.linalg.norm(v)`, which squares the entries, when the largest lies
+    in [2^-500, 2^500] (or is 0 or not finite); outside, that entry factored
+    out, so the norm neither overflows past 1e154 nor underflows below 1e-154."""
+    big = float(np.max(np.abs(v), initial=0.0))
+    if 0.0 < big < np.inf and not 2.0 ** -500 <= big <= 2.0 ** 500:
+        return big * float(np.linalg.norm(v / big))
+    return float(np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,9 @@ class SubspaceBasis:
         that is not finite bounds nothing, so w is then not a member."""
         w = np.asarray(w, dtype=float)
         if self.rank == 0:
-            residual = float(np.linalg.norm(w))
+            residual = _norm(w)
         else:
-            residual = float(np.linalg.norm(w - self.columns @ (self.columns.T @ w)))
+            residual = _norm(w - self.columns @ (self.columns.T @ w))
         return bool(np.isfinite(scale) and residual <= rel_tol * scale), residual
 
     def preimage(self, w: np.ndarray) -> np.ndarray:
@@ -148,7 +156,7 @@ def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,
         value = integrate_along(gramian_integrand(sys, anchor, cfg), curve, cfg)
     if not np.isfinite(value).all():
         raise ValueError("gramian overflowed (non-finite entries) between t0 and t")
-    return Gramian(value, t0, t, kind, path_dependent=force_curve is not None)
+    return Gramian(value, kind, path_dependent=force_curve is not None)
 
 
 def controllability_gramian(sys: LinearSystem, t0, t,
@@ -226,7 +234,7 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     chi = transition(sys, t0, t, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         w = chi @ y - x0
-        scale = float(np.linalg.norm(np.abs(chi) @ np.abs(y)) + np.linalg.norm(x0))
+        scale = _norm(np.abs(chi) @ np.abs(y)) + _norm(x0)
     if not np.isfinite(w).all():
         raise ValueError("transfer offset w = chi(t0, t) y - x0 overflowed "
                          "(non-finite entries)")

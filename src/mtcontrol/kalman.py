@@ -20,7 +20,7 @@ from .core import DEFAULT_CONFIG, NumericConfig, as_point
 # unused here (the gramian decision carries w), but bench/tracing.py wraps
 # and restores this module's `transition` binding, so it stays
 from .flow import transition  # noqa: F401
-from .gramian import (SubspaceBasis, TransferDecision, decide_transfer,
+from .gramian import (SubspaceBasis, TransferDecision, _norm, decide_transfer,
                       image_basis, numerical_rank)
 from .system import (ConditionReport, LinearSystem, check_gramian_compat,
                      check_M_commutation, require)
@@ -133,7 +133,7 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
     decision = decide_transfer(sys, t0, x0, t, y, cfg)
     tol = cfg.residual_rel_tol
     feasible, residual = basis.contains(decision.w, tol, decision.scale)
-    controllable, _ = basis.contains(x0, tol, np.linalg.norm(x0))
-    reachable, _ = basis.contains(y, tol, np.linalg.norm(y))
+    controllable, _ = basis.contains(x0, tol, _norm(x0))
+    reachable, _ = basis.contains(y, tol, _norm(y))
     return AutonomousReport(basis, feasible, residual, controllable, reachable,
                             condition, decision)

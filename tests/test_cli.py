@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 import mtcontrol.flow
 import mtcontrol.gramian
 import mtcontrol.system
-from mtcontrol.cli import _condition_tree, _flat_encoder, _json, _render, run
+from mtcontrol.cli import _condition_tree, _json, _render, run
 from mtcontrol.core import DEFAULT_CONFIG
 from mtcontrol.kalman import controllability_matrix, rank_G
 from mtcontrol.system import ConditionReport, LinearSystem
@@ -332,6 +332,39 @@ def test_a_tiny_x0_orthogonal_to_im_G_is_neither_feasible_nor_controllable(capsy
     assert tree["transfer"]["feasible"] is False
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("feasible", [True, False], ids=["overflow", "underflow"])
+def test_a_transfer_gets_one_verdict_at_any_size(capsys, tmp_path, feasible,
+                                                 json_mode):
+    # squared entries overflow beyond about 1e154 and underflow below 1e-154:
+    # x0 = (1e160, 0) lies in Im C = Im G = R^2 of the diagonal demo, and
+    # x0 = (0, 1e-170) lies off Im C = Im G = span(e1) by all of its size
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"m": 1, "n": 2, "k": 1, "M": [[[1, 0], [0, 2]]],
+                                "N": [[[1], [0]]]}))
+    transfer = ([DEMO_DIAG, "--t0", "0,0", "--t", "1,1", "--x0", "1e160,0",
+                 "--y", "0,0"] if feasible else
+                [str(path), "--t0", "0", "--t", "1", "--x0", "0,1e-170", "--y", "0,0"])
+    for command in ("synthesize", "analyze"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run((["--json"] if json_mode else []) + [command, *transfer])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == "" and not caught
+        if json_mode:
+            tree = json.loads(captured.out)
+            verdicts = ([tree["feasible"]] if command == "synthesize" else
+                        [tree["autonomous"]["phase_controllable"],
+                         tree["autonomous"]["transfer_feasible"],
+                         tree["transfer"]["feasible"]])
+        else:
+            verdicts = [line.split(": ")[1] == "True"
+                        for line in captured.out.splitlines()
+                        if line.lstrip().startswith(("feasible:", "phase_controllable:",
+                                                     "transfer_feasible:"))]
+        assert verdicts == [feasible] * (1 if command == "synthesize" else 3)
+
+
 def test_a_target_along_a_direction_chi_does_not_stretch_is_not_feasible(capsys, tmp_path):
     # chi(0, 1) = diag(e^20, 1); w = (0, 1) is off Im C = Im G = span(e1) by
     # 1, and x2 never moves, so neither command may pass it
@@ -622,7 +655,7 @@ def _assert_named_error(capsys, argv, json_mode, message):
         code = run((["--json"] if json_mode else []) + argv)
     captured = _assert_error_report(capsys, code, argv[0], json_mode, message)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "RuntimeWarning" not in captured.err
+    assert captured.err == ""
 
 
 def _assert_error_report(capsys, code, command, json_mode, message):
@@ -682,6 +715,22 @@ def test_an_overflowed_gramian_is_a_named_error(capsys, tmp_path, command,
     _assert_named_error(
         capsys, [command, str(path), "--t0", "0", "--t", "1"] + transfer,
         json_mode, "gramian overflowed (non-finite entries) between t0 and t")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["flow", "--t0", "0,0", "--t", "1,1", "--x0", "1e308,1e308"],
+    ["flow", "--t0", "1,1", "--t", "0,0", "--phi0", "1e308,0"],
+    ["simulate", "--t0", "0,0", "--t", "1,1", "--x0", "1e308,0"],
+], ids=["x", "phi", "endpoint"])
+def test_an_overflowed_solution_is_a_named_error(capsys, tmp_path, argv, json_mode):
+    # chi = diag(e, 1) and its inverse are finite, e * 1e308 is not; unchecked,
+    # x, phi and the endpoint printed inf with exit 0
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"u": [["0"], ["0"]]}))
+    extra = ["--control", str(control)] if argv[0] == "simulate" else []
+    _assert_named_error(capsys, [argv[0], DEMO_DIAG, *argv[1:], *extra], json_mode,
+                        "solution overflowed (non-finite entries) at t")
 
 
 # M2 M1 = [[0, 0], [1e400, 0]] overflows inside the M-commutation check
@@ -1100,7 +1149,6 @@ def test_json_needs_no_c_accelerator(capsys, monkeypatch, tmp_path):
 
     accelerated = written()
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    _flat_encoder.cache_clear()  # as built where the name is None
     assert written() == accelerated
 
 

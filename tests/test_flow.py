@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ def test_solve_adjoint_examples(diag_sys):
         solve_adjoint(diag_sys, (0, 0), (0, 0), (1, 0)), [0.0, 0.0])
     phi = solve_adjoint(diag_sys, (0, 0), (1, 1), (1, 0))
     assert np.allclose(phi, [math.exp(-1), 1.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda sys: solve_homogeneous(sys, (0, 0), (1e308, 1e308), (1, 1)),
+    lambda sys: solve_adjoint(sys, (1, 1), (1e308, 0), (0, 0)),
+    lambda sys: solve_controlled(sys, ControlFamily.zero(2, 1), (0, 0), (1e308, 0),
+                                 (1, 1)),
+], ids=["homogeneous", "adjoint", "controlled"])
+def test_an_overflowing_solution_is_a_named_error(diag_sys, solve):
+    # chi = diag(e, 1) is finite, e * 1e308 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^solution overflowed "
+                           r"\(non-finite entries\) at t$"):
+            solve(diag_sys)
 
 
 def test_adjoint_pairing_invariance():

@@ -229,6 +229,17 @@ def test_autonomous_analysis_refuses_before_it_computes(system, condition,
     assert refusal.value.report.condition_name == condition
 
 
+def test_autonomous_analysis_judges_a_state_at_any_size(diag_sys):
+    # x0 in Im G = R^2 at 1e160, where the squared entries overflow; x0 off
+    # Im G = span(e1) at 1e-170, where they underflow
+    report = autonomous_analysis(diag_sys, (0, 0), (1e160, 0), (1, 1), (0, 0))
+    assert report.phase_controllable and report.transfer_feasible
+    sys = LinearSystem.from_data(1, 2, 1, [[[1, 0], [0, 2]]], [[[1], [0]]])
+    report = autonomous_analysis(sys, (0,), (0, 1e-170), (1,), (0, 0))
+    assert not report.phase_controllable and not report.transfer_feasible
+    assert report.transfer_residual == pytest.approx(1e-170, rel=1e-12)
+
+
 def test_autonomous_analysis_trivial_transfer(diag_sys):
     report = autonomous_analysis(diag_sys, (0, 0), (0, 0), (1, 1), (0, 0))
     assert report.transfer_feasible

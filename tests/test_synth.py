@@ -193,6 +193,15 @@ def test_verify_zero_control_endpoint(diag_sys):
     assert check.error is None
 
 
+def test_the_round_trip_error_is_measured_at_any_size(diag_sys):
+    # the endpoint misses y = 0 by round-off of x0 = (1e300, 0); the error's
+    # squared entries would overflow
+    t0, x0, t, y = (0, 0), (1e300, 0), (1, 1), (0, 0)
+    result = synthesize_transfer(diag_sys, t0, x0, t, y)
+    check = verify_transfer(diag_sys, result.control, t0, x0, t, target=y)
+    assert 0.0 < check.error <= 1e-12 * 1e300
+
+
 def test_verify_rejects_invalid_control(cyclic_sys):
     # a control outside the control space cannot be built, so verify_transfer
     # never runs one; the one way left, a control built for another system
@@ -288,8 +297,8 @@ def test_an_overflowing_round_trip_is_transitions_named_error():
     u = SynthesizedControl(sys, (0.0,), (1e200,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"fundamental matrix overflowed "
-                           r"\(non-finite entries\) between t0 and t"):
+        with pytest.raises(ValueError, match=r"solution overflowed "
+                           r"\(non-finite entries\) at t"):
             verify_transfer(sys, u, (0.0,), (0.0,), (1.0,))
 
 
