@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import flow, gramian, kalman, synth
-from .core import NumericConfig, PolylineCurve, as_point
+from .core import NumericConfig, PolylineCurve, as_point, finite
 from .expr import ExprDomainError, ExprError
 from .system import (CompatibilityError, ConditionReport, ControlFamily,
                      LinearSystem, MatrixFamily, check_control_compat,
@@ -202,7 +202,7 @@ def cmd_flow(args, system, cfg, doc, t0, t, x0=None, phi0=None) -> dict:
         "condition_number": float(_fmt(fm.condition_number)),
     }
     if x0 is not None:
-        tree["x"] = [float(_fmt(v)) for v in flow._finite_solution(fm.value @ x0)]
+        tree["x"] = [float(_fmt(v)) for v in finite(fm.value @ x0, "solution", " at t")]
     if phi0 is not None:
         tree["phi"] = [float(_fmt(v))
                        for v in flow.solve_adjoint(system, t0, phi0, t, cfg)]

@@ -4,6 +4,10 @@ A multitime is a point t = (t^1, ..., t^m) in R^m.  Throughout the package
 multitimes are plain 1-D float arrays and batches of them (P, m) float
 arrays; `as_point` and `as_points` are the single validation funnels.
 Matrices are plain numpy arrays.
+
+Every verdict and every overflow refusal reads one of two package-internal
+rules, which are not exported: `norm` measures an array at any magnitude,
+and `finite` names a result that overflowed.
 """
 
 from __future__ import annotations
@@ -36,6 +40,37 @@ def as_point(coords, m: int | None = None) -> np.ndarray:
     if m is not None and t.size != m:
         raise ValueError(f"expected multitime of dimension {m}, got {t.size}")
     return t
+
+
+@np.errstate(over="ignore")
+def norm(a: np.ndarray, axis=None):
+    """`np.linalg.norm(a)`, or with axis=(-2, -1) the Frobenius norm of each
+    matrix of a stack, at any magnitude.  The squares are summed once; when
+    the largest norm lies outside [2^-500, 2^500], or is 0 while some entry
+    is not, each norm outside that range is taken again with its own largest
+    entry factored out, so that it neither overflows past 1e154 nor
+    underflows below 1e-154.  A norm with a non-finite entry is inf or nan."""
+    norms = np.linalg.norm(a) if axis is None else np.sqrt(np.add.reduce(a * a, axis))
+    big = norms if axis is None else norms.max(initial=0.0)
+    if 2.0 ** -500 <= big <= 2.0 ** 500 or (big == 0.0 and not a.any()):
+        return norms
+    if axis is None:  # one stack of one matrix
+        return norm(a.reshape(1, 1, -1), (-2, -1))[0]
+    norms = np.array(norms)  # 0-d for one matrix
+    out, flat = norms.reshape(-1), a.reshape(-1, *a.shape[-2:])
+    s = np.abs(flat).max(axis=(-2, -1), initial=0.0)
+    redo = ((out < 2.0 ** -500) | (out > 2.0 ** 500)) & (s > 0.0) & (s < np.inf)
+    b = flat[redo] / s[redo, None, None]
+    out[redo] = s[redo] * np.sqrt(np.add.reduce(b * b, axis))
+    return norms
+
+
+def finite(x: np.ndarray, what: str, where: str = "") -> np.ndarray:
+    """x, when every entry is finite; else the ValueError that names `what`
+    as overflowed, followed by `where`."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} overflowed (non-finite entries){where}")
+    return x
 
 
 def as_points(coords, m: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
-                   as_points, curve_segment)
+                   as_points, curve_segment, finite)
 from .pathint import OneFormFamily, integrate_along
 from .system import (LinearSystem, MatrixFamily, _T, check_control_compat,
                      check_F_compatibility, check_M_commutation, require)
@@ -143,7 +143,7 @@ def transition(sys: LinearSystem, t, t0,
             chi = np.repeat(np.eye(sys.n)[None], len(starts), axis=0)
             if moving.any():
                 chi[moving] = _rk4(sys, starts[moving], t, cfg)
-    _require_finite(chi)
+    finite(chi, "fundamental matrix", " between t0 and t")
     return chi if batch else chi[0]
 
 
@@ -159,19 +159,6 @@ def _weighted_sum(delta: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_finite(chi: np.ndarray) -> None:
-    if not np.isfinite(chi).all():
-        raise ValueError("fundamental matrix overflowed (non-finite entries) "
-                         "between t0 and t")
-
-
-def _finite_solution(x: np.ndarray) -> np.ndarray:
-    """x, a solution at t; one that overflowed is a ValueError."""
-    if not np.isfinite(x).all():
-        raise ValueError("solution overflowed (non-finite entries) at t")
-    return x
-
-
 def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
                       t0, x0, t, cfg: NumericConfig) -> np.ndarray:
     """x(t) from (t0, x0) under the control u_a(s) = N_a' chi(anchor, s)' v
@@ -185,7 +172,7 @@ def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
     IEEE TAC 23(3), 1978).  The endpoint is chi(t, t0) x0 from `transition`,
     so v = 0 gives the free evolution bit for bit, plus the (1, 2) block of
     expm(H) applied to z(0) = chi(anchor, t0)' v.  An endpoint that
-    overflows is `_finite_solution`'s ValueError.
+    overflows is a ValueError.
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
@@ -197,7 +184,7 @@ def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
     H = np.block([[A, Q], [np.zeros_like(A), -A.T]])
     with np.errstate(over="ignore", invalid="ignore"):
         endpoint = transition(sys, t, t0, cfg) @ x0 + expm(H)[:sys.n, sys.n:] @ z0
-    return _finite_solution(endpoint)
+    return finite(endpoint, "solution", " at t")
 
 
 def fundamental_matrix(sys: LinearSystem, t, t0,
@@ -225,7 +212,8 @@ def solve_homogeneous(sys: LinearSystem, t0, x0, t,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """x(t) = chi(t, t0) x0."""
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    return _finite_solution(fundamental_matrix(sys, t, t0, cfg).value @ x0)
+    return finite(fundamental_matrix(sys, t, t0, cfg).value @ x0,
+                  "solution", " at t")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -233,7 +221,8 @@ def solve_adjoint(sys: LinearSystem, t0, phi0, t,
                   cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Adjoint flow phi(t) = chi(t0, t)^T phi0."""
     phi0 = np.asarray(phi0, dtype=float).reshape(sys.n)
-    return _finite_solution(fundamental_matrix(sys, t0, t, cfg).value.T @ phi0)
+    return finite(fundamental_matrix(sys, t0, t, cfg).value.T @ phi0,
+                  "solution", " at t")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -260,7 +249,8 @@ def _forced_solve(sys: LinearSystem, forcing, families, t0, x0, t,
         return transition(sys, t, s, cfg) @ forcing(s)[alphas - 1]
 
     forced = integrate_along(OneFormFamily(stack, (sys.n, 1)), curve, cfg)
-    return _finite_solution(transition(sys, t, t0, cfg) @ x0 + forced[:, 0])
+    return finite(transition(sys, t, t0, cfg) @ x0 + forced[:, 0],
+                  "solution", " at t")
 
 
 def solve_affine(sys: LinearSystem, F: MatrixFamily, t0, x0, t,

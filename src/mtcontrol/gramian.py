@@ -7,6 +7,11 @@ defined when the gramian compatibility condition holds (otherwise the
 integral is path dependent), so the builder refuses in that case unless
 an explicit curve from t0 to t is forced, in which case the result is
 labelled path dependent.
+
+A transfer is decided by the distance from its offset w to Im C, judged
+against the size of the terms w is formed from; both are `core.norm`'s,
+taken at any magnitude.  A gramian or an offset that overflows is
+`core.finite`'s named ValueError.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point, curve_segment
+from .core import (DEFAULT_CONFIG, NumericConfig, PolylineCurve, as_point,
+                   curve_segment, finite, norm)
 from .flow import transition
 from .pathint import OneFormFamily, integrate_along
 from .system import (LinearSystem, _T, check_gramian_compat,
@@ -43,16 +49,6 @@ class Gramian:
     path_dependent: bool = False  # True only for forced-curve computations
 
 
-def _norm(v: np.ndarray) -> float:
-    """`np.linalg.norm(v)`, which squares the entries, when the largest lies
-    in [2^-500, 2^500] (or is 0 or not finite); outside, that entry factored
-    out, so the norm neither overflows past 1e154 nor underflows below 1e-154."""
-    big = float(np.max(np.abs(v), initial=0.0))
-    if 0.0 < big < np.inf and not 2.0 ** -500 <= big <= 2.0 ** 500:
-        return big * float(np.linalg.norm(v / big))
-    return float(np.linalg.norm(v))
-
-
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Im a from one thin SVD a = U diag(s) V' and `_rank`'s rank r: U[:, :r]
@@ -76,10 +72,7 @@ class SubspaceBasis:
         where scale is the size of the terms that w was formed from.  A scale
         that is not finite bounds nothing, so w is then not a member."""
         w = np.asarray(w, dtype=float)
-        if self.rank == 0:
-            residual = _norm(w)
-        else:
-            residual = _norm(w - self.columns @ (self.columns.T @ w))
+        residual = norm(w - self.columns @ (self.columns.T @ w))
         return bool(np.isfinite(scale) and residual <= rel_tol * scale), residual
 
     def preimage(self, w: np.ndarray) -> np.ndarray:
@@ -154,9 +147,8 @@ def _gramian(sys: LinearSystem, t0, t, kind: str, cfg: NumericConfig,
     anchor = t0 if kind == "controllability" else t
     with np.errstate(over="ignore", invalid="ignore"):
         value = integrate_along(gramian_integrand(sys, anchor, cfg), curve, cfg)
-    if not np.isfinite(value).all():
-        raise ValueError("gramian overflowed (non-finite entries) between t0 and t")
-    return Gramian(value, kind, path_dependent=force_curve is not None)
+    return Gramian(finite(value, "gramian", " between t0 and t"), kind,
+                   path_dependent=force_curve is not None)
 
 
 def controllability_gramian(sys: LinearSystem, t0, t,
@@ -233,11 +225,8 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     basis = controllability_space(sys, t0, t, cfg)
     chi = transition(sys, t0, t, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = chi @ y - x0
-        scale = _norm(np.abs(chi) @ np.abs(y)) + _norm(x0)
-    if not np.isfinite(w).all():
-        raise ValueError("transfer offset w = chi(t0, t) y - x0 overflowed "
-                         "(non-finite entries)")
+        w = finite(chi @ y - x0, "transfer offset w = chi(t0, t) y - x0")
+        scale = norm(np.abs(chi) @ np.abs(y)) + norm(x0)
     feasible, residual = basis.contains(w, cfg.residual_rel_tol, scale)
     return TransferDecision(feasible, residual, _ordering(t0, t), w, scale, basis)
 

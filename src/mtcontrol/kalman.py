@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, NumericConfig, as_point
+from .core import DEFAULT_CONFIG, NumericConfig, as_point, finite, norm
 # unused here (the gramian decision carries w), but bench/tracing.py wraps
 # and restores this module's `transition` binding, so it stays
 from .flow import transition  # noqa: F401
-from .gramian import (SubspaceBasis, TransferDecision, _norm, decide_transfer,
+from .gramian import (SubspaceBasis, TransferDecision, decide_transfer,
                       image_basis, numerical_rank)
 from .system import (ConditionReport, LinearSystem, check_gramian_compat,
                      check_M_commutation, require)
@@ -87,9 +87,7 @@ def controllability_matrix(sys: LinearSystem,
         prod = powers[0, ks[:, 0]]
         for a in range(1, m):
             prod = prod @ powers[a, ks[:, a]]
-        blocks = prod @ N[:, None]                              # (m, n^m, n, k)
-    if not np.all(np.isfinite(blocks)):
-        raise ValueError("controllability matrix overflowed (non-finite entries)")
+        blocks = finite(prod @ N[:, None], "controllability matrix")  # (m, n^m, n, k)
     value = np.ascontiguousarray(blocks.transpose(2, 0, 1, 3)).reshape(n, -1)
     return ControllabilityMatrix(value, ks)
 
@@ -133,7 +131,7 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
     decision = decide_transfer(sys, t0, x0, t, y, cfg)
     tol = cfg.residual_rel_tol
     feasible, residual = basis.contains(decision.w, tol, decision.scale)
-    controllable, _ = basis.contains(x0, tol, _norm(x0))
-    reachable, _ = basis.contains(y, tol, _norm(y))
+    controllable, _ = basis.contains(x0, tol, norm(x0))
+    reachable, _ = basis.contains(y, tol, norm(y))
     return AutonomousReport(basis, feasible, residual, controllable, reachable,
                             condition, decision)

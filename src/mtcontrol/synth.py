@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, NumericConfig, as_point
+from .core import DEFAULT_CONFIG, NumericConfig, as_point, norm
 from .flow import _controlled_solve, _steered_endpoint, transition
-from .gramian import TransferDecision, _norm, decide_transfer
+from .gramian import TransferDecision, decide_transfer
 from .system import (LinearSystem, _T, check_gramian_compat,
                      check_M_commutation, require)
 
@@ -153,5 +153,5 @@ def verify_transfer(sys: LinearSystem, control: SynthesizedControl, t0, x0, t,
     error = None
     if target is not None:
         target = np.asarray(target, dtype=float).reshape(sys.n)
-        error = _norm(endpoint - target)
+        error = norm(endpoint - target)
     return TransferVerification(endpoint, error)

@@ -22,7 +22,10 @@ A check evaluates each family once, as one (m, P, r, c) stack over all
 sample points, and forms X_ab for every ordered pair a != b (never a = b)
 in one batched expression; only a varying family is differentiated.
 X is formed without numpy's overflow warnings: products that overflow give
-a residual that is not finite, and such a residual fails the check.
+a residual that is not finite, and such a residual fails the check.  The
+residuals and the norms of the terms are `core.norm`'s, taken at any
+magnitude: a commutator of 1e-200, whose squares underflow, is not read
+as 0.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as _expr
-from .core import DEFAULT_CONFIG, NumericConfig, as_point, as_points
+from .core import DEFAULT_CONFIG, NumericConfig, as_point, as_points, norm
 
 __all__ = [
     "MatrixFunction",
@@ -382,22 +385,6 @@ def _T(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm over the last two axes: of one matrix, or of each
-    matrix in a (P, r, c) stack.  A finite matrix whose squares overflow
-    is measured again scaled by its largest entry, so its norm is finite.
-    Called under the checks' errstate, so the overflow does not warn."""
-    norms = np.sqrt(np.add.reduce(a * a, axis=(-2, -1)))
-    big = np.isinf(norms)
-    if big.any():
-        big &= np.isfinite(a).all(axis=(-2, -1))
-        norms, b = np.array(norms), a[big]
-        s = np.abs(b).max(axis=(-2, -1), initial=0.0)
-        b = b / s[:, None, None]
-        norms[big] = s * np.sqrt(np.add.reduce(b * b, axis=(-2, -1)))
-    return norms
-
-
 @functools.lru_cache(maxsize=None)
 def _ordered_pairs(m: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """The K pairs a < b (1-based, `combinations` order) and the 0-based
@@ -428,7 +415,7 @@ def _symmetry_report(name: str, X: np.ndarray, terms: np.ndarray,
     only a zero residual; a residual that is not finite (X overflowed)
     fails.  The worst point is the first maximum, point-major, pair-minor."""
     K = len(X) // 2
-    residuals = _norms(X[:K] - X[K:]).T                    # (P, K)
+    residuals = norm(X[:K] - X[K:], (-2, -1)).T             # (P, K)
     worst = int(np.argmax(residuals))
     r = float(residuals.flat[worst])
     scale = float(np.max(terms))
@@ -451,12 +438,12 @@ def check_M_commutation(sys: LinearSystem,
     T, A, B = _sample(sys, cfg, sys.M)
     M = sys.M(T)
     X = M[A] @ M[B]
-    nM = _norms(M)
+    nM = norm(M, (-2, -1))
     terms = nM[A] * nM[B]
     if not sys.M.is_constant:
         dM = sys.M.derivatives(T, A, B)
         X = X + dM
-        terms = terms + _norms(dM)
+        terms = terms + norm(dM, (-2, -1))
     return _symmetry_report(name, X, terms, T, cfg)
 
 
@@ -472,11 +459,11 @@ def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
     T, A, B = _sample(sys, cfg, sys.M, F)
     M, Fv = sys.M(T), F(T)
     X = M[A] @ Fv[B]
-    terms = _norms(M)[A] * _norms(Fv)[B]
+    terms = norm(M, (-2, -1))[A] * norm(Fv, (-2, -1))[B]
     if not F.is_constant:
         dF = F.derivatives(T, A, B)
         X = X + dF
-        terms = terms + _norms(dF)
+        terms = terms + norm(dF, (-2, -1))
     return _symmetry_report(name, X, terms, T, cfg)
 
 
@@ -498,15 +485,15 @@ def check_control_compat(sys: LinearSystem, u,
     M, N = sys.M(T), sys.N(T)
     U, dU = u.jet(T, A, B)
     X = M[A] @ (N @ U)[B]
-    nN, nU = _norms(N), _norms(U)
-    terms = _norms(M)[A] * nN[B] * nU[B]
+    nN, nU = norm(N, (-2, -1)), norm(U, (-2, -1))
+    terms = norm(M, (-2, -1))[A] * nN[B] * nU[B]
     if dU is not None:
         X = X + N[A] @ dU
-        terms = terms + nN[A] * _norms(dU)
+        terms = terms + nN[A] * norm(dU, (-2, -1))
     if not sys.N.is_constant:
         dN = sys.N.derivatives(T, A, B)
         X = X + dN @ U[A]
-        terms = terms + _norms(dN) * nU[A]
+        terms = terms + norm(dN, (-2, -1)) * nU[A]
     return _symmetry_report(name, X, terms, T, cfg)
 
 
@@ -523,10 +510,10 @@ def check_gramian_compat(sys: LinearSystem,
     M, N = sys.M(T), sys.N(T)
     Ma, Na, Nb = M[A], N[A], N[B]
     X = Ma @ Nb @ _T(Nb) + (N @ _T(N))[B] @ _T(Ma)
-    nN = _norms(N)
-    terms = 2.0 * _norms(M)[A] * nN[B] ** 2
+    nN = norm(N, (-2, -1))
+    terms = 2.0 * norm(M, (-2, -1))[A] * nN[B] ** 2
     if not sys.N.is_constant:
         dN = sys.N.derivatives(T, A, B)
         X = X + dN @ _T(Na) + Na @ _T(dN)
-        terms = terms + 2.0 * _norms(dN) * nN[A]
+        terms = terms + 2.0 * norm(dN, (-2, -1)) * nN[A]
     return _symmetry_report(name, X, terms, T, cfg)

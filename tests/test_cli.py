@@ -424,26 +424,43 @@ def test_simulate_refuses_a_non_commuting_system(capsys, tmp_path, json_mode):
         assert "reason: M-commutation (Eq. 6) residual 1.41421356237\n" in out
 
 
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-def test_flow_refuses_a_non_commuting_system_in_any_units(capsys, tmp_path,
-                                                           json_mode):
-    # the nilpotent pair with t in units of 1e5: chi along the segment to
-    # (1e5, 1e5) would be [[1.543, 1.175], [1.175, 1.543]], along the two
-    # staircases [[1, 1], [1, 2]] and [[2, 1], [1, 1]]
+def _assert_flow_refused(capsys, tmp_path, json_mode, entry, t, residual):
+    """flow on the nilpotent pair scaled to `entry`, from (0, 0) to (t, t):
+    refused by M-commutation with `residual`, and nothing on stderr."""
     path = tmp_path / "nilpotent.json"
-    path.write_text(json.dumps(dict(NILPOTENT, M=[[[0, 1e-5], [0, 0]],
-                                                  [[0, 0], [1e-5, 0]]])))
+    path.write_text(json.dumps(dict(NILPOTENT, M=[[[0, entry], [0, 0]],
+                                                  [[0, 0], [entry, 0]]])))
     code = run((["--json"] if json_mode else []) + [
-        "flow", str(path), "--t0", "0,0", "--t", "1e5,1e5"])
+        "flow", str(path), "--t0", "0,0", "--t", f"{t},{t}"])
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
     if json_mode:
         tree = json.loads(captured.out)
         assert tree["refused"] and "chi" not in tree
         assert tree["gate"]["condition"] == "M-commutation (Eq. 6)"
+        assert tree["gate"]["max_residual"] == float(residual)
     else:
         assert "chi" not in captured.out
-        assert "reason: M-commutation (Eq. 6) residual 1.41421356237e-10\n" in captured.out
+        assert f"reason: M-commutation (Eq. 6) residual {residual}\n" in captured.out
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_flow_refuses_a_non_commuting_system_in_any_units(capsys, tmp_path,
+                                                           json_mode):
+    # the nilpotent pair with t in units of 1e5: chi along the segment to
+    # (1e5, 1e5) would be [[1.543, 1.175], [1.175, 1.543]], along the two
+    # staircases [[1, 1], [1, 2]] and [[2, 1], [1, 1]]
+    _assert_flow_refused(capsys, tmp_path, json_mode, 1e-5, "1e5", "1.41421356237e-10")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_flow_refuses_a_commutator_whose_squares_underflow(capsys, tmp_path,
+                                                           json_mode):
+    # in units of 1e100 the commutator is 1e-200 of sqrt(2): its squares
+    # underflow, and a residual read as 0 passed the gate and printed the
+    # path-dependent chi [[1.543, 1.175], [1.175, 1.543]] with exit 0
+    _assert_flow_refused(capsys, tmp_path, json_mode, 1e-100, "1e100",
+                         "1.41421356237e-200")
 
 
 def test_invalid_json_reports_position(capsys, tmp_path):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mtcontrol import NumericConfig, PolylineCurve, curve_segment
-from mtcontrol.core import staircase
+from mtcontrol.core import finite, norm, staircase
 
 
 def test_segment_constructor_echo():
@@ -69,3 +71,37 @@ def test_numeric_config_rejects_booleans(name, flag):
     with pytest.raises(ValueError, match=f"{name} must be {kind}"):
         NumericConfig(**{name: flag})
 
+
+
+@pytest.mark.parametrize("k", [-1074 + 60, -600, -300, 0, 300, 600, 1023 - 10])
+def test_norm_is_measured_at_any_magnitude(k):
+    # 2^k times an array whose norms are near 1: each norm is 2^k times the
+    # unscaled one, where squaring would overflow past 2^512 or underflow
+    # below 2^-537; an all-zero matrix of the stack stays 0
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((4, 3, 2))
+    stack[1] = 0.0
+    vector = rng.standard_normal(5)
+    s = 2.0 ** k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_stack, got_vector = norm(stack * s, (-2, -1)), norm(vector * s)
+    np.testing.assert_allclose(got_stack / s, np.linalg.norm(stack, axis=(-2, -1)),
+                               rtol=1e-15)
+    assert got_stack[1] == 0.0
+    assert got_vector / s == pytest.approx(np.linalg.norm(vector), rel=1e-15)
+
+
+def test_norm_of_a_non_finite_entry_is_not_finite():
+    stack = np.array([[[np.inf, 1e-200]], [[np.nan, 0.0]], [[1e-200, 0.0]]])
+    got = norm(stack, (-2, -1))
+    assert got[0] == np.inf and np.isnan(got[1]) and got[2] == 1e-200
+    assert norm(np.array([np.inf, 1e300])) == np.inf
+
+
+def test_finite_names_what_overflowed_and_where():
+    x = np.array([1.0, 2.0])
+    assert finite(x, "solution") is x
+    with pytest.raises(ValueError, match=r"^solution overflowed \(non-finite "
+                                         r"entries\) at t$"):
+        finite(np.array([1.0, np.inf]), "solution", " at t")
