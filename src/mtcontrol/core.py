@@ -2,7 +2,8 @@
 
 A multitime is a point t = (t^1, ..., t^m) in R^m.  Throughout the package
 multitimes are plain 1-D float arrays and batches of them (P, m) float
-arrays; `as_point` and `as_points` are the single validation funnels.
+arrays; `as_point` and `as_points` are the single validation funnels, and
+`as_point` also takes every state vector (raveled, so (n, 1) passes).
 Matrices are plain numpy arrays.
 
 Every verdict and every overflow refusal reads one of two package-internal
@@ -27,18 +28,18 @@ __all__ = [
 
 
 def as_point(coords, m: int | None = None) -> np.ndarray:
-    """Validate and convert a multitime point to a 1-D float array.
+    """Validate and convert a multitime or a state vector to a 1-D array.
 
     Raises ValueError when the point is empty, non-finite, or does not
     match the expected dimension `m`.
     """
     t = np.atleast_1d(np.asarray(coords, dtype=float))
     if t.ndim != 1 or t.size < 1:
-        raise ValueError(f"multitime must be a 1-D sequence, got shape {t.shape}")
+        raise ValueError(f"point must be a 1-D sequence, got shape {t.shape}")
     if not np.isfinite(t).all():
-        raise ValueError(f"multitime coordinates must be finite, got {t}")
+        raise ValueError(f"point coordinates must be finite, got {t}")
     if m is not None and t.size != m:
-        raise ValueError(f"expected multitime of dimension {m}, got {t.size}")
+        raise ValueError(f"expected point of dimension {m}, got {t.size}")
     return t
 
 

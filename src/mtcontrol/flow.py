@@ -13,13 +13,14 @@ quadrature integrands pass all Gauss nodes of a segment as one batch.  Both
 routes start from generators A = sum_a delta^a M_a (the one-form pulled
 back to each segment): a constant family forms A from its own (m, n, n)
 array and takes one expm of A per start point, a time-varying one takes A
-at the RK4 stage points of all P segments (`_generators`).  RK4 is linear
-in X, so each step is a fixed matrix R_j applied to X: all step
-propagators are built at once with batched matmuls, and their ordered
+on the half-step grid tau = j h/2, j = 0..2S, of all P segments: S RK4 steps
+of size h evaluate each advancing member at 2S + 1 points (`_generators`).
+RK4 is linear in X, so each step is a fixed matrix R_j applied to X: all
+step propagators are built at once with batched matmuls, and their ordered
 product R_{S-1}...R_0 is taken pairwise in log2(S) levels (an associative
-reduction, cf. Blelloch, "Prefix sums and their applications", 1990).
-A chi or a solution with non-finite entries (overflow) is a named
-ValueError, computed with numpy's overflow warnings off.
+reduction, cf. Blelloch, "Prefix sums and their applications", 1990).  A
+chi or a solution with non-finite entries (overflow) is a named ValueError,
+computed with numpy's overflow warnings off.
 
 On a constant system the endpoint under a synthesized control comes from
 one exponential of the 2n x 2n generator of plant and control together
@@ -94,15 +95,14 @@ def _generators(sys: LinearSystem, starts: np.ndarray, end,
 def _rk4(sys: LinearSystem, starts: np.ndarray, end,
          cfg: NumericConfig) -> np.ndarray:
     """The (P, n, n) classical RK4 propagators of dX/dtau = A(tau) X along
-    the segments starts[p] -> end, tau in [0, 1], with A at all stage points.
+    the segments starts[p] -> end, tau in [0, 1], with A on the half-step grid.
     One RK4 step maps X to R_j X; all R_j come from batched matmuls (the
     step run on X = I), and their ordered product R_{S-1}...R_0 is taken in
     log2(S) levels of pairwise products."""
     steps = cfg.ode_steps_per_segment
     h = 1.0 / steps
-    s = np.arange(steps) * h
-    A = _generators(sys, starts, end, np.concatenate([s, s + 0.5 * h, s + h]))
-    A1, A2, A3 = A[:, :steps], A[:, steps:2 * steps], A[:, 2 * steps:]
+    A = _generators(sys, starts, end, np.arange(2 * steps + 1) * (0.5 * h))
+    A1, A2, A3 = A[:, :-1:2], A[:, 1::2], A[:, 2::2]
     eye = np.eye(sys.n)
     B2 = A2 @ (eye + 0.5 * h * A1)
     B3 = A2 @ (eye + 0.5 * h * B2)
@@ -176,7 +176,7 @@ def _steered_endpoint(sys: LinearSystem, anchor: np.ndarray, v: np.ndarray,
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    x0 = as_point(np.ravel(x0), m=sys.n)
     z0 = _T(transition(sys, anchor, t0, cfg)) @ v
     delta = t - t0
     A = _weighted_sum(delta, sys.M.value)
@@ -211,7 +211,7 @@ def fundamental_matrix(sys: LinearSystem, t, t0,
 def solve_homogeneous(sys: LinearSystem, t0, x0, t,
                       cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """x(t) = chi(t, t0) x0."""
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    x0 = as_point(np.ravel(x0), m=sys.n)
     return finite(fundamental_matrix(sys, t, t0, cfg).value @ x0,
                   "solution", " at t")
 
@@ -220,7 +220,7 @@ def solve_homogeneous(sys: LinearSystem, t0, x0, t,
 def solve_adjoint(sys: LinearSystem, t0, phi0, t,
                   cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Adjoint flow phi(t) = chi(t0, t)^T phi0."""
-    phi0 = np.asarray(phi0, dtype=float).reshape(sys.n)
+    phi0 = as_point(np.ravel(phi0), m=sys.n)
     return finite(fundamental_matrix(sys, t0, t, cfg).value.T @ phi0,
                   "solution", " at t")
 
@@ -239,7 +239,7 @@ def _forced_solve(sys: LinearSystem, forcing, families, t0, x0, t,
     advancing direction: chi(t, s) does not depend on alpha."""
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    x0 = as_point(np.ravel(x0), m=sys.n)
     if curve is None:
         curve = curve_segment(t0, t)
     # the box is convex: segments between waypoints inside it stay inside

@@ -220,8 +220,8 @@ def decide_transfer(sys: LinearSystem, t0, x0, t, y,
     """
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    y = np.asarray(y, dtype=float).reshape(sys.n)
+    x0 = as_point(np.ravel(x0), m=sys.n)
+    y = as_point(np.ravel(y), m=sys.n)
     basis = controllability_space(sys, t0, t, cfg)
     chi = transition(sys, t0, t, cfg)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -121,8 +121,8 @@ def autonomous_analysis(sys: LinearSystem, t0, x0, t, y,
         raise ValueError("autonomous analysis requires a constant system")
     t0 = as_point(t0, m=sys.m)
     t = as_point(t, m=sys.m)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    y = np.asarray(y, dtype=float).reshape(sys.n)
+    x0 = as_point(np.ravel(x0), m=sys.n)
+    y = as_point(np.ravel(y), m=sys.n)
     require(check_M_commutation(sys, cfg))
     condition = require(check_gramian_compat(sys, cfg))
 

@@ -39,8 +39,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SynthesizedControl:
     """The closed-over family u_alpha(s) = N_alpha(s)' chi(t0, s)' v of
-    k x 1 columns, taken like a ControlFamily; `derivatives` uses
-    d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).
+    k x 1 columns, taken like a ControlFamily (`m`, `shape`, `is_constant`,
+    u(s) and `jet`); `jet` uses d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).
 
     It is a control by construction: building one requires M-commutation
     (Eq. 6) and, unless v = 0 (the zero control), gramian compatibility
@@ -51,13 +51,15 @@ class SynthesizedControl:
     anchor: np.ndarray          # t0
     v: np.ndarray               # gramian preimage, length n
     cfg: NumericConfig = field(default=DEFAULT_CONFIG, repr=False)
-    is_constant = False  # a class attribute, not a field
+    is_constant = False  # class attributes, not fields
+    m = property(lambda self: self.system.m)
+    shape = property(lambda self: (self.system.k, 1))
 
     def __post_init__(self):
         sys = self.system
         require(check_M_commutation(sys, self.cfg))
         object.__setattr__(self, "anchor", as_point(self.anchor, m=sys.m))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(sys.n))
+        object.__setattr__(self, "v", as_point(np.ravel(self.v), m=sys.n))
         if np.any(self.v):
             require(check_gramian_compat(sys, self.cfg))
 
@@ -73,21 +75,15 @@ class SynthesizedControl:
         chi(t0, s)' v is taken once for all directions."""
         return _T(self.system.N(s)) @ self._weight(s)
 
-    def derivatives(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """du_a/ds^b on the points T (P, m) for each ordered pair (a, b) of
-        the 0-based index arrays (A, B), as a (len(A), P, k, 1) stack.
-        chi(t0, s)' v is taken once for all pairs."""
-        return self.jet(T, A, B)[1]
-
     def jet(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
-        """(self(T), self.derivatives(T, A, B)) from one chi(t0, s)' v on
-        the points T (P, m)."""
+        """(self(T), du_a/ds^b) on the points T (P, m), as `MatrixFamily.jet`
+        gives them, both from one chi(t0, s)' v."""
         sysm = self.system
         w = self._weight(T)
-        N = sysm.N(T)
+        N, dN = sysm.N.jet(T, A, B)
         out = -_T(N[A]) @ _T(sysm.M(T)[B]) @ w
-        if not sysm.N.is_constant:
-            out = out + _T(sysm.N.derivatives(T, A, B)) @ w
+        if dN is not None:
+            out = out + _T(dN) @ w
         return _T(N) @ w, out
 
     def describe(self) -> str:
@@ -152,6 +148,6 @@ def verify_transfer(sys: LinearSystem, control: SynthesizedControl, t0, x0, t,
         endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg, [sys.N])
     error = None
     if target is not None:
-        target = np.asarray(target, dtype=float).reshape(sys.n)
+        target = as_point(np.ravel(target), m=sys.n)
         error = norm(endpoint - target)
     return TransferVerification(endpoint, error)

@@ -20,7 +20,8 @@ grid_samples_per_axis^m sample points.
 
 A check evaluates each family once, as one (m, P, r, c) stack over all
 sample points, and forms X_ab for every ordered pair a != b (never a = b)
-in one batched expression; only a varying family is differentiated.
+in one batched expression, from one `jet` of each family it differentiates
+(a varying one); a forcing F or a control u is sized before it is read.
 X is formed without numpy's overflow warnings: products that overflow give
 a residual that is not finite, and such a residual fails the check.  The
 residuals and the norms of the terms are `core.norm`'s, taken at any
@@ -218,16 +219,12 @@ class MatrixFamily:
     def __getitem__(self, alpha0: int) -> MatrixFunction:
         return self.members[alpha0]
 
-    def derivatives(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """dA_a/dt^b on the points T (P, m) for each ordered pair (a, b) of
-        the 0-based index arrays (A, B), as a (len(A), P, r, c) stack: a
-        different function per pair."""
-        return np.stack([self[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
-
     def jet(self, T: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple:
-        """(self(T), self.derivatives(T, A, B)), with None for the
-        derivatives of a constant family."""
-        return self(T), None if self.is_constant else self.derivatives(T, A, B)
+        """(self(T), dA_a/dt^b) on the points T (P, m): a different function
+        for each ordered pair (a, b) of the 0-based index arrays (A, B),
+        stacked as (len(A), P, r, c), or None for a constant family."""
+        return self(T), None if self.is_constant else np.stack(
+            [self[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
 
 
 class ControlFamily(MatrixFamily):
@@ -404,6 +401,13 @@ def _sample(sys: LinearSystem, cfg: NumericConfig, *families
     return (T, *_ordered_pairs(sys.m)[1:])
 
 
+def _require_columns(sys: LinearSystem, family, rows: int, name: str) -> None:
+    """ValueError unless `family` has sys.m members, each a rows x 1 column."""
+    if family.m != sys.m or family.shape != (rows, 1):
+        raise ValueError(f"{name} must have {sys.m} members of shape ({rows}, 1), "
+                         f"got {family.m} of shape {family.shape}")
+
+
 def _symmetry_report(name: str, X: np.ndarray, terms: np.ndarray,
                      T: np.ndarray, cfg: NumericConfig) -> ConditionReport:
     """The report on |X_ab - X_ba| for the (2K, P, r, c) stack X of X_ab on
@@ -436,12 +440,11 @@ def check_M_commutation(sys: LinearSystem,
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M)
-    M = sys.M(T)
+    M, dM = sys.M.jet(T, A, B)
     X = M[A] @ M[B]
     nM = norm(M, (-2, -1))
     terms = nM[A] * nM[B]
-    if not sys.M.is_constant:
-        dM = sys.M.derivatives(T, A, B)
+    if dM is not None:
         X = X + dM
         terms = terms + norm(dM, (-2, -1))
     return _symmetry_report(name, X, terms, T, cfg)
@@ -451,17 +454,15 @@ def check_M_commutation(sys: LinearSystem,
 def check_F_compatibility(sys: LinearSystem, F: MatrixFamily,
                           cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """X_ab = M_a F_b + dF_a/dt^b symmetric in (a, b)."""
-    if F.m != sys.m or F.shape != (sys.n, 1):
-        raise ValueError(f"F must be a family of {sys.n}x1 vectors, got {F.shape}")
+    _require_columns(sys, F, sys.n, "F")
     name = "F-compatibility (Eq. 7)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M, F)
-    M, Fv = sys.M(T), F(T)
+    M, (Fv, dF) = sys.M(T), F.jet(T, A, B)
     X = M[A] @ Fv[B]
     terms = norm(M, (-2, -1))[A] * norm(Fv, (-2, -1))[B]
-    if not F.is_constant:
-        dF = F.derivatives(T, A, B)
+    if dF is not None:
         X = X + dF
         terms = terms + norm(dF, (-2, -1))
     return _symmetry_report(name, X, terms, T, cfg)
@@ -472,17 +473,19 @@ def check_control_compat(sys: LinearSystem, u,
                          cfg: NumericConfig = DEFAULT_CONFIG) -> ConditionReport:
     """Decides membership of u in the control space: X_ab = M_a N_b u_b
     + N_a du_a/dt^b + (dN_a/dt^b) u_a symmetric in (a, b).  `u` is a family
-    of k x 1 columns, as F is for `check_F_compatibility`: u.jet(T, A, B)
-    gives, on a (P, m) batch of points, the (m, P, k, 1) stack of every
-    u_alpha and du_a/dt^b for each ordered pair (None when u.is_constant
-    says those are all zero), from one evaluation of u.  A ControlFamily
-    and a SynthesizedControl are such families.
+    of m k x 1 columns, as F is of n x 1 ones for `check_F_compatibility`:
+    it has `m`, `shape`, `is_constant`, u(T) and u.jet(T, A, B), which gives,
+    on a (P, m) batch of points, the (m, P, k, 1) stack of every u_alpha and
+    du_a/dt^b for each ordered pair (None when u.is_constant says those are
+    all zero), from one evaluation of u, as a ControlFamily and a
+    SynthesizedControl do.
     """
+    _require_columns(sys, u, sys.k, "u")
     name = "control-compatibility (Eq. 14)"
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M, sys.N, u)
-    M, N = sys.M(T), sys.N(T)
+    M, (N, dN) = sys.M(T), sys.N.jet(T, A, B)
     U, dU = u.jet(T, A, B)
     X = M[A] @ (N @ U)[B]
     nN, nU = norm(N, (-2, -1)), norm(U, (-2, -1))
@@ -490,8 +493,7 @@ def check_control_compat(sys: LinearSystem, u,
     if dU is not None:
         X = X + N[A] @ dU
         terms = terms + nN[A] * norm(dU, (-2, -1))
-    if not sys.N.is_constant:
-        dN = sys.N.derivatives(T, A, B)
+    if dN is not None:
         X = X + dN @ U[A]
         terms = terms + norm(dN, (-2, -1)) * nU[A]
     return _symmetry_report(name, X, terms, T, cfg)
@@ -507,13 +509,12 @@ def check_gramian_compat(sys: LinearSystem,
     if sys.m == 1:
         return ConditionReport(name, 0.0, True, None, None)
     T, A, B = _sample(sys, cfg, sys.M, sys.N)
-    M, N = sys.M(T), sys.N(T)
+    M, (N, dN) = sys.M(T), sys.N.jet(T, A, B)
     Ma, Na, Nb = M[A], N[A], N[B]
     X = Ma @ Nb @ _T(Nb) + (N @ _T(N))[B] @ _T(Ma)
     nN = norm(N, (-2, -1))
     terms = 2.0 * norm(M, (-2, -1))[A] * nN[B] ** 2
-    if not sys.N.is_constant:
-        dN = sys.N.derivatives(T, A, B)
+    if dN is not None:
         X = X + dN @ _T(Na) + Na @ _T(dN)
         terms = terms + 2.0 * norm(dN, (-2, -1)) * nN[A]
     return _symmetry_report(name, X, terms, T, cfg)

@@ -9,8 +9,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
-                       MatrixFamily, fundamental_matrix, solve_adjoint,
-                       solve_affine, solve_controlled, solve_homogeneous)
+                       MatrixFamily, check_control_compat, fundamental_matrix,
+                       solve_adjoint, solve_affine, solve_controlled,
+                       solve_homogeneous)
 from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve, curve_segment, staircase
 from mtcontrol.flow import _controlled_solve, transition
 from mtcontrol.synth import SynthesizedControl
@@ -193,6 +194,38 @@ def test_an_overflowing_solution_is_a_named_error(diag_sys, solve):
             solve(diag_sys)
 
 
+@pytest.mark.parametrize("u", [ControlFamily.from_data([["t1", 0], ["t2", 0]], 2),
+                               ControlFamily.from_data([["t1"]], 1)],
+                         ids=["k_plus_1_rows", "m_minus_1_members"])
+@pytest.mark.parametrize("route", ["check", "solve"])
+@pytest.mark.parametrize("varying", [False, True], ids=["constant", "varying"])
+def test_a_control_of_the_wrong_size_is_named(diag_sys, varying, route, u):
+    # each of m = 2 members must be a k x 1 = 1 x 1 column; the family is
+    # sized before it is evaluated, on either system
+    sys = axis_scaled_system() if varying else diag_sys
+    call = {"check": lambda: check_control_compat(sys, u),
+            "solve": lambda: solve_controlled(sys, u, (0, 0), (1, 0), (1, 1))}
+    with pytest.raises(ValueError, match=rf"^u must have 2 members of shape "
+                       rf"\(1, 1\), got {u.m} of shape \({u.shape[0]}, 1\)$"):
+        call[route]()
+
+
+@pytest.mark.parametrize("x0, message", [
+    ((math.nan, 0.0), r"^point coordinates must be finite, got \[nan  0\.\]$"),
+    ((1.0, 2.0, 3.0), r"^expected point of dimension 2, got 3$"),
+], ids=["nan", "three_entries"])
+@pytest.mark.parametrize("solve", [
+    lambda sys, x0: solve_homogeneous(sys, (0, 0), x0, (1, 1)),
+    lambda sys, x0: solve_adjoint(sys, (0, 0), x0, (1, 1)),
+    lambda sys, x0: solve_controlled(sys, ControlFamily.zero(2, 1), (0, 0), x0, (1, 1)),
+], ids=["homogeneous", "adjoint", "controlled"])
+def test_a_state_vector_goes_through_the_point_funnel(diag_sys, solve, x0, message):
+    with pytest.raises(ValueError, match=message):
+        solve(diag_sys, x0)
+    # an (n, 1) column is still a state
+    assert np.array_equal(solve(diag_sys, [[1.0], [2.0]]), solve(diag_sys, (1.0, 2.0)))
+
+
 def test_adjoint_pairing_invariance():
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -322,7 +355,7 @@ def test_rk4_evaluates_each_member_once_per_segment(monkeypatch):
         calls.clear()
         transition(sys, (0.8, 0.6), (0.0, 0.0), NumericConfig(ode_steps_per_segment=steps))
         counts.append(len(calls))
-        assert calls == [(3 * steps, 2)] * 2  # one batch per advancing member
+        assert calls == [(2 * steps + 1, 2)] * 2  # one batch per advancing member
     assert counts[0] == counts[1]
 
 

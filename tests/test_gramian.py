@@ -403,7 +403,7 @@ def test_time_varying_gramian_evaluates_each_member_once_per_segment(monkeypatch
 
     monkeypatch.setattr(MatrixFunction, "__call__", counting)
     P = gramian_integrand(sys, (0.0, 0.0))
-    stage_points = (16 * 3 * DEFAULT_CONFIG.ode_steps_per_segment, 2)
+    stage_points = (16 * (2 * DEFAULT_CONFIG.ode_steps_per_segment + 1), 2)
     # Each member that advances on a segment makes one transition call on
     # its 16 Gauss nodes, which evaluates every M_a that the paths from the
     # nodes back to the anchor advance along once, on all their stage points.

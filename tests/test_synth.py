@@ -21,6 +21,7 @@ from conftest import axis_scaled_system, passing_case, random_passing_system
 def test_zero_candidate_is_always_valid(cyclic_sys, diag_sys):
     for sys in (diag_sys, cyclic_sys):
         u = SynthesizedControl(sys, np.zeros(sys.m), np.zeros(sys.n))
+        assert (u.m, u.shape) == (sys.m, (sys.k, 1))  # sized as a control family
         for alpha in range(1, sys.m + 1):
             assert np.array_equal(u(np.ones(sys.m) * 0.3)[alpha - 1, :, 0],
                                   np.zeros(sys.k))
@@ -54,7 +55,7 @@ def test_candidate_derivative_matches_finite_differences(diag_sys):
     A, B = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
     for sys in (diag_sys, varying_N_system()):
         u = SynthesizedControl(sys, (0, 0), (0.7, -0.4))
-        derivatives = u.derivatives(s[None], A, B)[:, 0, :, 0]
+        derivatives = u.jet(s[None], A, B)[1][:, 0, :, 0]
         for alpha, beta, derivative in zip(A + 1, B + 1, derivatives):
             sp, sm = s.copy(), s.copy()
             sp[beta - 1] += h
@@ -64,16 +65,23 @@ def test_candidate_derivative_matches_finite_differences(diag_sys):
 
 
 class _TwoChiRoute:
-    """The control check's inputs as u(T) and u.derivatives(T, A, B) give
-    them, each taking chi(t0, s) on the grid itself."""
+    """The control check's inputs u(T) and du_a/ds^b = -N_a' M_b' chi' v
+    + (dN_a/ds^b)' chi' v, each taking chi = chi(t0, s) on the grid itself."""
 
     is_constant = False
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.m, self.shape = u, u.m, u.shape
 
     def jet(self, T, A, B):
-        return self.u(T), self.u.derivatives(T, A, B)
+        u, sys = self.u, self.u.system
+        chi = transition(sys, u.anchor, T, u.cfg)
+        w = (chi.swapaxes(-1, -2) @ u.v)[..., None]
+        du = -sys.N(T)[A].swapaxes(-1, -2) @ sys.M(T)[B].swapaxes(-1, -2) @ w
+        if not sys.N.is_constant:
+            dN = np.stack([sys.N[a].diff(b + 1)(T) for a, b in zip(A, B)])
+            du = du + dN.swapaxes(-1, -2) @ w
+        return u(T), du
 
 
 @pytest.mark.parametrize("make", [axis_scaled_system, varying_N_system])
@@ -300,6 +308,18 @@ def test_an_overflowing_round_trip_is_transitions_named_error():
         with pytest.raises(ValueError, match=r"solution overflowed "
                            r"\(non-finite entries\) at t"):
             verify_transfer(sys, u, (0.0,), (0.0,), (1.0,))
+
+
+@pytest.mark.parametrize("x0, target", [
+    ((math.nan, 0.0), None), ((1.0, 0.0), (math.nan, 0.0)), ((1.0, 0.0, 0.0), None),
+], ids=["nan_x0", "nan_target", "three_entry_x0"])
+def test_a_state_vector_goes_through_the_point_funnel(diag_sys, x0, target):
+    message = (r"^expected point of dimension 2, got 3$" if len(x0) == 3 else
+               r"^point coordinates must be finite, got \[nan  0\.\]$")
+    t0, t = (0.0, 0.0), (1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        result = synthesize_transfer(diag_sys, t0, x0, t, (0.0, 0.0))
+        verify_transfer(diag_sys, result.control, t0, x0, t, target=target)
 
 
 def _exact_steered_endpoint(sys, anchor, v, t0, x0, t):
