@@ -127,12 +127,9 @@ def build_system(doc: dict) -> tuple[LinearSystem, NumericConfig, dict]:
 
 def _load_control(data, system: LinearSystem) -> ControlFamily:
     try:
-        u = ControlFamily.from_data(data, system.m)
+        return ControlFamily.from_data(data, system.m)
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"bad control data: {exc}") from None
-    if u.k != system.k:
-        raise ConfigError(f"control has {u.k} components, expected k={system.k}")
-    return u
 
 
 def _condition_tree(report: ConditionReport) -> dict:
@@ -246,7 +243,7 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
     y = np.zeros(system.n) if y is None else y
     tree: dict = {"command": "analyze", "t0": t0.tolist(), "t": t.tolist(),
                   "constant_system": system.is_constant}
-    decision = None  # one gramian verdict serves every section below
+    # one transfer decision serves every section below
     if system.is_constant:
         report = kalman.autonomous_analysis(system, t0, x0, t, y, cfg)
         decision = report.gramian_decision
@@ -262,9 +259,9 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
             "rank_C": decision.basis.rank,
             "gramian_transfer_feasible": decision.feasible,
         }
+    else:
+        decision = gramian.decide_transfer(system, t0, x0, t, y, cfg)
     if transfer:
-        if decision is None:
-            decision = gramian.decide_transfer(system, t0, x0, t, y, cfg)
         tree["transfer"] = {
             "feasible": decision.feasible,
             "residual": float(_fmt(decision.residual)),
@@ -272,14 +269,12 @@ def cmd_analyze(args, system, cfg, doc, t0, t, x0=None, y=None) -> dict:
             "within_subspace_guarantee": decision.basis.ordered,
             "rank_C": decision.basis.rank,
         }
-    image_C = (decision.basis if decision is not None
-               else gramian.controllability_space(system, t0, t, cfg))
     tree["complete"] = {
-        "completely_controllable": image_C.full,
-        "completely_reachable": image_C.full,
-        "rank_C": image_C.rank,
+        "completely_controllable": decision.basis.full,
+        "completely_reachable": decision.basis.full,
+        "rank_C": decision.basis.rank,
     }
-    if not np.all(t0 < t):
+    if decision.ordering != "forward":
         tree["complete"]["note"] = "endpoint pair is not strictly ordered"
     return tree
 
@@ -389,16 +384,16 @@ def _json_spelling(tokens: list[str]) -> list[str]:
 
 def _json_matrix(a: np.ndarray, pad: str) -> str:
     """A finite 2-D float array as the list of its rows, each entry rounded to
-    `_FMT`: `_formatted` gives the tokens and one `%` call fills the layout."""
+    `_FMT`: `_formatted` gives the tokens and each row joins its own."""
     rows, cols = a.shape
     if not rows:
         return "[]"
     inner, entry = pad + "  ", pad + "    "
     tokens = _formatted(a, _json_spelling)
-    row = ("[\n" + entry + (",\n" + entry).join(["%s"] * cols) + "\n" + inner + "]"
-           if cols else "[]")
-    return ("[\n" + inner + (",\n" + inner).join([row] * rows) + "\n" + pad
-            + "]") % tuple(tokens)
+    lines = (["[\n" + entry + (",\n" + entry).join(tokens[i:i + cols]) + "\n"
+              + inner + "]" for i in range(0, rows * cols, cols)]
+             if cols else ["[]"] * rows)
+    return "[\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + "]"
 
 
 def _json_table(table: np.ndarray, pad: str) -> str:

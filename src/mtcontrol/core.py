@@ -142,10 +142,6 @@ class PolylineCurve:
         object.__setattr__(self, "waypoints", w)
 
     @property
-    def segment_count(self) -> int:
-        return self.waypoints.shape[0] - 1
-
-    @property
     def start(self) -> np.ndarray:
         return self.waypoints[0]
 

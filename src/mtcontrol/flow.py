@@ -281,12 +281,8 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
 
 
 def _controlled_solve(sys: LinearSystem, u, t0, x0, t,
-                      curve: PolylineCurve | None, cfg: NumericConfig,
-                      families=None) -> np.ndarray:
+                      curve: PolylineCurve | None, cfg: NumericConfig) -> np.ndarray:
     """`solve_controlled` for a caller that has already decided u is a
-    control, from `families` (default: N and u, as `check_control_compat`
-    does besides M)."""
-    if families is None:
-        families = [sys.N, u]
-    return _forced_solve(sys, lambda s: sys.N(s) @ u(s), families, t0, x0, t,
+    control, from N and u, as `check_control_compat` does besides M."""
+    return _forced_solve(sys, lambda s: sys.N(s) @ u(s), [sys.N, u], t0, x0, t,
                          curve, cfg)

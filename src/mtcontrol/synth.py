@@ -144,8 +144,8 @@ def verify_transfer(sys: LinearSystem, control: SynthesizedControl, t0, x0, t,
         raise ValueError("the control was built for another system")
     if sys.is_constant:
         endpoint = _steered_endpoint(sys, control.anchor, control.v, t0, x0, t, cfg)
-    else:  # its construction gates decided it from M and N alone
-        endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg, [sys.N])
+    else:
+        endpoint = _controlled_solve(sys, control, t0, x0, t, None, cfg)
     error = None
     if target is not None:
         target = as_point(np.ravel(target), m=sys.n)

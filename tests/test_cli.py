@@ -297,6 +297,69 @@ def test_analyze_time_varying_is_refused_by_the_gramian_gate(capsys, monkeypatch
     assert tree["gate"]["max_residual"] == 2.0
 
 
+# conftest's axis_scaled_system as a config: M_a = diag(t_a), N_a = e_a
+AXIS_SCALED = dict(DIAG, M=[[["t1", 0], [0, 0]], [[0, 0], [0, "t2"]]],
+                   domain=[[-1, 2], [-1, 2]])
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("t0, t, rank", [
+    ([0.0, 0.0], [1.0, 1.0], 2),
+    ([0.0, 0.0], [1.0, 0.0], 1),
+    ([1.0, 1.0], [0.0, 0.0], 2),
+], ids=["forward", "pseudo", "backward"])
+def test_analyze_reads_one_transfer_decision_on_a_time_varying_system(
+        capsys, monkeypatch, tmp_path, t0, t, rank, json_mode):
+    # without --x0/--y the complete section is decide_transfer's basis for
+    # x0 = y = 0, and its ordering alone adds the note
+    decisions = []
+    original = mtcontrol.gramian.decide_transfer
+
+    def recording(*args):
+        decisions.append(original(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(mtcontrol.gramian, "decide_transfer", recording)
+    path = tmp_path / "axis_scaled.json"
+    path.write_text(json.dumps(AXIS_SCALED))
+    code = run((["--json"] if json_mode else []) + [
+        "analyze", str(path), "--t0", ",".join(map(str, t0)),
+        "--t", ",".join(map(str, t))])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    (decision,) = decisions
+    assert not decision.w.any() and decision.basis.rank == rank
+    complete = {"completely_controllable": decision.basis.full,
+                "completely_reachable": decision.basis.full,
+                "rank_C": decision.basis.rank}
+    if decision.ordering != "forward":
+        complete["note"] = "endpoint pair is not strictly ordered"
+    tree = {"command": "analyze", "t0": t0, "t": t, "constant_system": False,
+            "complete": complete}
+    assert captured.out == (_json(tree) if json_mode
+                            else "\n".join(_render(tree))) + "\n"
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_wrong_size_control_is_refused_by_the_size_rule(capsys, tmp_path,
+                                                          command, json_mode):
+    # two components per member where k = 1: the gates' size rule refuses it
+    u = [[1, 0], [0, 0]]
+    path = tmp_path / "diag.json"
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"u": u}))
+    if command == "check":
+        path.write_text(json.dumps(dict(DIAG, u=u)))
+        argv = ["check", str(path)]
+    else:
+        path.write_text(json.dumps(DIAG))
+        argv = ["simulate", str(path), "--t0", "0,0", "--t", "1,1",
+                "--x0", "1,0", "--control", str(control)]
+    _assert_named_error(capsys, argv, json_mode,
+                        "u must have 2 members of shape (1, 1), got 2 of shape (2, 1)")
+
+
 def test_synthesize_free_evolution(capsys, diag_cfg):
     # y = chi(t, t0) x0 = (e, 1): zero control transfers exactly
     code, tree = run_json(capsys, ["synthesize", diag_cfg, "--t0", "0,0",
@@ -405,23 +468,25 @@ def test_simulate_rejects_bad_control(capsys, cyclic_cfg, tmp_path):
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_simulate_refuses_a_non_commuting_system(capsys, tmp_path, json_mode):
-    # the zero control passes its own condition
+    # the zero control passes its own condition, and a control of the wrong
+    # size is sized by that condition, which M-commutation precedes
     path = tmp_path / "nilpotent.json"
     path.write_text(json.dumps(NILPOTENT))
     control = tmp_path / "control.json"
-    control.write_text(json.dumps({"u": [[0], [0]]}))
-    code = run((["--json"] if json_mode else []) + [
-        "simulate", str(path), "--t0", "0,0", "--t", "1,1", "--x0", "1,0",
-        "--control", str(control)])
-    out = capsys.readouterr().out
-    assert code == 2
-    if json_mode:
-        tree = json.loads(out)
-        assert tree["refused"] and "endpoint" not in tree
-        assert tree["gate"]["condition"] == "M-commutation (Eq. 6)"
-    else:
-        assert "endpoint" not in out
-        assert "reason: M-commutation (Eq. 6) residual 1.41421356237\n" in out
+    for u in ([[0], [0]], [[0, 0], [0, 0]]):
+        control.write_text(json.dumps({"u": u}))
+        code = run((["--json"] if json_mode else []) + [
+            "simulate", str(path), "--t0", "0,0", "--t", "1,1", "--x0", "1,0",
+            "--control", str(control)])
+        out = capsys.readouterr().out
+        assert code == 2
+        if json_mode:
+            tree = json.loads(out)
+            assert tree["refused"] and "endpoint" not in tree
+            assert tree["gate"]["condition"] == "M-commutation (Eq. 6)"
+        else:
+            assert "endpoint" not in out
+            assert "reason: M-commutation (Eq. 6) residual 1.41421356237\n" in out
 
 
 def _assert_flow_refused(capsys, tmp_path, json_mode, entry, t, residual):

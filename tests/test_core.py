@@ -16,7 +16,7 @@ def test_segment_constructor_echo():
 
 def test_degenerate_segment_is_allowed():
     c = curve_segment((0, 0), (0, 0))
-    assert c.segment_count == 1
+    assert c.waypoints.shape == (2, 2)
     assert np.array_equal(c.start, c.end)
 
 
