@@ -9,7 +9,7 @@ path dependent and its control space trivial.
 
 import numpy as np
 
-from mtcontrol import (ControlFamily, LinearSystem, check_control_compat,
+from mtcontrol import (LinearSystem, MatrixFamily, check_control_compat,
                        check_gramian_compat, check_M_commutation)
 
 diag = LinearSystem.from_data(
@@ -29,11 +29,12 @@ for name, sys in (("diagonal two-time", diag), ("cyclic three-time", cyclic)):
         print(f"  {report.condition_name}: {verdict} "
               f"(residual {report.max_residual:.3g})")
 
-# Membership in the control space is itself a compatibility check.  On the
-# cyclic system every nonzero constant control is rejected: the space is {0}.
+# A control is a family of k x 1 columns (here k = 1), and its membership in
+# the control space is itself a compatibility check.  On the cyclic system
+# every nonzero constant control is rejected: the space is {0}.
 print("\ncontrol-space membership on the cyclic system:")
 for u_data in ([[0], [0], [0]], [[1], [1], [1]], [[1], [0], [0]]):
-    u = ControlFamily.from_data(u_data, 3)
+    u = MatrixFamily.from_data(u_data, 3)
     report = check_control_compat(cyclic, u)
     flat = np.array(u_data).ravel().tolist()
     print(f"  u = {flat}: {'accepted' if report.passed else 'rejected'}")
@@ -47,6 +48,6 @@ diag_boxed = LinearSystem.from_data(
     domain=[[0, 1], [0, 1]])
 print("\ncontrol-space membership on the diagonal system:")
 for u_data in ([["t1"], ["t2"]], [["t2"], ["t1"]]):
-    u = ControlFamily.from_data(u_data, 2)
+    u = MatrixFamily.from_data(u_data, 2)
     report = check_control_compat(diag_boxed, u)
     print(f"  u = {u_data}: {'accepted' if report.passed else 'rejected'}")

@@ -8,9 +8,9 @@ import math
 
 import numpy as np
 
-from mtcontrol import (ControlFamily, LinearSystem, MatrixFamily,
-                       fundamental_matrix, solve_adjoint, solve_affine,
-                       solve_controlled, solve_homogeneous)
+from mtcontrol import (LinearSystem, MatrixFamily, fundamental_matrix,
+                       solve_adjoint, solve_affine, solve_controlled,
+                       solve_homogeneous)
 
 diag = LinearSystem.from_data(
     2, 2, 1,
@@ -36,7 +36,8 @@ F = MatrixFamily.from_data([[[1], [0]], [[0], [0]]], 2)
 x_affine = solve_affine(diag, F, t0, (0, 0), t)
 print(f"affine solution:     {x_affine}  (expected ({math.e - 1:.6f}, 0))")
 
-u = ControlFamily.from_data([[1], [0]], 2)
+# The same forcing as a control: the family u of k x 1 columns (k = 1).
+u = MatrixFamily.from_data([[1], [0]], 2)
 x_controlled = solve_controlled(diag, u, t0, (0, 0), t)
 print(f"controlled solution: {x_controlled}  (same closed form)")
 

@@ -20,9 +20,9 @@ from .kalman import (AutonomousReport, ControllabilityMatrix, autonomous_analysi
 from .pathint import OneFormFamily, integrate_along
 from .synth import (SynthesisResult, SynthesizedControl, TransferVerification,
                     synthesize_transfer, verify_transfer)
-from .system import (CompatibilityError, ConditionReport, ControlFamily,
-                     LinearSystem, MatrixFamily, MatrixFunction,
-                     check_control_compat, check_F_compatibility,
-                     check_gramian_compat, check_M_commutation, require)
+from .system import (CompatibilityError, ConditionReport, LinearSystem,
+                     MatrixFamily, MatrixFunction, check_control_compat,
+                     check_F_compatibility, check_gramian_compat,
+                     check_M_commutation, require)
 
 __version__ = "0.1.0"

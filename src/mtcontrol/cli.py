@@ -8,16 +8,17 @@ A system lives in a JSON config file:
       "N": [[[1], [0]], [[0], [1]]],
       "domain": [[0, 2], [0, 2]],          // optional, per-axis [lo, hi]
       "numeric": {"rank_rel_tol": 1e-10},  // optional overrides
-      "u": [["1"], ["0"]],                 // optional control, k entries per alpha
-      "F": [[[0], [0]], [[0], [0]]]        // optional forcing family (n x 1)
+      "u": [["1"], ["0"]],                 // optional control, k x 1 per alpha
+      "F": [[[0], [0]], [[0], [0]]]        // optional forcing, n x 1 per alpha
     }
 
-Matrix entries are numbers or expression strings over t1..tm.  Multitime
-points are passed as comma-separated flag values; forced integration
-paths as semicolon-separated waypoints.  Reports render as text, or as
-JSON with --json.  Exit codes: 0 success (warnings included), 2 for
-validation errors, expression domain errors (a singularity such as 1/t1
-at a sample point) and gate refusals.
+Matrix entries are numbers or expression strings over t1..tm; a column is
+a flat list or a nested one, and an integer no float holds reads as +-inf,
+as 1e400 does.  Multitime points are passed as comma-separated flag
+values; forced integration paths as semicolon-separated waypoints.
+Reports render as text, or as JSON with --json.  Exit codes: 0 success
+(warnings included), 2 for validation errors, expression domain errors (a
+singularity such as 1/t1 at a sample point) and gate refusals.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import numpy as np
 from . import flow, gramian, kalman, synth
 from .core import NumericConfig, PolylineCurve, as_point, finite
 from .expr import ExprDomainError, ExprError
-from .system import (CompatibilityError, ConditionReport, ControlFamily,
-                     LinearSystem, MatrixFamily, check_control_compat,
-                     check_F_compatibility, check_gramian_compat,
-                     check_M_commutation, require)
+from .system import (CompatibilityError, ConditionReport, LinearSystem,
+                     MatrixFamily, check_control_compat, check_F_compatibility,
+                     check_gramian_compat, check_M_commutation, require)
 
 __all__ = ["main", "run", "load_config"]
 
@@ -91,10 +91,16 @@ def _parse_path(text: str, m: int) -> PolylineCurve:
     return PolylineCurve(np.stack(points))
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer as an int, or as +-inf when no float holds it."""
+    number = float(text)
+    return int(text) if math.isfinite(number) else number
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -125,11 +131,12 @@ def build_system(doc: dict) -> tuple[LinearSystem, NumericConfig, dict]:
     return system, cfg, doc
 
 
-def _load_control(data, system: LinearSystem) -> ControlFamily:
+def _load_family(data, system: LinearSystem, what: str) -> MatrixFamily:
+    """A family of m columns, u or F, each member flat or a nested column."""
     try:
-        return ControlFamily.from_data(data, system.m)
+        return MatrixFamily.from_data(data, system.m)
     except (ExprError, ValueError) as exc:
-        raise ConfigError(f"bad control data: {exc}") from None
+        raise ConfigError(f"bad {what} data: {exc}") from None
 
 
 def _condition_tree(report: ConditionReport) -> dict:
@@ -162,15 +169,10 @@ def _refusal(exc: CompatibilityError) -> dict:
 
 def cmd_check(args, system, cfg, doc) -> dict:
     conditions = [check_M_commutation(system, cfg)]
-    u = _load_control(doc["u"], system) if "u" in doc else \
-        ControlFamily.zero(system.m, system.k)
-    # F defaults to the zero family so the report always carries all four
-    # conditions; a config may supply its own forcing under "F".
-    f_data = doc.get("F", [[[0.0]] * system.n for _ in range(system.m)])
-    try:
-        F = MatrixFamily.from_data(f_data, system.m)
-    except (ExprError, ValueError) as exc:
-        raise ConfigError(f"bad forcing data: {exc}") from None
+    # u and F default to zero families so the report always carries all four
+    # conditions; a config may supply its own control under "u", forcing under "F"
+    u = _load_family(doc.get("u", [[0.0] * system.k] * system.m), system, "control")
+    F = _load_family(doc.get("F", [[0.0] * system.n] * system.m), system, "forcing")
     conditions.append(check_F_compatibility(system, F, cfg))
     conditions.append(check_control_compat(system, u, cfg))
     conditions.append(check_gramian_compat(system, cfg))
@@ -305,7 +307,7 @@ def cmd_simulate(args, system, cfg, doc, t0, t, x0) -> dict:
     if isinstance(control_doc, dict) and "u" not in control_doc:
         raise ConfigError("control document is missing required key 'u'")
     data = control_doc["u"] if isinstance(control_doc, dict) else control_doc
-    u = _load_control(data, system)
+    u = _load_family(data, system, "control")
     require(check_M_commutation(system, cfg))
     condition = require(check_control_compat(system, u, cfg))
     x = flow._controlled_solve(system, u, t0, x0, t, None, cfg)

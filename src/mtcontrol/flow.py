@@ -271,7 +271,7 @@ def solve_controlled(sys: LinearSystem, u, t0, x0, t,
                      cfg: NumericConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Controlled solution with F_alpha = N_alpha u_alpha.
 
-    `u` is a family of k x 1 columns, a ControlFamily or a
+    `u` is a family of k x 1 columns, a MatrixFamily or a
     SynthesizedControl (see `check_control_compat`); it is rejected when
     it falls outside the control space.
     """

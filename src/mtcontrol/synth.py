@@ -39,7 +39,7 @@ __all__ = [
 @dataclass(frozen=True)
 class SynthesizedControl:
     """The closed-over family u_alpha(s) = N_alpha(s)' chi(t0, s)' v of
-    k x 1 columns, taken like a ControlFamily (`m`, `shape`, `is_constant`,
+    k x 1 columns, taken like a MatrixFamily (`m`, `shape`, `is_constant`,
     u(s) and `jet`); `jet` uses d chi(t0,s)/ds^b = -chi(t0,s) M_b(s).
 
     It is a control by construction: building one requires M-commutation

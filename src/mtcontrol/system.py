@@ -44,7 +44,6 @@ from .core import DEFAULT_CONFIG, NumericConfig, as_point, as_points, norm
 __all__ = [
     "MatrixFunction",
     "MatrixFamily",
-    "ControlFamily",
     "LinearSystem",
     "ConditionReport",
     "CompatibilityError",
@@ -172,17 +171,20 @@ class MatrixFunction:
         return d
 
 
-def _members(data, m: int, kind: str) -> Sequence:
+def _members(data, m: int) -> Sequence:
     """`data` as the list of a family's m members; ValueError otherwise."""
     if not isinstance(data, (list, tuple, np.ndarray)):
-        raise ValueError(f"{kind} data must be a list, got {type(data).__name__}")
+        raise ValueError(f"family data must be a list, got {type(data).__name__}")
     if len(data) != m:
-        raise ValueError(f"expected {m} {kind} members, got {len(data)}")
+        raise ValueError(f"expected {m} family members, got {len(data)}")
     return data
 
 
 class MatrixFamily:
     """The indexed family (A_alpha)_{alpha=1..m} of matrix functions.
+
+    A forcing F is a family of n x 1 columns and a control u one of k x 1
+    columns, which `check_control_compat` admits to the control space.
 
     Whether it is constant is decided once, when it is built; a constant
     family keeps its members' values as one read-only (m, r, c) array,
@@ -208,8 +210,9 @@ class MatrixFamily:
 
     @classmethod
     def from_data(cls, data: Sequence, m: int) -> "MatrixFamily":
-        """Build from m nested-list matrices of numbers / expression strings."""
-        return cls([MatrixFunction(entry, m) for entry in _members(data, m, "family")])
+        """Build from m nested-list matrices of numbers / expression strings;
+        a flat list is one column, so a column member is flat or nested."""
+        return cls([MatrixFunction(entry, m) for entry in _members(data, m)])
 
     def __call__(self, t) -> np.ndarray:
         """Every member at t, stacked: (m, r, c) at one point of shape (m,),
@@ -225,36 +228,6 @@ class MatrixFamily:
         stacked as (len(A), P, r, c), or None for a constant family."""
         return self(T), None if self.is_constant else np.stack(
             [self[a].diff(b + 1)(T) for a, b in zip(A.tolist(), B.tolist())])
-
-
-class ControlFamily(MatrixFamily):
-    """A control candidate u = (u_alpha): m members, each a k x 1 column.
-
-    Entries are constants or expressions; membership in the control space
-    is decided by `check_control_compat`.  Black-box callables without
-    derivatives are deliberately not accepted.  u(t) is the (m, P, k, 1)
-    stack on a batch of points, as for any family.
-    """
-
-    def __init__(self, members: Sequence[MatrixFunction]):
-        super().__init__(members)
-        if self.shape[1] != 1:
-            raise ValueError("control members must be column vectors of equal size")
-        self.k = self.shape[0]
-
-    @classmethod
-    def from_data(cls, data: Sequence, m: int) -> "ControlFamily":
-        members = []
-        for entry in _members(data, m, "control"):
-            mf = MatrixFunction(entry, m)
-            if mf.shape[1] != 1:
-                mf = MatrixFunction(np.asarray(entry, dtype=object).reshape(-1, 1), m)
-            members.append(mf)
-        return cls(members)
-
-    @classmethod
-    def zero(cls, m: int, k: int) -> "ControlFamily":
-        return cls([MatrixFunction(np.zeros((k, 1)), m) for _ in range(m)])
 
 
 def _once_per_system(func):
@@ -477,7 +450,7 @@ def check_control_compat(sys: LinearSystem, u,
     it has `m`, `shape`, `is_constant`, u(T) and u.jet(T, A, B), which gives,
     on a (P, m) batch of points, the (m, P, k, 1) stack of every u_alpha and
     du_a/dt^b for each ordered pair (None when u.is_constant says those are
-    all zero), from one evaluation of u, as a ControlFamily and a
+    all zero), from one evaluation of u, as a MatrixFamily and a
     SynthesizedControl do.
     """
     _require_columns(sys, u, sys.k, "u")

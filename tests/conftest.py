@@ -175,7 +175,7 @@ def per_direction_forced_solve(sys, F_value, t0, x0, t, curve,
 def per_direction_control_forcing(sys, u, cfg=DEFAULT_CONFIG):
     """F_alpha = N_alpha u_alpha for `per_direction_forced_solve`, with
     u_alpha on its own: a `SynthesizedControl` takes its own
-    chi(t0, s)' v per direction, a `ControlFamily` evaluates member alpha."""
+    chi(t0, s)' v per direction, a `MatrixFamily` evaluates member alpha."""
     def u_value(alpha, s):
         if isinstance(u, SynthesizedControl):
             weight = (_T(transition(sys, u.anchor, s, cfg)) @ u.v)[..., None]

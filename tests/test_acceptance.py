@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
+from mtcontrol import (CompatibilityError, LinearSystem, MatrixFamily,
                        NumericConfig, check_control_compat, check_gramian_compat,
                        check_M_commutation, controllability_gramian,
                        controllability_matrix, rank_G, reachability_gramian,
@@ -77,10 +77,10 @@ def test_criterion_3_cyclic_system_suite(cyclic_sys):
         candidates += [-np.eye(3)[i] for i in range(3)]
         candidates += list(rng.standard_normal((10, 3)))
         for c in candidates:
-            u = ControlFamily.from_data([[c[0]], [c[1]], [c[2]]], 3)
+            u = MatrixFamily.from_data([[c[0]], [c[1]], [c[2]]], 3)
             assert not check_control_compat(cyclic_sys, u).passed
         # the zero control is the single member that passes
-        assert check_control_compat(cyclic_sys, ControlFamily.zero(3, 1)).passed
+        assert check_control_compat(cyclic_sys, MatrixFamily.from_data([[0]] * 3, 3)).passed
         with pytest.raises(CompatibilityError):
             controllability_gramian(cyclic_sys, (0, 0, 0), (1, 1, 1))
         with pytest.raises(CompatibilityError):

@@ -340,24 +340,43 @@ def test_analyze_reads_one_transfer_decision_on_a_time_varying_system(
                             else "\n".join(_render(tree))) + "\n"
 
 
+def _control_argv(tmp_path, command, config, u):
+    """`check` on `config` with the control u, or `simulate` on `config`
+    with u in its own control document."""
+    path = tmp_path / "config.json"
+    if command == "check":
+        path.write_text(json.dumps(dict(config, u=u)))
+        return ["check", str(path)]
+    path.write_text(json.dumps(config))
+    control = tmp_path / "control.json"
+    control.write_text(json.dumps({"u": u}))
+    return ["simulate", str(path), "--t0", "0,0", "--t", "1,1", "--x0", "1,0",
+            "--control", str(control)]
+
+
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("command", ["check", "simulate"])
 def test_a_wrong_size_control_is_refused_by_the_size_rule(capsys, tmp_path,
                                                           command, json_mode):
     # two components per member where k = 1: the gates' size rule refuses it
-    u = [[1, 0], [0, 0]]
-    path = tmp_path / "diag.json"
-    control = tmp_path / "control.json"
-    control.write_text(json.dumps({"u": u}))
-    if command == "check":
-        path.write_text(json.dumps(dict(DIAG, u=u)))
-        argv = ["check", str(path)]
-    else:
-        path.write_text(json.dumps(DIAG))
-        argv = ["simulate", str(path), "--t0", "0,0", "--t", "1,1",
-                "--x0", "1,0", "--control", str(control)]
+    argv = _control_argv(tmp_path, command, DIAG, [[1, 0], [0, 0]])
     _assert_named_error(capsys, argv, json_mode,
                         "u must have 2 members of shape (1, 1), got 2 of shape (2, 1)")
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("u, shape", [([[[1, 2]], [[0, 0]]], "(1, 2)"),
+                                      ([[[1, 0], [0, 1]]] * 2, "(2, 2)")],
+                         ids=["row", "square"])
+def test_a_control_member_is_read_as_written(capsys, tmp_path, u, shape, command,
+                                             json_mode):
+    # k = 2: a control is read as F is, each member a flat list or a nested
+    # column; a 1 x 2 row or a 2 x 2 matrix is not reshaped into a column,
+    # and the gates' size rule names the shape as written
+    config = dict(DIAG, k=2, N=[[[1, 0], [0, 1]]] * 2)
+    _assert_named_error(capsys, _control_argv(tmp_path, command, config, u), json_mode,
+                        f"u must have 2 members of shape (2, 1), got 2 of shape {shape}")
 
 
 def test_synthesize_free_evolution(capsys, diag_cfg):
@@ -694,6 +713,44 @@ def test_malformed_document_is_a_named_error(capsys, tmp_path, config, control,
         "simulate", str(path), "--t0", "0,0", "--t", "1,0", "--x0", "0,0",
         "--control", str(control_path)])
     _assert_error_report(capsys, code, "simulate", json_mode, message)
+
+
+# X stands for a number that no float holds
+_SCALAR = '{"m":1,"n":1,"k":1,"M":[[[1]]],"N":[[[1]]]%s}'
+_VARYING = '{"m":1,"n":1,"k":1,"M":[["t1"]],"N":[[[1]]],"domain":[[0,1]]%s}'
+
+
+@pytest.mark.parametrize("doc, argv, exit_code", [
+    ('{"m":1,"n":1,"k":1,"M":[[[X]]],"N":[[[1]]]}', ["check"], 2),
+    ('{"m":1,"n":1,"k":1,"M":[[[1]]],"N":[[[-X]]]}', ["check"], 2),
+    (_SCALAR % ',"u":[[X]]', ["check"], 2),
+    (_SCALAR % ',"F":[[-X]]', ["check"], 2),
+    (_SCALAR % ',"domain":[[0,X]]', ["flow", "--t0", "0", "--t", "1"], 0),
+    ('{"m":1,"n":1,"k":1,"M":[["t1"]],"N":[[[1]]],"domain":[[-X,1]]}', ["check"], 2),
+    (_SCALAR % ',"numeric":{"rank_rel_tol":X}', ["kalman"], 2),
+    (json.dumps(NILPOTENT)[:-1] + ',"numeric":{"residual_rel_tol":X}}', ["check"], 2),
+    (_SCALAR % ',"numeric":{"quad_points_per_segment":X}',
+     ["gramian", "--t0", "0", "--t", "1"], 2),
+    (_VARYING % ',"numeric":{"ode_steps_per_segment":X}',
+     ["flow", "--t0", "0", "--t", "1"], 2),
+], ids=["M_entry", "N_entry", "u_entry", "F_entry", "constant_domain",
+        "varying_domain", "rank_tol", "residual_tol", "quad_points", "ode_steps"])
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_an_integer_no_float_holds_reads_as_1e400(capsys, tmp_path, doc, argv,
+                                                   exit_code, json_mode):
+    # 10^400 written as a JSON integer gives the report that 1e400 gives:
+    # exit 2 with a named error, except a constant system's domain bound,
+    # which is accepted; nothing on stderr
+    reports = []
+    for number in ("1" + "0" * 400, "1e400"):
+        path = tmp_path / "config.json"
+        path.write_text(doc.replace("X", number))
+        code = run((["--json"] if json_mode else []) + [argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append((code, captured.out))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == exit_code
 
 
 def test_check_forms_no_product_of_a_member_with_itself(capsys, tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
-from mtcontrol import (CompatibilityError, ControlFamily, LinearSystem,
-                       MatrixFamily, check_control_compat, fundamental_matrix,
+from mtcontrol import (CompatibilityError, LinearSystem, MatrixFamily,
+                       check_control_compat, fundamental_matrix,
                        solve_adjoint, solve_affine, solve_controlled,
                        solve_homogeneous)
 from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve, curve_segment, staircase
@@ -182,8 +182,8 @@ def test_solve_adjoint_examples(diag_sys):
 @pytest.mark.parametrize("solve", [
     lambda sys: solve_homogeneous(sys, (0, 0), (1e308, 1e308), (1, 1)),
     lambda sys: solve_adjoint(sys, (1, 1), (1e308, 0), (0, 0)),
-    lambda sys: solve_controlled(sys, ControlFamily.zero(2, 1), (0, 0), (1e308, 0),
-                                 (1, 1)),
+    lambda sys: solve_controlled(sys, MatrixFamily.from_data([[0]] * 2, 2), (0, 0),
+                                 (1e308, 0), (1, 1)),
 ], ids=["homogeneous", "adjoint", "controlled"])
 def test_an_overflowing_solution_is_a_named_error(diag_sys, solve):
     # chi = diag(e, 1) is finite, e * 1e308 is not
@@ -194,8 +194,8 @@ def test_an_overflowing_solution_is_a_named_error(diag_sys, solve):
             solve(diag_sys)
 
 
-@pytest.mark.parametrize("u", [ControlFamily.from_data([["t1", 0], ["t2", 0]], 2),
-                               ControlFamily.from_data([["t1"]], 1)],
+@pytest.mark.parametrize("u", [MatrixFamily.from_data([["t1", 0], ["t2", 0]], 2),
+                               MatrixFamily.from_data([["t1"]], 1)],
                          ids=["k_plus_1_rows", "m_minus_1_members"])
 @pytest.mark.parametrize("route", ["check", "solve"])
 @pytest.mark.parametrize("varying", [False, True], ids=["constant", "varying"])
@@ -217,7 +217,8 @@ def test_a_control_of_the_wrong_size_is_named(diag_sys, varying, route, u):
 @pytest.mark.parametrize("solve", [
     lambda sys, x0: solve_homogeneous(sys, (0, 0), x0, (1, 1)),
     lambda sys, x0: solve_adjoint(sys, (0, 0), x0, (1, 1)),
-    lambda sys, x0: solve_controlled(sys, ControlFamily.zero(2, 1), (0, 0), x0, (1, 1)),
+    lambda sys, x0: solve_controlled(sys, MatrixFamily.from_data([[0]] * 2, 2), (0, 0),
+                                     x0, (1, 1)),
 ], ids=["homogeneous", "adjoint", "controlled"])
 def test_a_state_vector_goes_through_the_point_funnel(diag_sys, solve, x0, message):
     with pytest.raises(ValueError, match=message):
@@ -281,7 +282,7 @@ def test_solve_affine_gated_on_F_compatibility():
 
 
 def test_solve_controlled_zero_control(diag_sys):
-    u = ControlFamily.zero(2, 1)
+    u = MatrixFamily.from_data([[0]] * 2, 2)
     x0 = np.array([2.0, -1.0])
     a = solve_controlled(diag_sys, u, (0, 0), x0, (1, 1))
     b = solve_homogeneous(diag_sys, (0, 0), x0, (1, 1))
@@ -289,13 +290,13 @@ def test_solve_controlled_zero_control(diag_sys):
 
 
 def test_solve_controlled_constant_control(diag_sys):
-    u = ControlFamily.from_data([[1], [0]], 2)
+    u = MatrixFamily.from_data([[1], [0]], 2)
     x = solve_controlled(diag_sys, u, (0, 0), (0, 0), (1, 0))
     assert np.allclose(x, [math.e - 1, 0.0], rtol=1e-10, atol=1e-12)
 
 
 def test_solve_controlled_rejects_out_of_space_control(cyclic_sys):
-    u = ControlFamily.from_data([[1], [1], [1]], 3)
+    u = MatrixFamily.from_data([[1], [1], [1]], 3)
     with pytest.raises(CompatibilityError):
         solve_controlled(cyclic_sys, u, (0, 0, 0), (0, 0, 0), (1, 1, 1))
 
@@ -563,12 +564,12 @@ def _forced_case(kind, m, seed, identical):
         c = rng.standard_normal(sys.n)
         F = MatrixFamily([MatrixFunction((M(np.zeros(m)) @ c)[:, None], m)
                           for M in sys.M])
-        u = ControlFamily.from_data(rng.standard_normal((m, sys.k, 1)).tolist(), m)
+        u = MatrixFamily.from_data(rng.standard_normal((m, sys.k, 1)).tolist(), m)
     else:
         sys = axis_scaled_system()
         c1, c2 = rng.uniform(-2.0, 2.0, size=2).tolist()
         F = MatrixFamily.from_data([[[f"{c1!r}*t1"], [0]], [[0], [f"{c2!r}*t2"]]], 2)
-        u = ControlFamily.from_data([[["t1*t2"]], [["cos(t1) - t2"]]], 2)
+        u = MatrixFamily.from_data([[["t1*t2"]], [["cos(t1) - t2"]]], 2)
     t0, t = rng.uniform(-1.0, 2.0, size=(2, sys.m))
     return sys, F, u, t0, t, rng.standard_normal(sys.n), rng.standard_normal(sys.n)
 

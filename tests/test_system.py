@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcontrol import (CompatibilityError, ConditionReport, ControlFamily,
-                       LinearSystem, MatrixFamily, SynthesizedControl,
-                       check_control_compat, check_F_compatibility,
-                       check_gramian_compat, check_M_commutation)
+from mtcontrol import (CompatibilityError, ConditionReport, LinearSystem,
+                       MatrixFamily, SynthesizedControl, check_control_compat,
+                       check_F_compatibility, check_gramian_compat,
+                       check_M_commutation)
 from mtcontrol.core import NumericConfig, norm
 from mtcontrol import system as system_module
 from mtcontrol.expr import BinOp, ExprDomainError, Num
@@ -63,7 +64,7 @@ def test_a_residual_that_overflows_fails_every_gate():
         [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]],
         [[[1], [0]], [[0], [1]]])
     F = MatrixFamily.from_data([[[1e200], [0]], [[0], [1e200]]], 2)
-    u = ControlFamily.from_data([[[1e200]], [[1e200]]], 2)
+    u = MatrixFamily.from_data([[[1e200]], [[1e200]]], 2)
     # commuting M_a, but N_b N_b' = diag(0, 1e400) overflows
     wide = LinearSystem.from_data(
         2, 2, 1,
@@ -121,7 +122,7 @@ def _scaled_case(case, k):
     system = LinearSystem.from_data(m, n, width, scaled(M, 1), scaled(N, 1),
                                     domain=None if box is None else s * np.array(box))
     return (system, MatrixFamily.from_data(scaled(F, 1), m),
-            ControlFamily.from_data(scaled(u, 0), m), cfg)
+            MatrixFamily.from_data(scaled(u, 0), m), cfg)
 
 
 @st.composite
@@ -214,7 +215,7 @@ def test_F_compat_shape_validation(diag_sys):
 
 
 def test_control_compat_separated_variables_pass(diag_sys):
-    u = ControlFamily.from_data([["t1"], ["t2"]], 2)
+    u = MatrixFamily.from_data([["t1"], ["t2"]], 2)
     sys = LinearSystem(diag_sys.m, diag_sys.n, diag_sys.k, diag_sys.M,
                        diag_sys.N, domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
     assert check_control_compat(sys, u).passed
@@ -222,21 +223,21 @@ def test_control_compat_separated_variables_pass(diag_sys):
 
 def test_control_compat_mixed_variables_fail(diag_sys):
     # u1 depending on t2 breaks the symmetry: N1 du1/dt2 = e1 != 0
-    u = ControlFamily.from_data([["t2"], ["t1"]], 2)
+    u = MatrixFamily.from_data([["t2"], ["t1"]], 2)
     sys = LinearSystem(diag_sys.m, diag_sys.n, diag_sys.k, diag_sys.M,
                        diag_sys.N, domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
     assert not check_control_compat(sys, u).passed
 
 
 def test_control_compat_rejects_nonzero_constant_on_cyclic(cyclic_sys):
-    u = ControlFamily.from_data([[1], [1], [1]], 3)
+    u = MatrixFamily.from_data([[1], [1], [1]], 3)
     report = check_control_compat(cyclic_sys, u)
     assert not report.passed
 
 
 def test_zero_control_always_passes(diag_sys, cyclic_sys):
     for sys in (diag_sys, cyclic_sys):
-        u = ControlFamily.zero(sys.m, sys.k)
+        u = MatrixFamily.from_data([[0] * sys.k] * sys.m, sys.m)
         report = check_control_compat(sys, u)
         assert report.passed
         assert report.max_residual == 0.0
@@ -483,17 +484,23 @@ def test_matrix_function_copies_a_plain_array():
 
 
 def test_control_family_is_a_family_of_columns():
+    # a control is a MatrixFamily of m columns: flat and nested-column members
+    # read alike, and the gates' size rule refuses any other member shape
     with pytest.raises(ValueError, match="a family needs at least one member"):
-        ControlFamily([])
-    with pytest.raises(ValueError, match="control members must be column "
-                                         "vectors of equal size"):
-        ControlFamily([MatrixFunction([[1, 2]], 2)] * 2)
+        MatrixFamily([])
     with pytest.raises(ValueError, match="family members must share a shape"):
-        ControlFamily([MatrixFunction([[1]], 2), MatrixFunction([[1], [2]], 2)])
-    u = ControlFamily.from_data([["t1", 0], [1, 2]], 2)
-    assert isinstance(u, MatrixFamily)
-    assert (u.m, u.k, u.shape, u.is_constant) == (2, 2, (2, 1), False)
-    assert u((1.0, 3.0)).tolist() == [[[1.0], [0.0]], [[1.0], [2.0]]]
+        MatrixFamily([MatrixFunction([[1]], 2), MatrixFunction([[1], [2]], 2)])
+    for u in (MatrixFamily.from_data([["t1", 0], [1, 2]], 2),
+              MatrixFamily.from_data([[["t1"], [0]], [[1], [2]]], 2)):
+        assert (u.m, u.shape, u.is_constant) == (2, (2, 1), False)
+        assert u((1.0, 3.0)).tolist() == [[[1.0], [0.0]], [[1.0], [2.0]]]
+    sys = LinearSystem.from_data(2, 2, 2, [np.eye(2).tolist()] * 2,
+                                 [np.eye(2).tolist()] * 2, domain=[[0, 1], [0, 1]])
+    for data, shape in (([[[1, 2]], [[0, 0]]], (1, 2)),
+                        ([[[1, 0], [0, 1]]] * 2, (2, 2))):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"u must have 2 members of shape (2, 1), got 2 of shape {shape}")):
+            check_control_compat(sys, MatrixFamily.from_data(data, 2))
 
 
 def test_time_varying_check_differentiates_once_per_pair(monkeypatch):
@@ -759,7 +766,7 @@ def check_case(draw):
     kind = draw(st.sampled_from(["zero", "family", "synthesized"]))
     u = None
     if kind == "zero":
-        u = ControlFamily.zero(m, k)
+        u = MatrixFamily.from_data([[0.0] * k] * m, m)
     elif kind == "synthesized":
         v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
         try:
@@ -767,7 +774,7 @@ def check_case(draw):
         except CompatibilityError:  # no such control: draw a family instead
             pass
     if u is None:
-        u = ControlFamily.from_data(family(k, 1), m)
+        u = MatrixFamily.from_data(family(k, 1), m)
     return sys, MatrixFamily.from_data(F, m), u, cfg
 
 
