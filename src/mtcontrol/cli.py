@@ -97,15 +97,16 @@ def _json_int(text: str) -> int | float:
     return int(text) if math.isfinite(number) else number
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, what: str = "config") -> dict:
+    """The JSON document at `path`; `what` names it in a ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh, parse_int=_json_int)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"config {path!r} is not valid JSON: {exc.msg} "
+            f"{what} {path!r} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})") from None
 
 
@@ -303,7 +304,7 @@ def cmd_synthesize(args, system, cfg, doc, t0, t, x0, y) -> dict:
 
 
 def cmd_simulate(args, system, cfg, doc, t0, t, x0) -> dict:
-    control_doc = load_config(args.control)
+    control_doc = load_config(args.control, "control document")
     if isinstance(control_doc, dict) and "u" not in control_doc:
         raise ConfigError("control document is missing required key 'u'")
     data = control_doc["u"] if isinstance(control_doc, dict) else control_doc

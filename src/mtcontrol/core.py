@@ -13,6 +13,7 @@ and `finite` names a result that overflowed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -66,6 +67,15 @@ def norm(a: np.ndarray, axis=None):
     return norms
 
 
+def real(value) -> float:
+    """float(value), or +-inf for a number that no float holds (an int such
+    as 10**400), so that the library reads it as it reads 1e400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def finite(x: np.ndarray, what: str, where: str = "") -> np.ndarray:
     """x, when every entry is finite; else the ValueError that names `what`
     as overflowed, followed by `where`."""
@@ -114,7 +124,8 @@ class NumericConfig:
             raise ValueError("quad_points_per_segment must be >= 1")
         if self.ode_steps_per_segment < 1:
             raise ValueError("ode_steps_per_segment must be >= 1")
-        if not (0 < self.rank_rel_tol < np.inf and 0 < self.residual_rel_tol < np.inf):
+        if not all(0 < v and real(v) < np.inf
+                   for v in (self.rank_rel_tol, self.residual_rel_tol)):
             raise ValueError("tolerances must be finite and strictly positive")
         if self.grid_samples_per_axis < 1:
             raise ValueError("grid_samples_per_axis must be >= 1")

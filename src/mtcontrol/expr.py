@@ -6,6 +6,10 @@ the functions exp, sin, cos, log.  Expressions differentiate exactly;
 derivatives come back as folded but otherwise unsimplified trees, so
 equality of expressions is always tested by evaluation, never
 syntactically.
+Two constants fold under +, -, * and / by a nonzero one in Python floats
+(IEEE binary64, the bits numpy gives); a power, a call and / 0 fold through
+`eval`.  A matrix differentiates only the entries whose `variables` include
+the axis: every other derivative entry is an exact zero (see `system`).
 
 Evaluation is batched: `Expr.eval` takes a (P, m) array of multitime
 points and walks the tree once, with one numpy operation per node over
@@ -26,6 +30,7 @@ Grammar (precedence low to high, left-associative):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,8 +246,17 @@ class Call(Expr):
         return f"{self.name}({self.arg})"
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
 def _fold(e: Expr) -> Num:
-    """The constant node with the value of a variable-free expression."""
+    """The constant node with the value of a variable-free expression: +, -,
+    * of two constants, or / by a nonzero one, in Python float arithmetic,
+    and any other node (a power, a call, a division by zero) by `eval`."""
+    if (isinstance(e, BinOp) and isinstance(e.left, Num) and isinstance(e.right, Num)
+            and (e.op != "/" or e.right.value != 0.0)):
+        return Num(_ARITHMETIC[e.op](float(e.left.value), float(e.right.value)))
     return Num(float(e.eval(np.empty((1, 0)))[0]))
 
 
@@ -444,6 +458,18 @@ def check_size(e: Expr) -> None:
         if count > MAX_TOKENS:
             raise ExprError(f"expression has more than {MAX_TOKENS} nodes")
         stack.extend(v for v in vars(stack.pop()).values() if isinstance(v, Expr))
+
+
+def variables(e: Expr) -> frozenset[int]:
+    """The indices alpha of the t^alpha that `e` mentions, by an iterative walk."""
+    found, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            found.add(node.index)
+        else:
+            stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
+    return frozenset(found)
 
 
 def differentiate(e: Expr, alpha: int) -> Expr:

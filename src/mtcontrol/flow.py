@@ -85,10 +85,13 @@ def _generators(sys: LinearSystem, starts: np.ndarray, end,
     A = np.zeros((len(starts), len(fractions), sys.n, sys.n))
     for alpha in range(sys.m):
         rows = delta[:, alpha] != 0.0
-        if rows.any():
-            M = sys.M[alpha](points[rows].reshape(-1, sys.m))
-            A[rows] += delta[rows, alpha, None, None, None] * M.reshape(
-                -1, len(fractions), sys.n, sys.n)
+        if rows.all():  # every segment advances: no mask, no copy
+            rows = slice(None)
+        elif not rows.any():
+            continue
+        M = sys.M[alpha](points[rows].reshape(-1, sys.m))
+        A[rows] += delta[rows, alpha, None, None, None] * M.reshape(
+            -1, len(fractions), sys.n, sys.n)
     return A
 
 

@@ -27,19 +27,24 @@ a residual that is not finite, and such a residual fails the check.  The
 residuals and the norms of the terms are `core.norm`'s, taken at any
 magnitude: a commutator of 1e-200, whose squares underflow, is not read
 as 0.
+`MatrixFunction.diff(beta)` walks only the entries that mention t^beta
+(each entry's axes are taken when it is placed); the rest are +0.0, where a
+walk would fold them to +-0.0.  `grid_points` gathers the axis samples with
+one index array, into the bytes of `meshgrid(..., indexing="ij")`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as _expr
-from .core import DEFAULT_CONFIG, NumericConfig, as_point, as_points, norm
+from .core import DEFAULT_CONFIG, NumericConfig, as_point, as_points, norm, real
 
 __all__ = [
     "MatrixFunction",
@@ -66,15 +71,15 @@ class CompatibilityError(RuntimeError):
 
 def _numeric_grid(entries) -> np.ndarray | None:
     """`entries` as a float array when every entry is a plain number (no
-    string, no Expr, no bool), else None."""
+    string, no Expr, no bool), else None.  The conversion stops at the first
+    expression it meets, so an expression matrix costs no string copy."""
     try:
-        grid = np.array(entries)
-    except ValueError:  # ragged nesting; the object path reports it
+        grid = np.array(entries, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged, an expression, 10**400
         return None
-    # numpy reads [1, True] as [1, 1]; the object path rejects the bool
-    if grid.dtype.kind not in "iuf" or bool in map(type, np.array(entries, object).flat):
-        return None
-    return grid.astype(float, copy=False)
+    # numpy reads True as 1 and "2" as 2: only int and float entries stay here
+    plain = set(map(type, np.array(entries, object).flat)) <= {int, float}
+    return grid if plain else None
 
 
 class MatrixFunction:
@@ -94,7 +99,7 @@ class MatrixFunction:
         if grid.ndim != 2:
             raise ValueError(f"matrix entries must be 2-D, got shape {grid.shape}")
         self.m = m
-        self._varying = []
+        self._varying, self._axes = [], []
         if grid.dtype != object:
             bad = np.argwhere(~np.isfinite(grid))
             if len(bad):
@@ -113,23 +118,25 @@ class MatrixFunction:
                 try:
                     if isinstance(entry, (bool, np.bool_)):  # not a number here
                         raise TypeError
-                    entry = _expr.Num(float(entry))
+                    entry = _expr.Num(real(entry))
                 except TypeError:
                     raise ValueError(f"matrix entry at ({i}, {j}) must be a number "
                                      f"or an expression, got {entry!r}") from None
             self._place(i, j, entry)
 
-    def _place(self, i: int, j: int, entry: _expr.Expr) -> None:
+    def _place(self, i: int, j: int, entry: _expr.Expr, axes=None) -> None:
         """Put a valid expression at (i, j): its value in the constant array
-        when it is variable-free, else in the list of varying entries."""
+        when it is variable-free, else in the list of varying entries, with
+        the axes it may mention in `_axes` (`axes`, or its `variables`)."""
         if entry.is_constant():
             value = (entry.value if isinstance(entry, _expr.Num)
                      else entry.eval(np.zeros((1, self.m)))[0])
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite constant entry at ({i}, {j})")
             self._constant[i, j] = value
         else:
             self._varying.append((i, j, entry))
+            self._axes.append(_expr.variables(entry) if axes is None else axes)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -162,12 +169,15 @@ class MatrixFunction:
         return out if batch else out[0]
 
     def diff(self, beta: int) -> "MatrixFunction":
-        """Entrywise exact partial derivative with respect to t^beta; the
-        constant entries differentiate to 0."""
+        """Entrywise exact partial derivative with respect to t^beta.  An
+        entry that does not mention t^beta, constant or not, differentiates
+        to an exact +0.0 without a walk of its tree; a derivative entry
+        mentions no axis its entry does not."""
         d = MatrixFunction.__new__(MatrixFunction)
-        d.m, d._constant, d._varying = self.m, np.zeros(self.shape), []
-        for i, j, e in self._varying:
-            d._place(i, j, e.diff(beta))
+        d.m, d._constant, d._varying, d._axes = self.m, np.zeros(self.shape), [], []
+        for (i, j, e), axes in zip(self._varying, self._axes):
+            if beta in axes:
+                d._place(i, j, e.diff(beta), axes)
         return d
 
 
@@ -216,8 +226,13 @@ class MatrixFamily:
 
     def __call__(self, t) -> np.ndarray:
         """Every member at t, stacked: (m, r, c) at one point of shape (m,),
-        (m, P, r, c) on a batch of points of shape (P, m)."""
-        return np.stack([a(t) for a in self.members])
+        (m, P, r, c) on a batch of points of shape (P, m); a constant family
+        copies its `value`, as its members would."""
+        if self.value is None:
+            return np.stack([a(t) for a in self.members])
+        if np.ndim(t) == 2:
+            return self.value[:, None].repeat(len(t), axis=1)
+        return self.value.copy()
 
     def __getitem__(self, alpha0: int) -> MatrixFunction:
         return self.members[alpha0]
@@ -262,7 +277,10 @@ class LinearSystem:
             if any(isinstance(v, (bool, np.bool_))
                    for v in np.asarray(domain, dtype=object).flat):
                 raise ValueError("domain bounds must be numbers, not booleans")
-            domain = np.asarray(domain, dtype=float)
+            try:
+                domain = np.asarray(domain, dtype=float)
+            except OverflowError:  # an int no float holds reads as +-inf
+                domain = np.asarray(np.frompyfunc(real, 1, 1)(domain), dtype=float)
             if domain.shape != (m, 2):
                 raise ValueError(f"domain must have shape ({m}, 2)")
             if np.any(domain[:, 0] > domain[:, 1]):
@@ -314,10 +332,11 @@ class LinearSystem:
             box = np.tile([-1.0, 1.0], (self.m, 1))
         else:
             box = self.domain
-        axes = [np.linspace(lo, hi, cfg.grid_samples_per_axis)
-                for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([g.ravel() for g in mesh], axis=-1)
+        s = cfg.grid_samples_per_axis
+        axes = np.array([np.linspace(lo, hi, s) for lo, hi in box])  # (m, s)
+        # row p takes sample index[p, a], digit a of p in base s, on axis a
+        index = np.arange(s ** self.m)[:, None] // s ** np.arange(self.m - 1, -1, -1) % s
+        grid = axes[np.arange(self.m), index]
         grid.setflags(write=False)
         return grid
 

@@ -797,6 +797,27 @@ def _assert_named_error(capsys, argv, json_mode, message):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("control, message", [
+    (None, "cannot read control document {path!r}: [Errno 2] No such file or "
+           "directory: {path!r}"),
+    ('{"u": [[0], [0]', "control document {path!r} is not valid JSON: Expecting "
+                        "',' delimiter (line 1, column 16)"),
+], ids=["missing", "truncated"])
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_a_bad_control_document_is_named_a_control_document(capsys, diag_cfg,
+                                                            tmp_path, control,
+                                                            message, json_mode):
+    path = tmp_path / "control.json"
+    if control is not None:
+        path.write_text(control)
+    code = run((["--json"] if json_mode else []) + [
+        "simulate", diag_cfg, "--t0", "0,0", "--t", "1,0", "--x0", "0,0",
+        "--control", str(path)])
+    captured = _assert_error_report(capsys, code, "simulate", json_mode,
+                                    message.format(path=str(path)))
+    assert captured.err == ""
+
+
 def _assert_error_report(capsys, code, command, json_mode, message):
     """The run exited 2 with `message` as its report, strict JSON in --json
     mode; returns the captured output."""

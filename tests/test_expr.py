@@ -3,9 +3,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcontrol.expr import (MAX_TOKENS, BinOp, Call, ExprDomainError, ExprError,
-                            Neg, Num, Var, differentiate, parse)
+                            Neg, Num, Var, _fold, differentiate, parse)
 from mtcontrol.system import LinearSystem, MatrixFunction
 
 
@@ -249,3 +251,30 @@ def test_matrix_function_refuses_an_oversized_tree(leaves):
         e = BinOp("+", e, Var(1))
     with pytest.raises(ExprError, match=f"more than {MAX_TOKENS} nodes"):
         MatrixFunction([[e]], 1)
+
+
+# Operands at the edges of binary64: signed zeros, the extreme subnormals and
+# normals, values whose products and sums overflow, infinities (inf - inf is
+# nan) and nan itself.
+FOLD_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,
+              1.7976931348623157e308, -1.7976931348623157e308, 1e200, 1e-200,
+              math.inf, -math.inf, math.nan]
+
+
+# 300 examples, about 0.4 s on a shared 2-vCPU host
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from("+-*/"),
+       st.sampled_from(FOLD_EDGES) | st.floats(),
+       st.sampled_from(FOLD_EDGES) | st.floats(-1e-300, 1e-300) | st.floats())
+def test_folded_arithmetic_is_the_numpy_evaluation_bit_for_bit(op, a, b):
+    # a fold of two constants in Python floats gives the bits that the
+    # batched numpy evaluation of the same node gives; / 0 raises in both
+    node = BinOp(op, Num(a), Num(b))
+    if op == "/" and b == 0.0:
+        for evaluate in (_fold, lambda e: e.eval(np.empty((1, 0)))):
+            with pytest.raises(ExprDomainError, match="division by zero"):
+                evaluate(node)
+        return
+    folded = _fold(node).value
+    assert type(folded) is float
+    assert np.float64(folded).tobytes() == node.eval(np.empty((1, 0))).tobytes()

@@ -13,7 +13,7 @@ from mtcontrol import (CompatibilityError, LinearSystem, MatrixFamily,
                        solve_adjoint, solve_affine, solve_controlled,
                        solve_homogeneous)
 from mtcontrol.core import DEFAULT_CONFIG, PolylineCurve, curve_segment, staircase
-from mtcontrol.flow import _controlled_solve, transition
+from mtcontrol.flow import _controlled_solve, _generators, transition
 from mtcontrol.synth import SynthesizedControl
 from mtcontrol.system import MatrixFunction
 
@@ -597,3 +597,47 @@ def test_forced_solves_equal_the_per_direction_formula(kind, m, seed, stairs,
         expected = per_direction_forced_solve(
             sys, per_direction_control_forcing(sys, control), t0, x0, t, curve)
         assert np.array_equal(controlled, expected)
+
+
+def _masked_generators(sys, starts, end, fractions):
+    """`flow._generators` with a boolean mask for every direction, also when
+    every start advances along it."""
+    delta = end - starts
+    points = starts[:, None] + fractions[:, None] * delta[:, None]
+    A = np.zeros((len(starts), len(fractions), sys.n, sys.n))
+    for alpha in range(sys.m):
+        rows = delta[:, alpha] != 0.0
+        if rows.any():
+            M = sys.M[alpha](points[rows].reshape(-1, sys.m))
+            A[rows] += delta[rows, alpha, None, None, None] * M.reshape(
+                -1, len(fractions), sys.n, sys.n)
+    return A
+
+
+@st.composite
+def generator_case(draw):
+    """A time-varying family on [-1, 2]^m, an end point, and 1..4 starts whose
+    coordinates each equal the end's or not, so a direction is advanced by
+    every start, by some or by none."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coordinate = st.floats(-1.0, 2.0)
+    entry = st.sampled_from(["0", "1.5", "t{a}", "-2*t{a}^2", "cos(t{b})",
+                             "exp(-t{a})*t{b}"])
+    M = [[[draw(entry).format(a=a, b=draw(st.integers(1, m))) for _ in range(n)]
+          for _ in range(n)] for a in range(1, m + 1)]
+    sys = LinearSystem.from_data(m, n, 1, M, [[[1]] * n] * m, domain=[[-1, 2]] * m)
+    end = np.array(draw(st.lists(coordinate, min_size=m, max_size=m)))
+    P = draw(st.integers(1, 4))
+    starts = np.array([[draw(st.sampled_from([end[a], draw(coordinate)]))
+                        for a in range(m)] for _ in range(P)])
+    steps = draw(st.integers(1, 4))
+    return sys, starts, end, np.arange(2 * steps + 1) * (0.5 / steps)
+
+
+# 80 examples, about 0.25 s on a shared 2-vCPU host
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(generator_case())
+def test_unmasked_generators_equal_the_masked_ones_bit_for_bit(case):
+    sys, starts, end, fractions = case
+    got = _generators(sys, starts, end, fractions)
+    assert got.tobytes() == _masked_generators(sys, starts, end, fractions).tobytes()

@@ -116,6 +116,23 @@ def test_controllability_matrix_matches_per_tuple_products(sys):
     assert np.issubdtype(G.block_table.dtype, np.integer)
 
 
+@pytest.mark.xfail(raises=CompatibilityError, strict=True,
+                   reason="ROADMAP item 13, the mixed-magnitude stack: |M1|^2 "
+                          "underflows, so the gate's scale reads 0")
+def test_a_commuting_family_of_mixed_magnitudes_is_not_refused():
+    # the shrunk case the property above draws in 1-1.5% of its runs:
+    # M1 = s M2 up to round-off, s = 3.7e-200, so the family commutes, yet
+    # M-commutation refuses it with residual 2.90083551986e-216
+    M2 = np.zeros((4, 4))
+    M2[3] = [0, 0, 0.9375, 0.5625]
+    M1 = np.zeros((4, 4))
+    M1[3] = [0, 0, 3.4993871525013331e-200, 2.0996322915007996e-200]
+    sys = LinearSystem.from_data(2, 4, 1, [M1.tolist(), M2.tolist()],
+                                 np.zeros((2, 4, 1)).tolist())
+    G = controllability_matrix(sys)
+    assert G.value.tobytes() == _per_tuple_G(sys)[0].tobytes()
+
+
 @pytest.mark.parametrize("m, n, k", [(1, 1, 1), (1, 4, 2), (3, 1, 2), (4, 5, 3)])
 @pytest.mark.parametrize("zero_N", [False, True], ids=["N", "zero_N"])
 def test_controllability_matrix_matches_per_tuple_products_at_the_edges(m, n, k,

@@ -14,7 +14,7 @@ from mtcontrol import (CompatibilityError, ConditionReport, LinearSystem,
                        check_M_commutation)
 from mtcontrol.core import NumericConfig, norm
 from mtcontrol import system as system_module
-from mtcontrol.expr import BinOp, ExprDomainError, Num
+from mtcontrol.expr import BinOp, ExprDomainError, Num, variables
 from mtcontrol.system import MatrixFunction
 
 
@@ -468,12 +468,41 @@ def test_non_finite_constant_names_the_first_entry_in_row_major_order(entries, w
                                 "expression, got False"),
     ([["t1", True]], "matrix entry at (0, 1) must be a number or an expression, "
                      "got True"),
+    # numpy would read these two as the numbers inf and 1
+    ([[1, "inf"]], "unknown identifier 'inf' (at position 0)"),
+    ([[1, np.True_]], "matrix entry at (0, 1) must be a number or an expression, "
+                      "got np.True_"),
 ], ids=["null", "nested_list", "ragged", "bool_among_ints", "bool_among_floats",
-        "bool_array", "bool_beside_expression"])
+        "bool_array", "bool_beside_expression", "numeric_string", "numpy_bool"])
 def test_malformed_entries_are_a_named_error(entries, message):
     with pytest.raises(ValueError) as exc:
         MatrixFunction(entries, 1)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda x: MatrixFamily.from_data([[[x]]], 1),
+     "non-finite constant entry at (0, 0)"),
+    (lambda x: MatrixFamily.from_data([[["t1", -x]]], 1),
+     "non-finite constant entry at (0, 1)"),
+    (lambda x: LinearSystem.from_data(1, 1, 1, [[["t1"]]], [[[1]]], domain=[[-x, 1]]),
+     "time-varying systems need a finite domain box for grid sampling"),
+    (lambda x: LinearSystem.from_data(1, 1, 1, [[[1]]], [[[1]]], domain=[[0, x]]),
+     None),
+    (lambda x: NumericConfig(rank_rel_tol=x),
+     "tolerances must be finite and strictly positive"),
+], ids=["constant_entry", "entry_beside_expression", "varying_domain",
+        "constant_domain", "tolerance"])
+def test_an_integer_no_float_holds_reads_as_1e400_in_the_api(build, message):
+    # each call with 10**400 behaves as the same call with 1e400: the named
+    # ValueError, or a constant system on the box [0, inf]
+    for number in (10 ** 400, 1e400):
+        if message is None:
+            assert build(number).domain.tolist() == [[0.0, math.inf]]
+            continue
+        with pytest.raises(ValueError) as exc:
+            build(number)
+        assert str(exc.value) == message
 
 
 def test_matrix_function_copies_a_plain_array():
@@ -802,3 +831,77 @@ def test_batched_checks_equal_the_per_pair_formulas_bit_for_bit(case):
             (check_control_compat(sys, u, cfg), reference_control_compat(sys, u, cfg)),
             (check_gramian_compat(sys, cfg), reference_gramian_compat(sys, cfg))]:
         _same_report(new, reference)
+
+
+@st.composite
+def grid_case(draw):
+    """m = 1..3 axes, 1..7 samples, and a box whose axes may be degenerate
+    (lo = hi), or no box at all."""
+    m, samples = draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    bound = st.floats(-1e6, 1e6)
+    box = [sorted(draw(st.tuples(bound, bound) | bound.map(lambda x: (x, x))))
+           for _ in range(m)]
+    return m, samples, draw(st.sampled_from([box, None]))
+
+
+# 100 examples, about 0.25 s on a shared 2-vCPU host
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(grid_case())
+def test_grid_is_the_meshgrid_of_the_axis_samples_bit_for_bit(case):
+    m, samples, box = case
+    sys = LinearSystem.from_data(m, 1, 1, [[[1]]] * m, [[[1]]] * m, domain=box)
+    grid = sys.grid_points(NumericConfig(grid_samples_per_axis=samples))
+    axes = [np.linspace(lo, hi, samples) for lo, hi in (box or [(-1.0, 1.0)] * m)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    reference = np.stack([g.ravel() for g in mesh], axis=-1)
+    assert grid.shape == reference.shape == (samples ** m, m)
+    assert grid.flags.c_contiguous and not grid.flags.writeable
+    assert grid.tobytes() == reference.tobytes()
+
+
+@st.composite
+def constant_family_and_points(draw):
+    m, r, c = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324])
+    family = MatrixFamily.from_data(
+        [[[draw(entries) for _ in range(c)] for _ in range(r)] for _ in range(m)], m)
+    P = draw(st.sampled_from([None, 0, 1, 4]))  # None: one point of shape (m,)
+    point = st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)
+    return family, (draw(point) if P is None
+                    else np.array(draw(st.lists(point, min_size=P, max_size=P))).reshape(P, m))
+
+
+# 60 examples, about 0.2 s on a shared 2-vCPU host
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(constant_family_and_points())
+def test_constant_family_call_is_the_stack_of_its_members_bit_for_bit(case):
+    family, t = case
+    got = family(t)
+    reference = np.stack([a(t) for a in family.members])
+    assert got.shape == reference.shape and got.dtype == reference.dtype
+    assert got.tobytes() == reference.tobytes()
+    # a fresh, writable array, as the stack is: the family's value stays put
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert not np.shares_memory(got, family.value)
+
+
+# 60 examples, about 0.2 s on a shared 2-vCPU host
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(menu_matrix_and_batch())
+def test_a_skipped_derivative_entry_is_the_unskipped_one_up_to_a_zero_sign(case):
+    # diff(beta) skips each entry that does not mention t^beta; the reference
+    # differentiates every varying entry and builds the matrix from the trees
+    m, entries, points = case
+    f = MatrixFunction([[text for text, _ in row] for row in entries], m)
+    for beta in range(1, m + 1):
+        trees = np.zeros(f.shape, dtype=object)
+        skipped = np.ones(f.shape, dtype=bool)
+        for i, j, e in f._varying:
+            trees[i, j] = e.diff(beta)
+            skipped[i, j] = beta not in variables(e)
+        reference = MatrixFunction(trees, m)(points)
+        got = f.diff(beta)(points)
+        assert (got + 0.0).tobytes() == (reference + 0.0).tobytes()
+        # an entry that does not mention t^beta, constant or not, is +0.0
+        assert np.float64(0.0).tobytes() * skipped.sum() * len(points) == (
+            got[:, skipped].tobytes())
