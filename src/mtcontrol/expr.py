@@ -49,6 +49,8 @@ _FUNCTIONS = {
     "cos": np.cos,
     "log": np.log,
 }
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
 
 
 class ExprError(ValueError):
@@ -84,7 +86,7 @@ class Expr:
         raise NotImplementedError
 
     def is_constant(self) -> bool:
-        return False
+        return not variables(self)
 
     def __call__(self, t) -> float:
         """Value at one point t of shape (m,): the P = 1 case of `eval`."""
@@ -106,9 +108,6 @@ class Num(Expr):
 
     def diff(self, alpha):
         return Num(0.0)
-
-    def is_constant(self):
-        return True
 
     def __str__(self):
         if self.value < 0:
@@ -140,31 +139,22 @@ class Neg(Expr):
     def diff(self, alpha):
         return _neg(self.arg.diff(alpha))
 
-    def is_constant(self):
-        return self.arg.is_constant()
-
     def __str__(self):
         return f"(-{self.arg})"
 
 
 @dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # one of + - * /
+    op: str  # a key of _ARITHMETIC: + - * /
     left: Expr
     right: Expr
 
     def _eval(self, points):
         a = self.left._eval(points)
         b = self.right._eval(points)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if np.any(b == 0.0):
+        if self.op == "/" and np.any(b == 0.0):
             raise ExprDomainError(f"division by zero in {self}")
-        return a / b
+        return _ARITHMETIC[self.op](a, b)
 
     def diff(self, alpha):
         da = self.left.diff(alpha)
@@ -176,9 +166,6 @@ class BinOp(Expr):
         # (u/v)' = (u'v - uv') / v^2
         num = _binop("-", _binop("*", da, self.right), _binop("*", self.left, db))
         return _binop("/", num, _binop("*", self.right, self.right))
-
-    def is_constant(self):
-        return self.left.is_constant() and self.right.is_constant()
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
@@ -203,9 +190,6 @@ class Pow(Expr):
             _binop("*", Num(float(self.exponent)), Pow(self.base, self.exponent - 1)),
             inner,
         )
-
-    def is_constant(self):
-        return self.base.is_constant()
 
     def __str__(self):
         return f"({self.base} ^ {self.exponent})"
@@ -239,15 +223,8 @@ class Call(Expr):
             return _binop("/", inner, self.arg)
         return _binop("*", outer, inner)
 
-    def is_constant(self):
-        return self.arg.is_constant()
-
     def __str__(self):
         return f"{self.name}({self.arg})"
-
-
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}
 
 
 def _fold(e: Expr) -> Num:
@@ -407,7 +384,7 @@ class _Parser:
             if kind != "num" or value != int(value) or value < 0:
                 raise ExprError("exponent must be a non-negative integer literal",
                                 position)
-            if base.is_constant():
+            if isinstance(base, Num):
                 return _fold(Pow(base, int(value)))
             return Pow(base, int(value))
         return base
@@ -421,7 +398,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.sum()
                 self.expect_op(")")
-                if arg.is_constant():
+                if isinstance(arg, Num):
                     return _fold(Call(value, arg))
                 return Call(value, arg)
             if value.startswith("t") and value[1:].isdigit():
@@ -446,30 +423,28 @@ def parse(text: str, m: int) -> Expr:
     return _Parser(text, m).parse()
 
 
+def _nodes(e: Expr):
+    """Every node of `e`, parent before children, by an iterative walk: a
+    recursive one would overflow the stack on the deep trees `check_size`
+    refuses.  The only reader of what a tree holds."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
+
+
 def check_size(e: Expr) -> None:
     """Raise ExprError when `e` has more than MAX_TOKENS nodes, the most a
-    parsed expression can have.
-
-    The walk is iterative and stops past the limit: a recursive count
-    would overflow the stack on exactly the deep trees it refuses."""
-    stack, count = [e], 0
-    while stack:
-        count += 1
+    parsed expression can have; the walk stops past the limit."""
+    for count, _ in enumerate(_nodes(e), 1):
         if count > MAX_TOKENS:
             raise ExprError(f"expression has more than {MAX_TOKENS} nodes")
-        stack.extend(v for v in vars(stack.pop()).values() if isinstance(v, Expr))
 
 
 def variables(e: Expr) -> frozenset[int]:
-    """The indices alpha of the t^alpha that `e` mentions, by an iterative walk."""
-    found, stack = set(), [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            found.add(node.index)
-        else:
-            stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
-    return frozenset(found)
+    """The indices alpha of the t^alpha that `e` mentions."""
+    return frozenset(node.index for node in _nodes(e) if isinstance(node, Var))
 
 
 def differentiate(e: Expr, alpha: int) -> Expr:

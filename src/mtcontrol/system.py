@@ -27,9 +27,10 @@ a residual that is not finite, and such a residual fails the check.  The
 residuals and the norms of the terms are `core.norm`'s, taken at any
 magnitude: a commutator of 1e-200, whose squares underflow, is not read
 as 0.
-`MatrixFunction.diff(beta)` walks only the entries that mention t^beta
-(each entry's axes are taken when it is placed); the rest are +0.0, where a
-walk would fold them to +-0.0.  `grid_points` gathers the axis samples with
+`MatrixFunction.diff(beta)` walks only the entries that mention t^beta;
+the rest are +0.0, where a walk would fold them to +-0.0.  Each varying
+entry keeps its axes, `expr.variables` read once when it is placed, and an
+entry is constant exactly when it names no axis.  `grid_points` gathers the axis samples with
 one index array, into the bytes of `meshgrid(..., indexing="ij")`.
 """
 
@@ -99,7 +100,7 @@ class MatrixFunction:
         if grid.ndim != 2:
             raise ValueError(f"matrix entries must be 2-D, got shape {grid.shape}")
         self.m = m
-        self._varying, self._axes = [], []
+        self._varying = []  # (i, j, e, axes) of each entry that mentions an axis
         if grid.dtype != object:
             bad = np.argwhere(~np.isfinite(grid))
             if len(bad):
@@ -124,19 +125,18 @@ class MatrixFunction:
                                      f"or an expression, got {entry!r}") from None
             self._place(i, j, entry)
 
-    def _place(self, i: int, j: int, entry: _expr.Expr, axes=None) -> None:
+    def _place(self, i: int, j: int, entry: _expr.Expr) -> None:
         """Put a valid expression at (i, j): its value in the constant array
-        when it is variable-free, else in the list of varying entries, with
-        the axes it may mention in `_axes` (`axes`, or its `variables`)."""
-        if entry.is_constant():
+        when it names no axis, else (i, j, entry, axes) in `_varying`."""
+        axes = _expr.variables(entry)
+        if not axes:
             value = (entry.value if isinstance(entry, _expr.Num)
                      else entry.eval(np.zeros((1, self.m)))[0])
             if not math.isfinite(value):
                 raise ValueError(f"non-finite constant entry at ({i}, {j})")
             self._constant[i, j] = value
         else:
-            self._varying.append((i, j, entry))
-            self._axes.append(_expr.variables(entry) if axes is None else axes)
+            self._varying.append((i, j, entry, axes))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -160,7 +160,7 @@ class MatrixFunction:
             return self._constant.copy()
         points = as_points(t, self.m) if batch else as_point(t, m=self.m)[None]
         out = self._constant[None].repeat(len(points), axis=0)
-        for i, j, e in self._varying:
+        for i, j, e, _ in self._varying:
             values = e.eval(points)
             if not np.all(np.isfinite(values)):
                 raise _expr.ExprDomainError(
@@ -171,13 +171,12 @@ class MatrixFunction:
     def diff(self, beta: int) -> "MatrixFunction":
         """Entrywise exact partial derivative with respect to t^beta.  An
         entry that does not mention t^beta, constant or not, differentiates
-        to an exact +0.0 without a walk of its tree; a derivative entry
-        mentions no axis its entry does not."""
+        to an exact +0.0 without a walk of its tree."""
         d = MatrixFunction.__new__(MatrixFunction)
-        d.m, d._constant, d._varying, d._axes = self.m, np.zeros(self.shape), [], []
-        for (i, j, e), axes in zip(self._varying, self._axes):
+        d.m, d._constant, d._varying = self.m, np.zeros(self.shape), []
+        for i, j, e, axes in self._varying:
             if beta in axes:
-                d._place(i, j, e.diff(beta), axes)
+                d._place(i, j, e.diff(beta))
         return d
 
 

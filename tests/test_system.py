@@ -389,7 +389,7 @@ def test_diff_equals_the_validating_path(entries, beta):
     # the reference builds the derivative through MatrixFunction.__init__
     f = MatrixFunction(entries, 2)
     d = np.zeros(f.shape, dtype=object)
-    for i, j, e in f._varying:
+    for i, j, e, _ in f._varying:
         d[i, j] = e.diff(beta)
     reference = MatrixFunction(d, 2)
     got = f.diff(beta)
@@ -896,7 +896,7 @@ def test_a_skipped_derivative_entry_is_the_unskipped_one_up_to_a_zero_sign(case)
     for beta in range(1, m + 1):
         trees = np.zeros(f.shape, dtype=object)
         skipped = np.ones(f.shape, dtype=bool)
-        for i, j, e in f._varying:
+        for i, j, e, _ in f._varying:
             trees[i, j] = e.diff(beta)
             skipped[i, j] = beta not in variables(e)
         reference = MatrixFunction(trees, m)(points)
