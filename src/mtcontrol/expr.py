@@ -11,6 +11,15 @@ Two constants fold under +, -, * and / by a nonzero one in Python floats
 `eval`.  A matrix differentiates only the entries whose `variables` include
 the axis: every other derivative entry is an exact zero (see `system`).
 
+One operator table, `_ARITHMETIC`, serves both the fold and `BinOp`'s
+evaluation.  One iterative walk, `_nodes`, is the only reader of what a
+tree holds: `variables`, `Expr.is_constant` (no variables) and
+`check_tree` read it.  A ready-made tree given to a matrix must be one
+`parse` could have built over t1..tm: at most MAX_TOKENS nodes of the six
+node classes, float constants, variables in range, the four operators,
+the four functions and non-negative int exponents; `check_tree` names
+anything else as an ExprError.
+
 Evaluation is batched: `Expr.eval` takes a (P, m) array of multitime
 points and walks the tree once, with one numpy operation per node over
 all P points.  Calling an expression on a single point is the P = 1 case
@@ -37,7 +46,7 @@ import numpy as np
 
 __all__ = ["Expr", "ExprError", "ExprDomainError", "parse", "differentiate"]
 
-# `parse` refuses longer expressions, and `check_size` trees of more nodes (a
+# `parse` refuses longer expressions, and `check_tree` trees of more nodes (a
 # parsed tree has at most one node per token): printing the derivative of a
 # chain of quotients this long, the deepest recursion here, takes < 600 of
 # 1000 levels.
@@ -225,6 +234,11 @@ class Call(Expr):
 
     def __str__(self):
         return f"{self.name}({self.arg})"
+
+
+# The fields of each node class that hold its operands.
+_OPERANDS = {Num: (), Var: (), Neg: ("arg",), BinOp: ("left", "right"),
+             Pow: ("base",), Call: ("arg",)}
 
 
 def _fold(e: Expr) -> Num:
@@ -424,22 +438,36 @@ def parse(text: str, m: int) -> Expr:
 
 
 def _nodes(e: Expr):
-    """Every node of `e`, parent before children, by an iterative walk: a
-    recursive one would overflow the stack on the deep trees `check_size`
-    refuses.  The only reader of what a tree holds."""
+    """Every node of `e`, parent before operands, by an iterative walk: a
+    recursive one would overflow the stack on the deep trees `check_tree`
+    refuses.  The only reader of what a tree holds; an operand that is not
+    a node is yielded as it is, for `check_tree` to name."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
+        stack.extend(getattr(node, name) for name in _OPERANDS.get(type(node), ()))
 
 
-def check_size(e: Expr) -> None:
-    """Raise ExprError when `e` has more than MAX_TOKENS nodes, the most a
-    parsed expression can have; the walk stops past the limit."""
-    for count, _ in enumerate(_nodes(e), 1):
+def check_tree(e: Expr, m: int) -> None:
+    """Raise ExprError, naming the first fault, unless `e` is a tree `parse`
+    could have built over t1..tm; the walk stops past MAX_TOKENS nodes."""
+    for count, node in enumerate(_nodes(e), 1):
         if count > MAX_TOKENS:
             raise ExprError(f"expression has more than {MAX_TOKENS} nodes")
+        kind = type(node)
+        if kind not in _OPERANDS:
+            raise ExprError(f"not an expression node: {node!r}")
+        if kind is Num and not isinstance(node.value, float):
+            raise ExprError(f"constant must be a float, got {node.value!r}")
+        if kind is Var and not (type(node.index) is int and 1 <= node.index <= m):
+            raise ExprError(f"variable t{node.index} out of range for dimension m={m}")
+        if kind is BinOp and not (isinstance(node.op, str) and node.op in _ARITHMETIC):
+            raise ExprError(f"unknown operator {node.op!r}")
+        if kind is Pow and not (type(node.exponent) is int and node.exponent >= 0):
+            raise ExprError("exponent must be a non-negative integer literal")
+        if kind is Call and not (isinstance(node.name, str) and node.name in _FUNCTIONS):
+            raise ExprError(f"unknown identifier {node.name!r}")
 
 
 def variables(e: Expr) -> frozenset[int]:

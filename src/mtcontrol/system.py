@@ -111,8 +111,8 @@ class MatrixFunction:
         self._constant = np.zeros(grid.shape)  # expression entries stay 0 here
         for (i, j), entry in np.ndenumerate(grid):
             if isinstance(entry, _expr.Expr):
-                # a ready-made tree gets the size limit `parse` enforces
-                _expr.check_size(entry)
+                # a ready-made tree must be one `parse` could have built
+                _expr.check_tree(entry, m)
             elif isinstance(entry, str):
                 entry = _expr.parse(entry, m)
             else:

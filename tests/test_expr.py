@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcontrol.expr import (MAX_TOKENS, BinOp, Call, ExprDomainError, ExprError,
-                            Neg, Num, Var, _fold, differentiate, parse)
+from mtcontrol.expr import (MAX_TOKENS, BinOp, Call, Expr, ExprDomainError,
+                            ExprError, Neg, Num, Pow, Var, _fold, differentiate,
+                            parse, variables)
 from mtcontrol.system import LinearSystem, MatrixFunction
 
 
@@ -261,20 +262,127 @@ FOLD_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,
               math.inf, -math.inf, math.nan]
 
 
+# Independent of `_ARITHMETIC`, which both the fold and the evaluation read.
+NUMPY_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply,
+                    "/": np.true_divide}
+
+
 # 300 examples, about 0.4 s on a shared 2-vCPU host
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from("+-*/"),
        st.sampled_from(FOLD_EDGES) | st.floats(),
        st.sampled_from(FOLD_EDGES) | st.floats(-1e-300, 1e-300) | st.floats())
 def test_folded_arithmetic_is_the_numpy_evaluation_bit_for_bit(op, a, b):
-    # a fold of two constants in Python floats gives the bits that the
-    # batched numpy evaluation of the same node gives; / 0 raises in both
+    # a fold of two constants in Python floats and the batched evaluation of
+    # the same node give the bits of numpy's ufunc on float64 operands; / 0
+    # raises in both
     node = BinOp(op, Num(a), Num(b))
     if op == "/" and b == 0.0:
         for evaluate in (_fold, lambda e: e.eval(np.empty((1, 0)))):
             with pytest.raises(ExprDomainError, match="division by zero"):
                 evaluate(node)
         return
+    with np.errstate(all="ignore"):
+        reference = NUMPY_ARITHMETIC[op](np.float64(a), np.float64(b)).tobytes()
     folded = _fold(node).value
     assert type(folded) is float
-    assert np.float64(folded).tobytes() == node.eval(np.empty((1, 0))).tobytes()
+    assert np.float64(folded).tobytes() == reference
+    assert node.eval(np.empty((1, 0))).tobytes() == reference
+
+
+@pytest.mark.parametrize("entry, m, message", [
+    (Var(0), 2, "variable t0 out of range for dimension m=2"),
+    (Var(3), 2, "variable t3 out of range for dimension m=2"),
+    (BinOp("%", Var(1), Num(2.0)), 1, "unknown operator '%'"),
+    (BinOp("**", Var(1), Num(2.0)), 1, "unknown operator '**'"),
+    (Pow(Num(2), 70), 1, "constant must be a float, got 2"),
+    (BinOp("*", Var(1), Num(True)), 1, "constant must be a float, got True"),
+    (Call("tan", Var(1)), 1, "unknown identifier 'tan'"),
+    (BinOp("+", Var(1), 2), 1, "not an expression node: 2"),
+    (Neg(Expr()), 1, "not an expression node: <mtcontrol.expr.Expr object"),
+    (Pow(Var(1), -1), 1, "exponent must be a non-negative integer literal"),
+    (Pow(Var(1), 2.5), 1, "exponent must be a non-negative integer literal"),
+], ids=["t0", "t3", "modulo", "power_op", "int_constant", "bool_constant", "tan",
+        "int_operand", "base_node", "negative_exponent", "float_exponent"])
+def test_a_tree_parse_could_not_build_is_a_named_error(entry, m, message):
+    with pytest.raises(ExprError) as exc:
+        MatrixFunction([[entry]], m)
+    assert str(exc.value).startswith(message)
+
+
+@st.composite
+def ready_made_trees(draw):
+    """(m, a tree over t1..tm, 2 points): a stack machine builds the tree
+    from at most 64 drawn tokens, so it has at most 128 nodes, and two
+    constants it joins, as in (t1 * (1.0 + 1.0)), stay unfolded."""
+    m = draw(st.integers(1, 3))
+    numbers = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-2, 2)
+    stack, size = [], draw(st.integers(1, 64))
+    for token in draw(st.lists(st.sampled_from(
+            ["num", "var", "neg", "pow", "call", "binop", "binop"]),
+            min_size=size, max_size=size)):
+        if token == "num":
+            stack.append(Num(draw(numbers)))
+        elif token == "var":
+            stack.append(Var(draw(st.integers(1, m))))
+        elif token == "binop" and len(stack) >= 2:
+            right, left = stack.pop(), stack.pop()
+            stack.append(BinOp(draw(st.sampled_from("+-*/")), left, right))
+        elif token == "neg" and stack:
+            stack.append(Neg(stack.pop()))
+        elif token == "pow" and stack:
+            stack.append(Pow(stack.pop(), draw(st.integers(0, 3))))
+        elif token == "call" and stack:
+            stack.append(Call(draw(st.sampled_from(["exp", "sin", "cos", "log"])),
+                              stack.pop()))
+    e = stack.pop() if stack else Num(draw(numbers))
+    for operand in stack:
+        e = BinOp("+", e, operand)
+    points = draw(st.lists(st.floats(-2, 2), min_size=2 * m, max_size=2 * m))
+    return m, e, np.array(points).reshape(2, m)
+
+
+def _recursive_nodes(e: Expr) -> list:
+    """Every node of `e`, by recursion on the node classes."""
+    if isinstance(e, (Num, Var)):
+        return [e]
+    if isinstance(e, BinOp):
+        return [e, *_recursive_nodes(e.left), *_recursive_nodes(e.right)]
+    return [e, *_recursive_nodes(e.base if isinstance(e, Pow) else e.arg)]
+
+
+def _values_or_raise(evaluate):
+    """Bytes of the values `evaluate()` gives, or None when it raises or a
+    value is not finite (a matrix refuses such an entry)."""
+    try:
+        values = evaluate()
+    except (ExprDomainError, ValueError):
+        return None
+    return values.tobytes() if np.all(np.isfinite(values)) else None
+
+
+# 100 examples, about 0.5 s on a shared 2-vCPU host
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ready_made_trees())
+def test_the_walk_reads_every_node_of_a_ready_made_tree(case):
+    m, e, points = case
+    nodes = _recursive_nodes(e)
+    assert len(nodes) <= MAX_TOKENS
+    axes = frozenset(node.index for node in nodes if isinstance(node, Var))
+    assert variables(e) == axes and e.is_constant() == (not axes)
+    want = _values_or_raise(lambda: e.eval(points))
+    try:
+        f = MatrixFunction([[e]], m)
+    except (ExprDomainError, ValueError):  # a constant entry singular at build
+        assert not axes and want is None
+        return
+    # constant exactly when it names no axis; a varying entry is kept as it is
+    assert f.is_constant == (not axes)
+    assert f._varying == ([] if not axes else [(0, 0, e, axes)])
+    assert _values_or_raise(lambda: f(points)[:, 0, 0]) == want
+    for beta in range(1, m + 1):
+        if beta not in axes:  # skipped: an exact +0.0
+            assert f.diff(beta)(points).tobytes() == bytes(8 * len(points))
+            continue
+        want = _values_or_raise(lambda: e.diff(beta).eval(points))
+        assert _values_or_raise(lambda: f.diff(beta)(points)[:, 0, 0]) == want
