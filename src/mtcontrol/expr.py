@@ -446,7 +446,8 @@ def _nodes(e: Expr):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(getattr(node, name) for name in _OPERANDS.get(type(node), ()))
+        for name in _OPERANDS.get(type(node), ()):
+            stack.append(getattr(node, name))
 
 
 def check_tree(e: Expr, m: int) -> None:

@@ -128,15 +128,17 @@ class MatrixFunction:
     def _place(self, i: int, j: int, entry: _expr.Expr) -> None:
         """Put a valid expression at (i, j): its value in the constant array
         when it names no axis, else (i, j, entry, axes) in `_varying`."""
-        axes = _expr.variables(entry)
-        if not axes:
-            value = (entry.value if isinstance(entry, _expr.Num)
-                     else entry.eval(np.zeros((1, self.m)))[0])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite constant entry at ({i}, {j})")
-            self._constant[i, j] = value
+        if isinstance(entry, _expr.Num):  # the most common entry: no walk
+            value = entry.value
         else:
-            self._varying.append((i, j, entry, axes))
+            axes = _expr.variables(entry)
+            if axes:
+                self._varying.append((i, j, entry, axes))
+                return
+            value = entry.eval(np.zeros((1, self.m)))[0]
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite constant entry at ({i}, {j})")
+        self._constant[i, j] = value
 
     @property
     def shape(self) -> tuple[int, int]:
