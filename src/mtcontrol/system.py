@@ -30,8 +30,9 @@ as 0.
 `MatrixFunction.diff(beta)` walks only the entries that mention t^beta;
 the rest are +0.0, where a walk would fold them to +-0.0.  Each varying
 entry keeps its axes, `expr.variables` read once when it is placed, and an
-entry is constant exactly when it names no axis.  `grid_points` gathers the axis samples with
-one index array, into the bytes of `meshgrid(..., indexing="ij")`.
+entry is constant exactly when it names no axis.  `grid_points` gathers
+the axis samples with one index array, into the bytes of
+`meshgrid(..., indexing="ij")`.
 """
 
 from __future__ import annotations
